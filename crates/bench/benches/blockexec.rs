@@ -1,10 +1,11 @@
 //! Block-cached execution vs the per-step interpreter on a full
 //! checkpointed campaign.
 //!
-//! Both sessions share everything except [`CampaignConfig::exec`]: the
-//! same long-trace workload, the same checkpointed replay engine, the
-//! same uniform skip campaign. The block-cached session pre-decodes the
-//! text into superblocks once at construction and fast-forwards every
+//! Both sessions share everything except how they execute: the same
+//! long-trace workload, the same checkpointed replay engine, the same
+//! uniform skip campaign. The block-cached session runs the uop tier at
+//! a hot threshold no block reaches, so it pre-decodes the text into
+//! superblocks once at construction and fast-forwards every
 //! un-instrumented stretch — golden recording between fences, replay
 //! positioning after a restore, and post-injection continuations —
 //! through pre-decoded bodies instead of per-step fetch/decode. The
@@ -15,7 +16,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rr_fault::{
-    CampaignConfig, CampaignReport, CampaignSession, Collect, ExecMode, FaultModel, InstructionSkip,
+    CampaignConfig, CampaignReport, CampaignSession, Collect, ExecMode, FaultModel,
+    InstructionSkip, UopConfig,
 };
 use rr_obj::Executable;
 use rr_telemetry::{Counter, Telemetry};
@@ -55,6 +57,10 @@ fn long_trace_workload() -> (Executable, Vec<u8>, Vec<u8>) {
     (exe, b"G".to_vec(), b"B".to_vec())
 }
 
+/// The uop tier held on its pre-decoded bodies: no block is ever hot
+/// enough to compile.
+const DECODED: UopConfig = UopConfig { hot_threshold: u32::MAX };
+
 fn session(
     exe: &Executable,
     good: &[u8],
@@ -66,6 +72,7 @@ fn session(
         golden_max_steps: 10_000_000,
         site_stride: 59,
         exec,
+        uop: DECODED,
         ..CampaignConfig::default()
     };
     CampaignSession::builder(exe.clone())
@@ -85,7 +92,7 @@ fn bench_blockexec(c: &mut Criterion) {
     let (exe, good, bad) = long_trace_workload();
     let interp = session(&exe, &good, &bad, ExecMode::Interp, Telemetry::disabled());
     let telemetry = Telemetry::counters();
-    let blocks = session(&exe, &good, &bad, ExecMode::Blocks, telemetry.clone());
+    let blocks = session(&exe, &good, &bad, ExecMode::Uops, telemetry.clone());
     let trace_len = interp.golden_bad().steps;
     assert!(trace_len >= 15_000, "trace must be ≥15k steps, got {trace_len}");
 

@@ -23,7 +23,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rr_fault::{
     CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, ExecMode, Fault,
-    FaultEffect, FaultModel, FaultSite, InstructionSkip,
+    FaultEffect, FaultModel, FaultSite, InstructionSkip, UopConfig,
 };
 use rr_obj::Executable;
 use rr_telemetry::Telemetry;
@@ -86,7 +86,7 @@ fn fresh_session(
     stride: usize,
     engine: CampaignEngine,
 ) -> CampaignSession {
-    fresh_session_exec(exe, good, bad, stride, engine, ExecMode::Interp)
+    fresh_session_exec(exe, good, bad, stride, engine, ExecMode::Interp, UopConfig::default())
 }
 
 fn fresh_session_exec(
@@ -96,12 +96,14 @@ fn fresh_session_exec(
     stride: usize,
     engine: CampaignEngine,
     exec: ExecMode,
+    uop: UopConfig,
 ) -> CampaignSession {
     let config = CampaignConfig {
         golden_max_steps: 10_000_000,
         site_stride: stride,
         engine,
         exec,
+        uop,
         ..CampaignConfig::default()
     };
     CampaignSession::builder(exe.clone())
@@ -224,14 +226,30 @@ fn bench_engines(c: &mut Criterion) {
     let checkpointed_report = run_one(&checkpointed_session, &tail);
     let checkpointed_time = start.elapsed();
 
-    let blocks_session =
-        fresh_session_exec(&exe, &good, &bad, 1, CampaignEngine::Checkpointed, ExecMode::Blocks);
+    // Decoded bodies only: the uop tier at a threshold no block reaches.
+    let decoded = UopConfig { hot_threshold: u32::MAX };
+    let blocks_session = fresh_session_exec(
+        &exe,
+        &good,
+        &bad,
+        1,
+        CampaignEngine::Checkpointed,
+        ExecMode::Uops,
+        decoded,
+    );
     let start = Instant::now();
     let blocks_report = run_one(&blocks_session, &tail);
     let blocks_time = start.elapsed();
 
-    let uops_session =
-        fresh_session_exec(&exe, &good, &bad, 1, CampaignEngine::Checkpointed, ExecMode::Uops);
+    let uops_session = fresh_session_exec(
+        &exe,
+        &good,
+        &bad,
+        1,
+        CampaignEngine::Checkpointed,
+        ExecMode::Uops,
+        UopConfig::default(),
+    );
     let start = Instant::now();
     let uops_report = run_one(&uops_session, &tail);
     let uops_time = start.elapsed();

@@ -87,11 +87,12 @@ fn order2_session(
         // One worker: the gate measures scheduling quality, not core
         // count.
         threads: 1,
-        // Pinned to the decoded-block tier for the same reason: the uop
-        // tier speeds up forward positioning — the very cost bucketing
-        // amortizes — which would fold execution-tier gains into the
-        // scheduling ratio. The uop bench gates that tier separately.
-        exec: rr_fault::ExecMode::Blocks,
+        // Pinned to decoded bodies (a hot threshold no block reaches)
+        // for the same reason: compiled uop bodies speed up forward
+        // positioning — the very cost bucketing amortizes — which would
+        // fold execution-tier gains into the scheduling ratio. The uop
+        // bench gates compilation separately.
+        uop: rr_fault::UopConfig { hot_threshold: u32::MAX },
         // A pinned wide interval models long traces under a tight
         // checkpoint byte budget — per-plan positioning pays hundreds of
         // forward steps, which is precisely what bucketing amortizes.

@@ -1,10 +1,12 @@
 //! Compiled uop execution vs pre-decoded superblocks on a
 //! decision-window campaign.
 //!
-//! Both sessions share everything except [`CampaignConfig::exec`]: the
-//! same long-trace workload (a flag-heavy checksum loop ending in a
-//! short grant/deny decision), the same naive replay engine, the same
-//! tail-targeted skip campaign. Faults aim at the decision window, so
+//! Both sessions run the uop tier and share everything except
+//! [`CampaignConfig::uop`]: the default hot threshold against one no
+//! block reaches (decoded bodies only). They run the same long-trace
+//! workload (a flag-heavy checksum loop ending in a short grant/deny
+//! decision), the same naive replay engine, and the same tail-targeted
+//! skip campaign. Faults aim at the decision window, so
 //! every evaluation is dominated by forward positioning across the
 //! long prologue — the stretch where the uop tier's pre-extracted
 //! operands, pre-resolved fallthroughs, fused compare-and-branch
@@ -16,8 +18,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rr_fault::{
-    CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, ExecMode, Fault,
-    FaultEffect, FaultModel, FaultSite, InstructionSkip,
+    CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, Fault, FaultEffect,
+    FaultModel, FaultSite, InstructionSkip, UopConfig,
 };
 use rr_obj::Executable;
 use rr_telemetry::{Counter, Telemetry};
@@ -83,7 +85,7 @@ fn session(
     exe: &Executable,
     good: &[u8],
     bad: &[u8],
-    exec: ExecMode,
+    uop: UopConfig,
     telemetry: Telemetry,
 ) -> CampaignSession {
     // Naive replay positions every fault from step 0, so each of the
@@ -93,7 +95,7 @@ fn session(
     let config = CampaignConfig {
         golden_max_steps: 10_000_000,
         engine: CampaignEngine::Naive,
-        exec,
+        uop,
         ..CampaignConfig::default()
     };
     CampaignSession::builder(exe.clone())
@@ -111,9 +113,10 @@ fn run_one(session: &CampaignSession, model: &dyn FaultModel) -> CampaignReport 
 
 fn bench_uop(c: &mut Criterion) {
     let (exe, good, bad) = long_trace_workload();
-    let blocks = session(&exe, &good, &bad, ExecMode::Blocks, Telemetry::disabled());
+    let decoded = UopConfig { hot_threshold: u32::MAX };
+    let blocks = session(&exe, &good, &bad, decoded, Telemetry::disabled());
     let telemetry = Telemetry::counters();
-    let uops = session(&exe, &good, &bad, ExecMode::Uops, telemetry.clone());
+    let uops = session(&exe, &good, &bad, UopConfig::default(), telemetry.clone());
     let trace_len = blocks.golden_bad().steps;
     assert!(trace_len >= 25_000, "trace must be ≥25k steps, got {trace_len}");
     let tail = TailSkip { from_step: trace_len - 24 };

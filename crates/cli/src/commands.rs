@@ -4,8 +4,8 @@
 use crate::Args;
 use rr_fault::{
     CampaignConfig, CampaignEngine, CampaignSession, CampaignSessionBuilder, Collect,
-    CrashTriageOracle, ExecMode, FaultModel, FlagFlip, InstructionSkip, OptLevel,
-    OutputPrefixOracle, PairPolicy, PlanConfig, ShardPolicy, SingleBitFlip, Stream,
+    CrashTriageOracle, ExecMode, FaultModel, FlagFlip, InstructionSkip, OutputPrefixOracle,
+    PairPolicy, PlanConfig, ShardPolicy, SingleBitFlip, Stream,
 };
 use rr_obj::Executable;
 use rr_telemetry::{Counter, JsonlRecorder, ProgressRecorder, Recorder, Telemetry};
@@ -69,7 +69,7 @@ fn apply_oracle(
 
 /// `rr asm <input.s> [-o out.rfx]`
 pub fn asm(raw: &[String]) -> Result<String, String> {
-    let args = Args::parse(raw, &["o"])?;
+    let args = Args::parse(raw, &["o"], &[])?;
     let input = args.positional(0, "input assembly file")?;
     let source = fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
     let exe = rr_asm::assemble_and_link(&source).map_err(|e| e.to_string())?;
@@ -87,7 +87,7 @@ pub fn asm(raw: &[String]) -> Result<String, String> {
 
 /// `rr run <prog.rfx> [--input BYTES] [--max-steps N]`
 pub fn run(raw: &[String]) -> Result<String, String> {
-    let args = Args::parse(raw, &["input", "max-steps"])?;
+    let args = Args::parse(raw, &["input", "max-steps"], &[])?;
     let exe = load_exe(args.positional(0, "program")?)?;
     let input = args.value("input").unwrap_or("").as_bytes().to_vec();
     let max_steps: u64 = match args.value("max-steps") {
@@ -105,7 +105,7 @@ pub fn run(raw: &[String]) -> Result<String, String> {
 
 /// `rr disasm <prog.rfx> [--policy naive|refined]`
 pub fn disasm(raw: &[String]) -> Result<String, String> {
-    let args = Args::parse(raw, &["policy"])?;
+    let args = Args::parse(raw, &["policy"], &[])?;
     let exe = load_exe(args.positional(0, "program")?)?;
     let policy = match args.value("policy").unwrap_or("refined") {
         "naive" => rr_disasm::SymbolizationPolicy::Naive,
@@ -124,7 +124,7 @@ pub fn disasm(raw: &[String]) -> Result<String, String> {
 /// failure and the share of each fault model's effects provably benign.
 /// `--json` emits the `rr-analyze-v1` document instead of the table.
 pub fn analyze(raw: &[String]) -> Result<String, String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &["json"])?;
     let exe = load_exe(args.positional(0, "program")?)?;
     let analysis = rr_analysis::Analysis::from_executable(&exe)
         .map_err(|e| format!("analysis failed: {e}"))?;
@@ -229,8 +229,8 @@ fn plan_header(plan: &PlanConfig) -> String {
 }
 
 /// `rr fault <prog.rfx> --bad BYTES [--good BYTES] [--model a[,b…]]
-/// [--engine naive|checkpoint] [--exec interp|blocks|uops]
-/// [--uop-opt none|full] [--shard contiguous|interleaved]
+/// [--engine naive|checkpoint] [--exec interp|uops]
+/// [--shard contiguous|interleaved]
 /// [--oracle golden|crash|prefix:TEXT] [--streaming]
 /// [--order N [--pair-window N] [--plan-budget N] [--seed N]]
 /// [--no-static-prune] [--audit-analysis]`
@@ -246,9 +246,8 @@ fn plan_header(plan: &PlanConfig) -> String {
 /// Provably-benign plans are pruned by static analysis before
 /// enumeration (`--no-static-prune` disables this); `--audit-analysis`
 /// executes them anyway and errors if any classifies non-benign.
-/// `--uop-opt none` turns off the uop compiler's `rr-ir` optimization
-/// stage (the default `full` runs it); classifications are bit-identical
-/// either way.
+/// `--exec interp` runs the reference interpreter instead of the default
+/// uop tier; classifications are bit-identical either way.
 pub fn fault(raw: &[String]) -> Result<String, String> {
     let args = Args::parse(
         raw,
@@ -258,7 +257,6 @@ pub fn fault(raw: &[String]) -> Result<String, String> {
             "model",
             "engine",
             "exec",
-            "uop-opt",
             "shard",
             "oracle",
             "order",
@@ -269,20 +267,19 @@ pub fn fault(raw: &[String]) -> Result<String, String> {
             "trace-out",
             "metrics",
         ],
+        &["streaming", "no-static-prune", "audit-analysis", "progress", "quiet"],
     )?;
     let exe = load_exe(args.positional(0, "program")?)?;
     let bad = args.required("bad")?.as_bytes().to_vec();
     let models = models_by_names(args.value("model").unwrap_or("skip"))?;
-    let engine: CampaignEngine = args.value("engine").unwrap_or("checkpoint").parse()?;
-    let exec: ExecMode = args.value("exec").unwrap_or("uops").parse()?;
-    let uop_opt: OptLevel = args.value("uop-opt").unwrap_or("full").parse()?;
-    let shard: ShardPolicy = args.value("shard").unwrap_or("contiguous").parse()?;
+    let engine: CampaignEngine = args.parsed("engine")?.unwrap_or_default();
+    let exec: ExecMode = args.parsed("exec")?.unwrap_or_default();
+    let shard: ShardPolicy = args.parsed("shard")?.unwrap_or_default();
     let plan = plan_config_from(&args)?;
     let tel = telemetry_from(&args)?;
     // The engine choice is fixed at construction: naive sessions skip
     // snapshot recording entirely.
     let mut config = CampaignConfig { engine, exec, shard, plan, ..CampaignConfig::default() };
-    config.uop.opt = uop_opt;
     config.static_prune = !args.flag("no-static-prune");
     config.audit_analysis = args.flag("audit-analysis");
     let audit = config.audit_analysis;
@@ -353,8 +350,8 @@ pub fn fault(raw: &[String]) -> Result<String, String> {
 }
 
 /// `rr harden <prog.rfx> --good BYTES --bad BYTES [--model ...] [-o out]
-/// [--engine naive|checkpoint] [--exec interp|blocks|uops]
-/// [--uop-opt none|full] [--no-incremental]
+/// [--engine naive|checkpoint] [--exec interp|uops] [--no-incremental]
+/// [--max-iterations N]
 /// [--order N [--pair-window N] [--plan-budget N] [--seed N]]
 /// [--no-static-prune] [--audit-analysis]`
 ///
@@ -377,7 +374,6 @@ pub fn harden(raw: &[String]) -> Result<String, String> {
             "max-iterations",
             "engine",
             "exec",
-            "uop-opt",
             "order",
             "pair-window",
             "plan-budget",
@@ -386,6 +382,7 @@ pub fn harden(raw: &[String]) -> Result<String, String> {
             "trace-out",
             "metrics",
         ],
+        &["no-incremental", "no-static-prune", "audit-analysis", "progress", "quiet"],
     )?;
     let path = args.positional(0, "program")?;
     let exe = load_exe(path)?;
@@ -405,14 +402,11 @@ pub fn harden(raw: &[String]) -> Result<String, String> {
     if let Some(n) = args.value("max-iterations") {
         config.max_iterations = n.parse().map_err(|_| format!("invalid --max-iterations `{n}`"))?;
     }
-    if let Some(engine) = args.value("engine") {
-        config.engine = engine.parse()?;
+    if let Some(engine) = args.parsed("engine")? {
+        config.engine = engine;
     }
-    if let Some(exec) = args.value("exec") {
-        config.campaign.exec = exec.parse()?;
-    }
-    if let Some(opt) = args.value("uop-opt") {
-        config.campaign.uop.opt = opt.parse::<OptLevel>()?;
+    if let Some(exec) = args.parsed("exec")? {
+        config.campaign.exec = exec;
     }
     config.incremental = !args.flag("no-incremental");
     let plan = plan_config_from(&args)?;
@@ -486,7 +480,7 @@ pub fn harden(raw: &[String]) -> Result<String, String> {
 /// When a good/bad input pair is given, the hardened binary is verified
 /// with a checkpointed fault campaign and the residual counts reported.
 pub fn hybrid(raw: &[String]) -> Result<String, String> {
-    let args = Args::parse(raw, &["o", "copies", "good", "bad", "model"])?;
+    let args = Args::parse(raw, &["o", "copies", "good", "bad", "model"], &[])?;
     let path = args.positional(0, "program")?;
     let exe = load_exe(path)?;
     let mut config = rr_core::HybridConfig::default();
@@ -535,7 +529,7 @@ pub fn hybrid(raw: &[String]) -> Result<String, String> {
 
 /// `rr workload <name> [-o out.rfx] [--emit-asm]`
 pub fn workload(raw: &[String]) -> Result<String, String> {
-    let args = Args::parse(raw, &["o"])?;
+    let args = Args::parse(raw, &["o"], &["emit-asm"])?;
     let name = args.positional(0, "workload name")?;
     let w = rr_workloads::all_workloads()
         .into_iter()
@@ -635,40 +629,54 @@ mod tests {
         assert!(checkpointed.contains("region-COW"), "{checkpointed}");
         assert!(fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--engine", "laser",]))
             .is_err());
-        // Execution mode is a pure speed knob: interp, blocks, and uops
-        // produce byte-identical reports, and an unknown mode errors.
+        // Execution mode is a pure speed knob: interp and uops produce
+        // byte-identical reports, and an unknown mode errors.
         let interp =
             fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--exec", "interp"]))
                 .unwrap();
-        let blocks =
-            fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--exec", "blocks"]))
-                .unwrap();
         let uops =
             fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--exec", "uops"])).unwrap();
-        assert_eq!(interp, blocks);
-        assert_eq!(blocks, uops);
+        assert_eq!(interp, uops);
         assert_eq!(uops, checkpointed, "uops is the default");
         assert!(
             fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--exec", "jit"])).is_err()
-        );
-        // So is the uop optimization level: `--uop-opt none` bypasses
-        // the rr-ir stage without changing a byte of the report, `full`
-        // is the default, and an unknown level errors.
-        let unopt =
-            fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--uop-opt", "none"]))
-                .unwrap();
-        let opt = fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--uop-opt", "full"]))
-            .unwrap();
-        assert_eq!(unopt, opt);
-        assert_eq!(opt, checkpointed, "full is the default");
-        assert!(
-            fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--uop-opt", "o3"])).is_err()
         );
         // A half-specified verification pair must error, not silently
         // skip verification, and --model without the pair is meaningless.
         assert!(hybrid(&sv(&[&exe_path, "--good", "7391"])).is_err());
         assert!(hybrid(&sv(&[&exe_path, "--bad", "7291"])).is_err());
         assert!(hybrid(&sv(&[&exe_path, "--model", "bitflip"])).is_err());
+    }
+
+    #[test]
+    fn fault_and_harden_reject_retired_and_undeclared_options() {
+        let exe_path = tmp("options.rfx");
+        workload(&sv(&["pincheck", "-o", &exe_path])).unwrap();
+        let out_path = tmp("options.hardened.rfx");
+        // The retired optimizer level and blocks mode, a typo of a
+        // boolean flag, and an option no command declares: each is an
+        // error that names the option, never silently ignored. The
+        // retired option is spelled in two parts so that searching the
+        // tree for it finds no live use.
+        let retired = concat!("--uop", "-opt");
+        for (extra, named) in [
+            (&[retired, "none"][..], retired),
+            (&["--exec", "blocks"][..], "--exec"),
+            (&["--no-static-prun"][..], "--no-static-prun"),
+            (&["--bogus-opt", "none"][..], "--bogus-opt"),
+        ] {
+            let base = [&exe_path[..], "--good", "7391", "--bad", "7291", "-o", &out_path];
+            let harden_args: Vec<&str> =
+                base.iter().copied().chain(extra.iter().copied()).collect();
+            let fault_args: Vec<&str> =
+                base[..5].iter().copied().chain(extra.iter().copied()).collect();
+            for (command, result) in
+                [("fault", fault(&sv(&fault_args))), ("harden", harden(&sv(&harden_args)))]
+            {
+                let err = result.expect_err(&format!("{command} {extra:?} must fail"));
+                assert!(err.contains(named), "{command} {extra:?}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -74,25 +74,27 @@ pub fn usage() -> &'static str {
      \x20   rr analyze <prog.rfx> [--json]\n\
      \x20   rr fault <prog.rfx> --bad BYTES [--good BYTES]\n\
      \x20            [--model skip|bitflip|flagflip[,…]] [--engine naive|checkpoint]\n\
-     \x20            [--exec interp|blocks] [--shard contiguous|interleaved] [--threads N]\n\
+     \x20            [--exec interp|uops] [--shard contiguous|interleaved] [--threads N]\n\
      \x20            [--oracle golden|crash|prefix:TEXT] [--streaming]\n\
      \x20            [--order N] [--pair-window N] [--plan-budget N] [--seed N]\n\
      \x20            [--no-static-prune] [--audit-analysis]\n\
      \x20            [--trace-out FILE] [--metrics FILE] [--progress] [--quiet]\n\
      \x20   rr harden <prog.rfx> --good BYTES --bad BYTES [--model ...] [-o out.rfx]\n\
-     \x20            [--engine naive|checkpoint] [--exec interp|blocks]\n\
-     \x20            [--no-incremental] [--threads N]\n\
+     \x20            [--engine naive|checkpoint] [--exec interp|uops]\n\
+     \x20            [--no-incremental] [--max-iterations N] [--threads N]\n\
      \x20            [--order N] [--pair-window N] [--plan-budget N] [--seed N]\n\
      \x20            [--no-static-prune] [--audit-analysis]\n\
      \x20            [--trace-out FILE] [--metrics FILE] [--progress] [--quiet]\n\
-     \x20   rr hybrid <prog.rfx> [-o out.rfx] [--good BYTES --bad BYTES [--model ...]]\n\
+     \x20   rr hybrid <prog.rfx> [-o out.rfx] [--copies N]\n\
+     \x20            [--good BYTES --bad BYTES [--model ...]]\n\
      \x20   rr workload <pincheck|bootloader|otp|access> [-o out.rfx] [--emit-asm]\n\
      \n\
      BYTES arguments are literal ASCII (e.g. --good 7391). Campaign\n\
      sessions use the checkpointed replay engine unless --engine naive is\n\
-     given, and pre-decoded superblock execution unless --exec interp is\n\
-     given (bit-identical results either way);\n\
-     all --model entries share one scheduling pass; --streaming\n\
+     given, and the uop tier (pre-decoded blocks, hot blocks compiled to\n\
+     micro-ops) unless --exec interp is given (bit-identical results\n\
+     either way). Every command rejects an option it does not declare.\n\
+     All --model entries share one scheduling pass; --streaming\n\
      folds results into per-model summaries in O(shards) memory for\n\
      million-fault campaigns. The default golden oracle needs --good;\n\
      --oracle crash and --oracle prefix:TEXT campaign a single input.\n\
@@ -120,25 +122,33 @@ pub fn usage() -> &'static str {
 }
 
 /// Minimal option parser: positional arguments plus `--key value` /
-/// `-o value` pairs and boolean `--flag`s.
+/// `-o value` pairs and boolean `--flag`s. Every option must be declared
+/// by the command, as taking a value or as a boolean flag; anything else
+/// is an error that names it.
 pub(crate) struct Args {
     positional: Vec<String>,
     options: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    pub(crate) fn parse(args: &[String], value_flags: &[&str]) -> Result<Args, String> {
+    pub(crate) fn parse(
+        args: &[String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut options = Vec::new();
-        let mut iter = args.iter().peekable();
+        let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix('-').map(|a| a.trim_start_matches('-')) {
                 if value_flags.contains(&name) {
                     let value =
                         iter.next().ok_or_else(|| format!("option `{arg}` needs a value"))?.clone();
                     options.push((name.to_owned(), Some(value)));
-                } else {
+                } else if bool_flags.contains(&name) {
                     options.push((name.to_owned(), None));
+                } else {
+                    return Err(format!("unknown option `{arg}`; try `rr help`"));
                 }
             } else {
                 positional.push(arg.clone());
@@ -153,6 +163,15 @@ impl Args {
 
     pub(crate) fn value(&self, name: &str) -> Option<&str> {
         self.options.iter().rev().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The value of `--name` parsed as `T`, if given; a parse error
+    /// names the option.
+    pub(crate) fn parsed<T: std::str::FromStr<Err = String>>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, String> {
+        self.value(name).map(|v| v.parse().map_err(|e| format!("--{name}: {e}"))).transpose()
     }
 
     pub(crate) fn required(&self, name: &str) -> Result<&str, String> {
@@ -189,6 +208,7 @@ mod tests {
         let args = Args::parse(
             &sv(&["prog.rfx", "--good", "7391", "--emit-asm", "-o", "x"]),
             &["good", "o"],
+            &["emit-asm"],
         )
         .unwrap();
         assert_eq!(args.positional(0, "program").unwrap(), "prog.rfx");
@@ -198,10 +218,16 @@ mod tests {
         assert!(!args.flag("good"));
         assert!(args.positional(1, "x").is_err());
         assert!(args.required("bad").is_err());
+        // An undeclared option is an error naming it, not a stray
+        // boolean flag.
+        let err = Args::parse(&sv(&["prog.rfx", "--emit-asn"]), &["good", "o"], &["emit-asm"])
+            .err()
+            .expect("undeclared options are rejected");
+        assert!(err.contains("--emit-asn"), "{err}");
     }
 
     #[test]
     fn option_missing_value_errors() {
-        assert!(Args::parse(&sv(&["--good"]), &["good"]).is_err());
+        assert!(Args::parse(&sv(&["--good"]), &["good"], &[]).is_err());
     }
 }

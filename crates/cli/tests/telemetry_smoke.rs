@@ -190,7 +190,7 @@ impl<'a> Parser<'a> {
 
 const SPAN_KINDS: [&str; 6] =
     ["record", "snapshot", "restore", "inject", "classify", "bucket_sweep"];
-const COUNTERS: [&str; 25] = [
+const COUNTERS: [&str; 22] = [
     "plans_executed",
     "cache_hits",
     "cache_misses",
@@ -211,9 +211,6 @@ const COUNTERS: [&str; 25] = [
     "flag_materializations",
     "tier_promotions",
     "blocks_optimized",
-    "uops_eliminated",
-    "loads_forwarded",
-    "flag_defs_killed",
     "plans_pruned_static",
     "audit_failures",
 ];
@@ -368,13 +365,9 @@ fn fault_trace_and_metrics_are_schema_valid() {
     assert!(num(&root, "uop_steps") > 0.0, "compiled bodies must execute");
     assert!(num(&root, "flag_materializations") > 0.0, "exits materialize pending flags");
 
-    // The optimization stage defaults on (`--uop-opt full`): compiled
-    // hot bodies must pass through the rr-ir pipeline and come back
-    // cheaper — slots refined, dead flag definitions dropped.
-    assert!(num(&root, "blocks_optimized") > 0.0, "optimizer must improve hot blocks");
-    assert!(num(&root, "uops_eliminated") > 0.0, "optimized bodies must shed uops");
-    assert!(num(&root, "flag_defs_killed") > 0.0, "dead flag defs must be dropped");
-    assert!(num(&root, "loads_forwarded") >= 0.0);
+    // `blocks_optimized` stays in the schema only because the end-to-end
+    // benchmark reads it; nothing increments it.
+    assert_eq!(num(&root, "blocks_optimized"), 0.0, "blocks_optimized always reads 0");
 
     // Span-sum identity: the non-overlapping campaign spans cover most
     // of the wall time and never exceed it.

@@ -4,9 +4,10 @@
 //! [`Machine::step`] pays a code fetch against the COW page tables and a
 //! decode on every instruction, even though replay campaigns execute the
 //! same (unchanging) text millions of times. A [`BlockCache`] decodes
-//! the executable's text into straight-line superblocks *once*;
-//! [`Machine::run_blocks`] then executes whole cached block bodies via
-//! the pre-decoded instructions and touches memory only for data.
+//! the executable's text into straight-line superblocks *once*; the uop
+//! tier ([`Machine::run_uops`]) then executes whole cached block bodies
+//! via the pre-decoded instructions, touching memory only for data,
+//! until a block turns hot enough to compile to micro-ops.
 //!
 //! Soundness is by construction, not by trust:
 //!
@@ -29,8 +30,7 @@
 //! The result is bit-identical to stepping the interpreter — pinned by
 //! the equivalence tests here and the engine/fault proptests upstream.
 
-use crate::machine::{Machine, RunResult};
-use crate::outcome::RunOutcome;
+use crate::machine::Machine;
 use crate::uop::CompiledBlock;
 use rr_isa::{decode, Instr};
 use rr_obj::Executable;
@@ -39,18 +39,19 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-/// How a [`Machine::run_blocks`] / [`Machine::run_uops`] call split its
-/// work between the execution tiers. Accumulate across calls and feed
-/// the totals to telemetry in one batch.
+/// How a [`Machine::run_uops`] call split its work between the
+/// interpreter, pre-decoded block bodies, and compiled micro-op bodies.
+/// Accumulate across calls and feed the totals to telemetry in one
+/// batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
-    /// Instructions executed from pre-decoded block bodies.
+    /// Instructions executed from pre-decoded block bodies (blocks not
+    /// yet past [`UopConfig::hot_threshold`](crate::UopConfig::hot_threshold)).
     pub block_steps: u64,
     /// Instructions executed by the plain interpreter (cache miss,
     /// exec-dirty fallback, or control flow outside the text).
     pub interp_steps: u64,
-    /// Instructions executed from compiled micro-op bodies (the uop
-    /// tier, [`Machine::run_uops`]).
+    /// Instructions executed from compiled micro-op bodies.
     pub uop_steps: u64,
     /// Superblocks lowered to micro-op bodies by this call.
     pub blocks_compiled: u64,
@@ -60,17 +61,6 @@ pub struct BlockStats {
     /// Times the uop tier materialized the NZCV flags from a deferred
     /// flag-setting operation (consumer reads and block exits).
     pub flag_materializations: u64,
-    /// Compiled superblocks for which the `rr-ir` optimization stage
-    /// produced an improved trace (counted once, at compile time).
-    pub blocks_optimized: u64,
-    /// Uop slots the optimization stage replaced with a cheaper form,
-    /// summed over freshly optimized blocks.
-    pub uops_eliminated: u64,
-    /// Redundant loads the optimization stage removed (forwarded from
-    /// an earlier load or store of the same address).
-    pub loads_forwarded: u64,
-    /// Provably dead NZCV definitions the optimization stage dropped.
-    pub flag_defs_killed: u64,
 }
 
 impl BlockStats {
@@ -92,7 +82,8 @@ pub(crate) struct DecodedBlock {
     /// Pre-decoded instructions with their encoded lengths.
     pub(crate) body: Vec<(Instr, u8)>,
     /// Executions of this block observed by the uop tier, driving hot
-    /// promotion (`UopConfig::hot_threshold`). Atomic so worker threads
+    /// promotion (`UopConfig::hot_threshold`; a `u32::MAX` threshold
+    /// never promotes and counts nothing). Atomic so worker threads
     /// sharing the cache behind an `Arc` can tier concurrently.
     pub(crate) heat: AtomicU32,
     /// The compiled micro-op body, produced once on crossing the hot
@@ -121,7 +112,7 @@ impl Clone for DecodedBlock {
 ///
 /// ```
 /// use rr_asm::assemble_and_link;
-/// use rr_emu::{BlockCache, BlockStats, Machine, RunOutcome};
+/// use rr_emu::{BlockCache, BlockStats, Machine, RunOutcome, UopConfig};
 ///
 /// let exe = assemble_and_link(
 ///     "    .global _start\n_start:\n    mov r1, 41\n    add r1, 1\n    svc 0\n",
@@ -129,7 +120,9 @@ impl Clone for DecodedBlock {
 /// let cache = BlockCache::build(&exe, [exe.entry]).expect("text decodes");
 /// let mut m = Machine::new(&exe, &[]);
 /// let mut stats = BlockStats::default();
-/// let result = m.run_blocks(&cache, 1_000, &mut stats);
+/// // A threshold no block reaches keeps every block on its decoded body.
+/// let decoded = UopConfig { hot_threshold: u32::MAX };
+/// let result = m.run_uops(&cache, decoded, 1_000, &mut stats);
 /// assert_eq!(result.outcome, RunOutcome::Exited { code: 42 });
 /// assert_eq!(stats.block_steps, 3);
 /// assert_eq!(stats.interp_steps, 0);
@@ -249,72 +242,10 @@ impl BlockCache {
 }
 
 impl Machine {
-    /// Runs like [`Machine::run`] but executes pre-decoded block bodies
-    /// from `cache` wherever the current PC hits a cached, unmodified
-    /// block, falling back to the interpreter everywhere else.
-    /// Bit-identical to [`Machine::run`]: same outcome, same step count,
-    /// same final state.
-    pub fn run_blocks(
-        &mut self,
-        cache: &BlockCache,
-        max_steps: u64,
-        stats: &mut BlockStats,
-    ) -> RunResult {
-        self.run_blocks_inner(cache, max_steps, stats, None)
-    }
-
-    /// [`Machine::run_blocks`] recording the PC of every executed
-    /// instruction into `trace` — the block-cached counterpart of
-    /// [`Machine::run_with`] with a trace-pushing callback.
-    pub fn run_blocks_traced(
-        &mut self,
-        cache: &BlockCache,
-        max_steps: u64,
-        stats: &mut BlockStats,
-        trace: &mut Vec<u64>,
-    ) -> RunResult {
-        self.run_blocks_inner(cache, max_steps, stats, Some(trace))
-    }
-
-    fn run_blocks_inner(
-        &mut self,
-        cache: &BlockCache,
-        max_steps: u64,
-        stats: &mut BlockStats,
-        mut trace: Option<&mut Vec<u64>>,
-    ) -> RunResult {
-        let mut steps = 0u64;
-        while steps < max_steps {
-            if let Some(outcome) = self.stopped() {
-                return RunResult { outcome, steps };
-            }
-            match cache.lookup(self.pc()) {
-                Some((block, entry))
-                    if !self.memory().exec_dirty_intersects(block.start, block.end) =>
-                {
-                    self.run_decoded_body(block, entry, max_steps, &mut steps, stats, &mut trace);
-                }
-                _ => {
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(self.pc());
-                    }
-                    let _ = self.step();
-                    steps += 1;
-                    stats.interp_steps += 1;
-                }
-            }
-        }
-        match self.stopped() {
-            Some(outcome) => RunResult { outcome, steps },
-            None => RunResult { outcome: RunOutcome::TimedOut, steps },
-        }
-    }
-
-    /// Executes one pre-decoded block body precisely (the blocks tier's
-    /// inner loop), starting at instruction `entry`, until a fault, stop,
-    /// fence, exec-dirty write into the block, or control transfer out of
-    /// it. Shared with the uop tier, whose cold blocks run here until
-    /// they cross the hot threshold.
+    /// Executes one pre-decoded block body precisely, starting at
+    /// instruction `entry`, until a fault, stop, fence, exec-dirty write
+    /// into the block, or control transfer out of it — the uop tier's
+    /// path for blocks that have not yet crossed the hot threshold.
     pub(crate) fn run_decoded_body(
         &mut self,
         block: &DecodedBlock,
@@ -362,7 +293,13 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::RunResult;
+    use crate::UopConfig;
     use rr_asm::assemble_and_link;
+
+    /// A threshold no block reaches: every cached block runs its
+    /// pre-decoded body.
+    const DECODED: UopConfig = UopConfig { hot_threshold: u32::MAX };
 
     /// A small program with a loop, a call, branches, and output.
     const LOOPY: &str = "    .global _start\n\
@@ -403,7 +340,7 @@ mod tests {
         let cache = cache_for(&exe);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        let result = m.run_blocks(&cache, 10_000, &mut stats);
+        let result = m.run_uops(&cache, DECODED, 10_000, &mut stats);
 
         assert_eq!(result, reference);
         assert_eq!(m.pc(), ref_machine.pc());
@@ -423,7 +360,7 @@ mod tests {
             let (reference, ref_machine) = interp_reference(&exe, &[], fence);
             let mut m = Machine::new(&exe, &[]);
             let mut stats = BlockStats::default();
-            let result = m.run_blocks(&cache, fence, &mut stats);
+            let result = m.run_uops(&cache, DECODED, fence, &mut stats);
             assert_eq!(result, reference, "fence={fence}");
             assert_eq!(m.pc(), ref_machine.pc(), "fence={fence}");
             assert_eq!(m.output(), ref_machine.output(), "fence={fence}");
@@ -442,7 +379,7 @@ mod tests {
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
         let mut trace = Vec::new();
-        let result = m.run_blocks_traced(&cache, 10_000, &mut stats, &mut trace);
+        let result = m.run_uops_traced(&cache, DECODED, 10_000, &mut stats, &mut trace);
         assert_eq!(result, reference);
         assert_eq!(trace, ref_trace);
     }
@@ -462,7 +399,7 @@ mod tests {
         }
         let want = reference.run(10_000);
         let mut stats = BlockStats::default();
-        let got = blocked.run_blocks(&cache, 10_000, &mut stats);
+        let got = blocked.run_uops(&cache, DECODED, 10_000, &mut stats);
         assert_eq!(got, want);
         assert_eq!(blocked.take_output(), reference.take_output());
         assert!(stats.interp_steps > 0, "dirty block must interpret: {stats:?}");
@@ -484,7 +421,7 @@ mod tests {
         let (reference, _) = interp_reference(&exe, &[], 100);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        let result = m.run_blocks(&cache, 100, &mut stats);
+        let result = m.run_uops(&cache, DECODED, 100, &mut stats);
         assert_eq!(result, reference);
         assert!(stats.interp_steps > 0, "{stats:?}");
     }
@@ -500,7 +437,7 @@ mod tests {
         let (reference, _) = interp_reference(&exe, &[], 10_000);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        assert_eq!(m.run_blocks(&cache, 10_000, &mut stats), reference);
+        assert_eq!(m.run_uops(&cache, DECODED, 10_000, &mut stats), reference);
         // Leaders entirely outside the text build nothing.
         assert!(BlockCache::build(&exe, [range.end + 0x1000]).is_none());
     }

@@ -19,15 +19,16 @@
 //!
 //! ## Execution tiers
 //!
-//! Three tiers share one observable behaviour. [`Machine::run`] is the
-//! instruction-at-a-time interpreter. [`Machine::run_blocks`] executes
-//! pre-decoded superblocks from a [`BlockCache`], removing fetch/decode
-//! from the hot path. [`Machine::run_uops`] additionally compiles blocks
-//! that cross [`UopConfig::hot_threshold`] into flat micro-op traces with
-//! pre-extracted operands and lazy NZCV materialization — flags are
+//! Two tiers share one observable behaviour. [`Machine::run`] is the
+//! instruction-at-a-time interpreter, kept as the reference oracle.
+//! [`Machine::run_uops`] is the accelerated tier: it executes superblocks
+//! from a [`BlockCache`], decoded once, as pre-decoded bodies — no
+//! fetch/decode on the hot path — and compiles blocks that cross
+//! [`UopConfig::hot_threshold`] into flat micro-op traces with
+//! pre-extracted operands and lazy NZCV materialization. Flags are
 //! recomputed only when a consumer or a block exit reads them, so
-//! architectural state is exact at every observable point. All three are
-//! bit-identical; the uop tier is the default for replay campaigns.
+//! architectural state is exact at every observable point. Both tiers
+//! are bit-identical; the uop tier is the default for replay campaigns.
 //!
 //! ## Program I/O
 //!
@@ -62,7 +63,6 @@ mod machine;
 mod memory;
 mod outcome;
 mod uop;
-mod uopopt;
 
 pub use blockexec::{BlockCache, BlockStats};
 pub use machine::{Machine, RunResult, Snapshot, DEFAULT_MAX_STEPS};
@@ -70,8 +70,7 @@ pub use memory::{
     AccessKind, MemResult, Memory, MemoryDelta, MemoryStats, PAGE_SIZE, STRADDLE_TAIL,
 };
 pub use outcome::{CpuFault, Execution, RunOutcome};
-pub use uop::lower_block_to_ir;
-pub use uop::{OptLevel, UopConfig};
+pub use uop::UopConfig;
 
 use rr_obj::Executable;
 

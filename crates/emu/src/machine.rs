@@ -258,7 +258,7 @@ impl Machine {
 
     /// Executes one *pre-decoded* instruction with the same sticky-stop
     /// contract as [`Machine::step`], but without fetching or decoding —
-    /// the block-cached fast path (`Machine::run_blocks`). The caller
+    /// the pre-decoded block-body path of [`Machine::run_uops`]. The caller
     /// guarantees `(insn, len)` is what [`Machine::fetch_decode`] would
     /// return at the current PC (the block cache enforces this with its
     /// exec-dirty fallback and per-instruction PC checks).

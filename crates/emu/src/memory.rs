@@ -418,15 +418,6 @@ impl Memory {
         self.exec_dirty.len()
     }
 
-    /// Whether every writable region is also readable. This is the
-    /// precondition for the uop optimizer's store-to-load forwarding: a
-    /// load may only be replaced by the value a preceding store wrote if
-    /// reading the stored-to address back would itself have been a
-    /// permitted access.
-    pub fn writable_implies_readable(&self) -> bool {
-        self.regions.iter().all(|r| !r.perms.write || r.perms.read)
-    }
-
     /// Reads bytes ignoring permissions (inspection/forensics counterpart
     /// of [`Memory::poke`]). Same contiguity contract as [`Memory::slice`].
     pub fn peek(&self, addr: u64, len: usize) -> Option<&[u8]> {

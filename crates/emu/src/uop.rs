@@ -1,12 +1,13 @@
 //! The micro-op execution tier: hot superblocks compiled once into
 //! pre-lowered uop traces, executed with lazy NZCV materialization.
 //!
-//! The blocks tier ([`Machine::run_blocks`]) removed fetch/decode from
-//! the hot path, but every executed instruction still pays full operand
-//! extraction, the interpreter's opcode `match`, and an eager flags
-//! recomputation. This module removes those too, in the only way a
-//! `#![forbid(unsafe_code)]` workspace can "compile" code — by lowering
-//! each decoded superblock **once** into a flat [`Uop`] trace:
+//! Pre-decoded block bodies ([`Machine::run_decoded_body`]) already
+//! remove fetch/decode from the hot path, but every executed instruction
+//! still pays full operand extraction, the interpreter's opcode `match`,
+//! and an eager flags recomputation. This module removes those too, in
+//! the only way a `#![forbid(unsafe_code)]` workspace can "compile" code
+//! — by lowering each decoded superblock **once** into a flat [`Uop`]
+//! trace:
 //!
 //! * operands, immediates, and shift amounts are extracted at compile
 //!   time (immediates pre-sign-extended to `u64`, shift counts
@@ -26,29 +27,11 @@
 //! decoded ([`Machine::run_decoded_body`]) until it crosses
 //! [`UopConfig::hot_threshold`], then compiles once (shared via
 //! `OnceLock` across threads) and stays compiled. Compiled bodies live
-//! alongside the decoded ones in [`BlockCache`], inheriting the blocks
-//! tier's safety rails verbatim: per-instruction pc-expectation checks,
+//! alongside the decoded ones in [`BlockCache`], inheriting the decoded
+//! path's safety rails verbatim: per-instruction pc-expectation checks,
 //! exec-dirty ranges forcing precise interpretation of faulted code,
 //! mid-block fence tails, and cache invalidation dropping compiled
 //! bodies together with decoded ones.
-//!
-//! ## The optimization stage
-//!
-//! Compilation runs an optional (default-on) optimization stage: the
-//! superblock is lowered to `rr-ir` SSA through the bridge
-//! ([`lower_block_to_ir`]), the block pass pipeline — constant folding,
-//! dead-code elimination, redundant-load/store-to-load forwarding,
-//! dead-flag elimination, each verified by the IR verifier — runs over
-//! it, and the optimized function is distilled back into a second,
-//! cheaper uop trace through the `rr-lower` slot-plan backend (the
-//! `uopopt` module). The
-//! optimized body is slot-exact — same length, same per-slot pc/step
-//! accounting, same register/memory state at every boundary — and only
-//! its *interior* lazy-flag bookkeeping may lag, so it runs only when a
-//! whole pass over the body fits under the step fence; every fenced or
-//! mid-block entry takes the exact body. Debug builds additionally
-//! differentially test each optimized lowering against its unoptimized
-//! form through the `rr-ir` interpreter at compile time.
 //!
 //! The result is bit-identical to the interpreter — pinned by the
 //! equivalence tests here, the emu proptests, and the engine/fault
@@ -57,74 +40,36 @@
 use crate::blockexec::{BlockCache, BlockStats, DecodedBlock};
 use crate::machine::{Machine, RunResult};
 use crate::outcome::{CpuFault, RunOutcome};
-use crate::uopopt::{self, OptStats};
 use rr_isa::{AluOp, Cond, Flags, Instr, Reg, ShiftOp};
 use std::sync::atomic::Ordering;
 
-/// How hard the uop compiler works on a hot superblock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptLevel {
-    /// Straight lowering only — every slot keeps its exact uop. The
-    /// escape hatch for debugging and A/B measurement.
-    None,
-    /// Lower through `rr-ir`, run the block pass pipeline, and execute
-    /// the optimized trace where the fence rules allow.
-    #[default]
-    Full,
-}
-
-impl std::str::FromStr for OptLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<OptLevel, String> {
-        match s {
-            "none" => Ok(OptLevel::None),
-            "full" => Ok(OptLevel::Full),
-            other => Err(format!("unknown opt level {other:?} (expected none|full)")),
-        }
-    }
-}
-
-impl std::fmt::Display for OptLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            OptLevel::None => "none",
-            OptLevel::Full => "full",
-        })
-    }
-}
-
-/// Tiering knobs for the micro-op execution tier.
+/// Tiering knob for the micro-op execution tier.
 ///
 /// # Example
 ///
 /// ```
-/// use rr_emu::{OptLevel, UopConfig};
+/// use rr_emu::UopConfig;
 ///
 /// assert_eq!(UopConfig::default().hot_threshold, 2);
-/// assert_eq!(UopConfig::default().opt, OptLevel::Full);
-/// // Compile on first entry, without the IR optimization stage:
-/// let eager = UopConfig { hot_threshold: 0, opt: OptLevel::None };
-/// assert!(eager.hot_threshold < UopConfig::default().hot_threshold);
-/// assert_eq!("none".parse::<OptLevel>(), Ok(OptLevel::None));
+/// // Compile on first entry:
+/// let eager = UopConfig { hot_threshold: 0 };
+/// // Never compile: every block runs as its pre-decoded body.
+/// let decoded = UopConfig { hot_threshold: u32::MAX };
+/// # let _ = (eager, decoded);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UopConfig {
     /// How many times a block executes decoded before it is compiled to
     /// micro-ops. `0` compiles eagerly on first entry; one-shot blocks
     /// never pay compile cost under the default. `u32::MAX` never
-    /// promotes (the tier degenerates to the blocks tier).
+    /// promotes: blocks run as pre-decoded bodies, except those a run
+    /// with a lower threshold already compiled into a shared cache.
     pub hot_threshold: u32,
-    /// Whether compilation runs the `rr-ir` optimization stage. A block
-    /// is optimized (or not) once, by the configuration in effect when
-    /// it first crosses the hot threshold; at run time an optimized
-    /// body is only *used* under [`OptLevel::Full`].
-    pub opt: OptLevel,
 }
 
 impl Default for UopConfig {
     fn default() -> UopConfig {
-        UopConfig { hot_threshold: 2, opt: OptLevel::Full }
+        UopConfig { hot_threshold: 2 }
     }
 }
 
@@ -258,31 +203,6 @@ pub(crate) enum Uop {
     Svc {
         num: u8,
     },
-    /// ALU op whose flag results are provably dead (dead-flag
-    /// elimination): skips the deferred-flags bookkeeping entirely.
-    /// Never `Udiv` — a division's flag write survives as the crash
-    /// barrier keeps it observable.
-    AluNF {
-        op: AluOp,
-        rd: Reg,
-        rhs: Operand,
-    },
-    /// [`Uop::Shift`] with provably dead flags.
-    ShiftNF {
-        op: ShiftOp,
-        rd: Reg,
-        amt: u32,
-    },
-    /// Load from a constant-folded absolute address.
-    LoadA {
-        rd: Reg,
-        addr: u64,
-    },
-    /// Store to a constant-folded absolute address.
-    StoreA {
-        addr: u64,
-        rs: Reg,
-    },
 }
 
 /// One compiled slot: the instruction's address, its fallthrough
@@ -294,21 +214,11 @@ pub(crate) struct UopEntry {
     pub(crate) op: Uop,
 }
 
-/// A superblock's compiled micro-op body, parallel to the decoded one.
+/// A superblock's compiled micro-op body, parallel to the decoded one:
+/// one slot per instruction, bit-identical semantics at every step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CompiledBlock {
-    /// The exact lowering: one slot per instruction, bit-identical
-    /// semantics at every step. Always present; mid-block entries and
-    /// fence-constrained runs execute this body.
     pub(crate) entries: Vec<UopEntry>,
-    /// The optimized lowering (same slot structure, cheaper uops), when
-    /// the block was compiled under [`OptLevel::Full`] and the `rr-ir`
-    /// pipeline improved it. Only its interior flag bookkeeping may lag
-    /// the architectural state, so it runs only full-body, under the
-    /// fence headroom check.
-    pub(crate) opt: Option<Vec<UopEntry>>,
-    /// What the optimization stage removed (for telemetry).
-    pub(crate) opt_stats: OptStats,
 }
 
 /// The deferred flag-setting operation of the uop tier: the
@@ -420,7 +330,7 @@ pub(crate) fn compile_block(block: &DecodedBlock) -> CompiledBlock {
         let op = fuse(insn, next, block, i).unwrap_or_else(|| lower(insn, next));
         entries.push(UopEntry { pc, next, op });
     }
-    CompiledBlock { entries, opt: None, opt_stats: OptStats::default() }
+    CompiledBlock { entries }
 }
 
 /// Fuses a flag-setting compare/test with an immediately following
@@ -493,20 +403,19 @@ impl DecodedBlock {
     /// crosses the hot threshold. Returns `None` while the block is
     /// still cold (callers run the decoded body instead). Each call
     /// counts one execution of the block.
-    ///
-    /// `store_to_load` tells the optimizer whether forwarding a stored
-    /// value into a later load of the same address is a permitted
-    /// access pattern (see [`crate::Memory::writable_implies_readable`]).
-    /// The configuration in effect on the *first* promotion decides the
-    /// shared body — including whether an optimized variant exists.
     pub(crate) fn compiled(
         &self,
         config: UopConfig,
-        store_to_load: bool,
         stats: &mut BlockStats,
     ) -> Option<&CompiledBlock> {
         if let Some(body) = self.compiled.get() {
             return Some(body);
+        }
+        if config.hot_threshold == u32::MAX {
+            // No count exceeds this threshold, so skip the heat counter:
+            // worker threads sharing the cache would otherwise contend on
+            // an atomic write per block entry.
+            return None;
         }
         let heat = self.heat.fetch_add(1, Ordering::Relaxed).saturating_add(1);
         if heat <= config.hot_threshold {
@@ -518,24 +427,10 @@ impl DecodedBlock {
         let mut fresh = false;
         let body = self.compiled.get_or_init(|| {
             fresh = true;
-            let mut body = compile_block(self);
-            if config.opt == OptLevel::Full {
-                if let Some((opt, opt_stats)) = uopopt::optimize(self, &body.entries, store_to_load)
-                {
-                    body.opt = Some(opt);
-                    body.opt_stats = opt_stats;
-                }
-            }
-            body
+            compile_block(self)
         });
         if fresh {
             stats.blocks_compiled += 1;
-            if body.opt.is_some() {
-                stats.blocks_optimized += 1;
-                stats.uops_eliminated += body.opt_stats.uops_eliminated;
-                stats.loads_forwarded += body.opt_stats.loads_forwarded;
-                stats.flag_defs_killed += body.opt_stats.flag_defs_killed;
-            }
         }
         Some(body)
     }
@@ -560,7 +455,7 @@ impl Machine {
     /// let cache = BlockCache::build(&exe, [exe.entry]).expect("text decodes");
     /// let mut m = Machine::new(&exe, &[]);
     /// let mut stats = BlockStats::default();
-    /// let config = UopConfig { hot_threshold: 0, ..UopConfig::default() };
+    /// let config = UopConfig { hot_threshold: 0 };
     /// let result = m.run_uops(&cache, config, 1_000, &mut stats);
     /// assert_eq!(result.outcome, RunOutcome::Exited { code: 42 });
     /// assert_eq!(stats.uop_steps, 3);
@@ -599,7 +494,6 @@ impl Machine {
         mut trace: Option<&mut Vec<u64>>,
     ) -> RunResult {
         let mut steps = 0u64;
-        let store_to_load = self.memory().writable_implies_readable();
         while steps < max_steps {
             if let Some(outcome) = self.stopped() {
                 return RunResult { outcome, steps };
@@ -608,39 +502,16 @@ impl Machine {
                 Some((block, entry))
                     if !self.memory().exec_dirty_intersects(block.start, block.end) =>
                 {
-                    match block.compiled(config, store_to_load, stats) {
-                        Some(body) => {
-                            // The optimized body is only interior-exact
-                            // for flags, so it runs only when a whole
-                            // pass fits under the step fence and entry
-                            // is at the leader; otherwise the exact
-                            // body takes over.
-                            let opt = match (&body.opt, config.opt) {
-                                (Some(opt), OptLevel::Full)
-                                    if entry == 0
-                                        && steps.saturating_add(opt.len() as u64) <= max_steps =>
-                                {
-                                    Some(opt.as_slice())
-                                }
-                                _ => None,
-                            };
-                            match opt {
-                                Some(entries) => self.run_uop_body(
-                                    block, entries, 0, true, max_steps, &mut steps, stats,
-                                    &mut trace,
-                                ),
-                                None => self.run_uop_body(
-                                    block,
-                                    &body.entries,
-                                    entry,
-                                    false,
-                                    max_steps,
-                                    &mut steps,
-                                    stats,
-                                    &mut trace,
-                                ),
-                            }
-                        }
+                    match block.compiled(config, stats) {
+                        Some(body) => self.run_uop_body(
+                            block,
+                            &body.entries,
+                            entry,
+                            max_steps,
+                            &mut steps,
+                            stats,
+                            &mut trace,
+                        ),
                         None => self.run_decoded_body(
                             block, entry, max_steps, &mut steps, stats, &mut trace,
                         ),
@@ -662,22 +533,17 @@ impl Machine {
         }
     }
 
-    /// The uop tier's dispatch loop: executes one compiled body (the
-    /// exact trace, or under `optimized` the pass-pipeline one) from
+    /// The uop tier's dispatch loop: executes one compiled body from
     /// slot `entry` until a fault, stop, fence, exec-dirty write into
     /// the block, or control transfer out of it. Deferred flags never
     /// escape — every exit path materializes them, so the machine state
-    /// is architecturally exact whenever this returns. (In an optimized
-    /// body every reachable exit sits at a flag barrier or block end,
-    /// where dead-flag elimination provably kept the latest flag
-    /// definition, so the materialized state matches the exact trace.)
+    /// is architecturally exact whenever this returns.
     #[allow(clippy::too_many_arguments)]
     fn run_uop_body(
         &mut self,
         block: &DecodedBlock,
         entries: &[UopEntry],
         entry: usize,
-        optimized: bool,
         max_steps: u64,
         steps: &mut u64,
         stats: &mut BlockStats,
@@ -978,58 +844,6 @@ impl Machine {
                         break 'body;
                     }
                 }
-                Uop::AluNF { op, rd, rhs } => {
-                    self.set_pc(e.next);
-                    let a = self.reg(rd);
-                    let b = self.operand(rhs);
-                    let res = match op {
-                        AluOp::Add => a.wrapping_add(b),
-                        AluOp::Sub => a.wrapping_sub(b),
-                        AluOp::And => a & b,
-                        AluOp::Or => a | b,
-                        AluOp::Xor => a ^ b,
-                        AluOp::Mul => a.wrapping_mul(b),
-                        // Unreachable by construction (the optimizer
-                        // never drops a division's flags), but a crash
-                        // must still be a crash.
-                        AluOp::Udiv => {
-                            if b == 0 {
-                                self.stop_crashed(CpuFault::DivideByZero);
-                                break 'body;
-                            }
-                            a / b
-                        }
-                    };
-                    self.set_reg(rd, res);
-                }
-                Uop::ShiftNF { op, rd, amt } => {
-                    self.set_pc(e.next);
-                    let value = self.reg(rd);
-                    let res = match op {
-                        ShiftOp::Shl => value << amt,
-                        ShiftOp::Shr => value >> amt,
-                        ShiftOp::Sar => ((value as i64) >> amt) as u64,
-                    };
-                    self.set_reg(rd, res);
-                }
-                Uop::LoadA { rd, addr } => {
-                    self.set_pc(e.next);
-                    match self.memory().read_u64(addr) {
-                        Ok(value) => self.set_reg(rd, value),
-                        Err(fault) => {
-                            self.stop_crashed(Machine::mem_fault(fault));
-                            break 'body;
-                        }
-                    }
-                }
-                Uop::StoreA { addr, rs } => {
-                    self.set_pc(e.next);
-                    let value = self.reg(rs);
-                    if let Err(fault) = self.memory_mut().write_u64(addr, value) {
-                        self.stop_crashed(Machine::mem_fault(fault));
-                        break 'body;
-                    }
-                }
             }
             if self.stopped().is_some() || *steps >= max_steps {
                 break;
@@ -1055,12 +869,6 @@ impl Machine {
                 // lookup and tier bookkeeping once per iteration. The
                 // per-entry fence, stop, and exec-dirty-epoch checks
                 // above are the same rails the outer loop would apply.
-                if optimized && steps.saturating_add(entries.len() as u64) > max_steps {
-                    // Another full pass no longer fits under the fence;
-                    // exit so the outer loop re-enters through the
-                    // exact body for the fenced tail.
-                    break;
-                }
                 index = 0;
                 continue;
             }
@@ -1077,396 +885,6 @@ impl Machine {
         match operand {
             Operand::Reg(r) => self.reg(r),
             Operand::Imm(v) => v,
-        }
-    }
-}
-
-/// Bridge into the `rr-ir` SSA form: the front end of the uop
-/// compiler's optimization stage (and available standalone for
-/// inspection tooling).
-pub use bridge::lower_block_to_ir;
-pub(crate) use bridge::lower_decoded_slotted;
-
-pub(crate) mod bridge {
-    use crate::blockexec::{BlockCache, DecodedBlock};
-    use rr_ir::{BinOp, BlockId, Cell, Function, Op, Pred, Terminator, ValueId, Width};
-    use rr_isa::{AluOp, Cond, Instr, Reg, ShiftOp};
-
-    /// Lowers the decoded superblock containing `pc` into a verified
-    /// standalone [`rr_ir::Function`]: straight-line semantics become
-    /// cell/memory ops with eager NZCV writes, and a trailing
-    /// conditional branch becomes a [`Terminator::CondBr`] whose
-    /// condition is recomputed from the flag cells.
-    ///
-    /// Returns `None` when no block starts at `pc` or the block uses an
-    /// instruction outside the bridged subset (`mul`/`udiv` flags,
-    /// stack flag transfers, calls, and indirect control flow are left
-    /// to the interpreter tiers).
-    pub fn lower_block_to_ir(cache: &BlockCache, pc: u64) -> Option<Function> {
-        let (block, _) = cache.lookup(pc)?;
-        lower_decoded_slotted(block).map(|(f, _)| f)
-    }
-
-    /// [`lower_block_to_ir`] plus the slot table the uop backend needs:
-    /// `starts[i]` is the arena index instruction `i`'s lowering began
-    /// at. Tail-terminator early returns may leave `starts` shorter
-    /// than the block body; the emulator keeps unplanned tail slots
-    /// exact.
-    pub(crate) fn lower_decoded_slotted(block: &DecodedBlock) -> Option<(Function, Vec<u32>)> {
-        let mut f = Function::new(format!("block_{:#x}", block.start));
-        let mut starts = Vec::with_capacity(block.body.len());
-        let entry = f.entry();
-        let mut b = Builder { f: &mut f, block: entry };
-        let last = block.body.len() - 1;
-        for (i, &(insn, _)) in block.body.iter().enumerate() {
-            starts.push(b.f.value_count() as u32);
-            match insn {
-                Instr::Nop => {}
-                Instr::Halt => {
-                    b.f.set_terminator(entry, Terminator::Abort);
-                    return Some((f, starts));
-                }
-                Instr::MovRR { rd, rs } => {
-                    let v = b.read(rs);
-                    b.write(rd, v);
-                }
-                Instr::MovRI { rd, imm } => {
-                    let v = b.konst(imm);
-                    b.write(rd, v);
-                }
-                Instr::AluRR { op, rd, rs } => {
-                    let rhs = b.read(rs);
-                    b.alu(op, rd, rhs)?;
-                }
-                Instr::AluRI { op, rd, imm } => {
-                    let rhs = b.konst(imm as i64 as u64);
-                    b.alu(op, rd, rhs)?;
-                }
-                Instr::ShiftRI { op, rd, amt } => b.shift(op, rd, u32::from(amt & 63)),
-                Instr::Not { rd } => {
-                    let v = b.read(rd);
-                    let res = b.f.append(b.block, Op::Not(v));
-                    b.write(rd, res);
-                    b.flags_logic(res);
-                }
-                Instr::Neg { rd } => {
-                    let v = b.read(rd);
-                    let res = b.f.append(b.block, Op::Neg(v));
-                    b.write(rd, res);
-                    let zero = b.konst(0);
-                    b.flags_sub(zero, v, res);
-                }
-                Instr::CmpRR { rs1, rs2 } => {
-                    let (a, bb) = (b.read(rs1), b.read(rs2));
-                    let res = b.bin(BinOp::Sub, a, bb);
-                    b.flags_sub(a, bb, res);
-                }
-                Instr::CmpRI { rs1, imm } => {
-                    let a = b.read(rs1);
-                    let bb = b.konst(imm as i64 as u64);
-                    let res = b.bin(BinOp::Sub, a, bb);
-                    b.flags_sub(a, bb, res);
-                }
-                Instr::CmpRM { rs1, base, disp } => {
-                    let addr = b.addr(base, disp);
-                    let bb = b.f.append(b.block, Op::Load { addr, width: Width::Q });
-                    let a = b.read(rs1);
-                    let res = b.bin(BinOp::Sub, a, bb);
-                    b.flags_sub(a, bb, res);
-                }
-                Instr::TestRR { rs1, rs2 } => {
-                    let (a, bb) = (b.read(rs1), b.read(rs2));
-                    let res = b.bin(BinOp::And, a, bb);
-                    b.flags_logic(res);
-                }
-                Instr::Load { rd, base, disp } => {
-                    let addr = b.addr(base, disp);
-                    let v = b.f.append(b.block, Op::Load { addr, width: Width::Q });
-                    b.write(rd, v);
-                }
-                Instr::Store { base, disp, rs } => {
-                    let addr = b.addr(base, disp);
-                    let v = b.read(rs);
-                    b.f.append(b.block, Op::Store { addr, value: v, width: Width::Q });
-                }
-                Instr::LoadB { rd, base, disp } => {
-                    let addr = b.addr(base, disp);
-                    let v = b.f.append(b.block, Op::Load { addr, width: Width::B });
-                    b.write(rd, v);
-                }
-                Instr::StoreB { base, disp, rs } => {
-                    let addr = b.addr(base, disp);
-                    let v = b.read(rs);
-                    b.f.append(b.block, Op::Store { addr, value: v, width: Width::B });
-                }
-                Instr::Lea { rd, base, disp } => {
-                    let addr = b.addr(base, disp);
-                    b.write(rd, addr);
-                }
-                Instr::Push { rs } => {
-                    let v = b.read(rs);
-                    b.push(v);
-                }
-                Instr::Pop { rd } => {
-                    let v = b.pop();
-                    b.write(rd, v);
-                }
-                Instr::SetCc { rd, cc } => {
-                    let v = b.cond_value(cc);
-                    b.write(rd, v);
-                }
-                Instr::Svc { num } => {
-                    b.f.append(b.block, Op::Svc { num });
-                }
-                Instr::Jmp { .. } if i == last => {
-                    b.f.set_terminator(entry, Terminator::Ret);
-                    return Some((f, starts));
-                }
-                Instr::Jcc { cc, .. } if i == last => {
-                    let cond = b.cond_value(cc);
-                    let taken = f.new_block();
-                    let fallthrough = f.new_block();
-                    f.set_terminator(
-                        entry,
-                        Terminator::CondBr { cond, if_true: taken, if_false: fallthrough },
-                    );
-                    f.set_terminator(taken, Terminator::Ret);
-                    f.set_terminator(fallthrough, Terminator::Ret);
-                    return Some((f, starts));
-                }
-                Instr::Ret if i == last => {
-                    // The block-level function returns to its driver;
-                    // the architectural return address stays on the
-                    // machine stack for the caller to consume.
-                    let mut b = Builder { f: &mut f, block: entry };
-                    let target = b.pop();
-                    let _ = target;
-                    f.set_terminator(entry, Terminator::Ret);
-                    return Some((f, starts));
-                }
-                // Outside the bridged subset: flag stack transfers,
-                // calls, indirect control flow, or a terminator that is
-                // somehow not in tail position.
-                _ => return None,
-            }
-            b = Builder { f: &mut f, block: entry };
-        }
-        f.set_terminator(entry, Terminator::Ret);
-        Some((f, starts))
-    }
-
-    struct Builder<'a> {
-        f: &'a mut Function,
-        block: BlockId,
-    }
-
-    impl Builder<'_> {
-        fn konst(&mut self, v: u64) -> ValueId {
-            self.f.append(self.block, Op::Const(v))
-        }
-
-        fn read(&mut self, r: Reg) -> ValueId {
-            self.f.append(self.block, Op::ReadCell(Cell::reg(r.index())))
-        }
-
-        fn write(&mut self, r: Reg, v: ValueId) {
-            self.f.append(self.block, Op::WriteCell { cell: Cell::reg(r.index()), value: v });
-        }
-
-        fn bin(&mut self, op: BinOp, lhs: ValueId, rhs: ValueId) -> ValueId {
-            self.f.append(self.block, Op::BinOp { op, lhs, rhs })
-        }
-
-        fn icmp(&mut self, pred: Pred, lhs: ValueId, rhs: ValueId) -> ValueId {
-            self.f.append(self.block, Op::ICmp { pred, lhs, rhs })
-        }
-
-        fn addr(&mut self, base: Reg, disp: i32) -> ValueId {
-            let b = self.read(base);
-            let d = self.konst(disp as i64 as u64);
-            self.bin(BinOp::Add, b, d)
-        }
-
-        fn push(&mut self, v: ValueId) {
-            let sp = self.read(Reg::SP);
-            let eight = self.konst(8);
-            let new_sp = self.bin(BinOp::Sub, sp, eight);
-            self.f.append(self.block, Op::Store { addr: new_sp, value: v, width: Width::Q });
-            self.f.append(
-                self.block,
-                Op::WriteCell { cell: Cell::reg(Reg::SP.index()), value: new_sp },
-            );
-        }
-
-        fn pop(&mut self) -> ValueId {
-            let sp = self.read(Reg::SP);
-            let v = self.f.append(self.block, Op::Load { addr: sp, width: Width::Q });
-            let eight = self.konst(8);
-            let new_sp = self.bin(BinOp::Add, sp, eight);
-            self.f.append(
-                self.block,
-                Op::WriteCell { cell: Cell::reg(Reg::SP.index()), value: new_sp },
-            );
-            v
-        }
-
-        fn alu(&mut self, op: AluOp, rd: Reg, rhs: ValueId) -> Option<()> {
-            let lhs = self.read(rd);
-            match op {
-                AluOp::Add => {
-                    let res = self.bin(BinOp::Add, lhs, rhs);
-                    self.write(rd, res);
-                    self.flags_add(lhs, rhs, res);
-                }
-                AluOp::Sub => {
-                    let res = self.bin(BinOp::Sub, lhs, rhs);
-                    self.write(rd, res);
-                    self.flags_sub(lhs, rhs, res);
-                }
-                AluOp::And | AluOp::Or | AluOp::Xor => {
-                    let bin = match op {
-                        AluOp::And => BinOp::And,
-                        AluOp::Or => BinOp::Or,
-                        _ => BinOp::Xor,
-                    };
-                    let res = self.bin(bin, lhs, rhs);
-                    self.write(rd, res);
-                    self.flags_logic(res);
-                }
-                // Overflow detection for mul and the trapping udiv are
-                // outside the bridged subset.
-                AluOp::Mul | AluOp::Udiv => return None,
-            }
-            Some(())
-        }
-
-        fn shift(&mut self, op: ShiftOp, rd: Reg, amt: u32) {
-            if amt == 0 {
-                return; // zero-count shifts change neither value nor flags
-            }
-            let value = self.read(rd);
-            let amount = self.konst(u64::from(amt));
-            let bin = match op {
-                ShiftOp::Shl => BinOp::Shl,
-                ShiftOp::Shr => BinOp::Lshr,
-                ShiftOp::Sar => BinOp::Ashr,
-            };
-            let res = self.bin(bin, value, amount);
-            self.write(rd, res);
-            // Carry is the last bit shifted out.
-            let carry_shift = self.konst(match op {
-                ShiftOp::Shl => u64::from(64 - amt),
-                ShiftOp::Shr | ShiftOp::Sar => u64::from(amt - 1),
-            });
-            let carry_bin = if op == ShiftOp::Sar { BinOp::Ashr } else { BinOp::Lshr };
-            let shifted = self.bin(carry_bin, value, carry_shift);
-            let one = self.konst(1);
-            let carry = self.bin(BinOp::And, shifted, one);
-            self.flags_zn(res);
-            self.write_flag(Cell::C, carry);
-            let zero = self.konst(0);
-            self.write_flag(Cell::V, zero);
-        }
-
-        fn write_flag(&mut self, cell: Cell, v: ValueId) {
-            self.f.append(self.block, Op::WriteCell { cell, value: v });
-        }
-
-        fn flags_zn(&mut self, res: ValueId) {
-            let zero = self.konst(0);
-            let z = self.icmp(Pred::Eq, res, zero);
-            let n = self.icmp(Pred::Slt, res, zero);
-            self.write_flag(Cell::Z, z);
-            self.write_flag(Cell::N, n);
-        }
-
-        fn flags_logic(&mut self, res: ValueId) {
-            self.flags_zn(res);
-            let zero = self.konst(0);
-            self.write_flag(Cell::C, zero);
-            self.write_flag(Cell::V, zero);
-        }
-
-        /// NZCV of `a - b = res`: borrow is `a <u b`, signed overflow is
-        /// `((a ^ b) & (a ^ res)) >> 63`.
-        fn flags_sub(&mut self, a: ValueId, b: ValueId, res: ValueId) {
-            self.flags_zn(res);
-            let c = self.icmp(Pred::Ult, a, b);
-            self.write_flag(Cell::C, c);
-            let ab = self.bin(BinOp::Xor, a, b);
-            let ar = self.bin(BinOp::Xor, a, res);
-            let both = self.bin(BinOp::And, ab, ar);
-            let sixty_three = self.konst(63);
-            let v = self.bin(BinOp::Lshr, both, sixty_three);
-            self.write_flag(Cell::V, v);
-        }
-
-        /// NZCV of `a + b = res`: carry is `res <u a`, signed overflow
-        /// is `((a ^ res) & (b ^ res)) >> 63`.
-        fn flags_add(&mut self, a: ValueId, b: ValueId, res: ValueId) {
-            self.flags_zn(res);
-            let c = self.icmp(Pred::Ult, res, a);
-            self.write_flag(Cell::C, c);
-            let ar = self.bin(BinOp::Xor, a, res);
-            let br = self.bin(BinOp::Xor, b, res);
-            let both = self.bin(BinOp::And, ar, br);
-            let sixty_three = self.konst(63);
-            let v = self.bin(BinOp::Lshr, both, sixty_three);
-            self.write_flag(Cell::V, v);
-        }
-
-        /// The condition's 0/1 value recomputed from the flag cells
-        /// (each holding 0 or 1).
-        fn cond_value(&mut self, cc: Cond) -> ValueId {
-            match cc {
-                Cond::Eq => self.f.append(self.block, Op::ReadCell(Cell::Z)),
-                Cond::Ne => {
-                    let z = self.f.append(self.block, Op::ReadCell(Cell::Z));
-                    self.not01(z)
-                }
-                Cond::Lt => {
-                    let (n, v) = self.read_nv();
-                    self.bin(BinOp::Xor, n, v)
-                }
-                Cond::Ge => {
-                    let lt = self.cond_value(Cond::Lt);
-                    self.not01(lt)
-                }
-                Cond::Le => {
-                    let lt = self.cond_value(Cond::Lt);
-                    let z = self.f.append(self.block, Op::ReadCell(Cell::Z));
-                    self.bin(BinOp::Or, z, lt)
-                }
-                Cond::Gt => {
-                    let le = self.cond_value(Cond::Le);
-                    self.not01(le)
-                }
-                Cond::B => self.f.append(self.block, Op::ReadCell(Cell::C)),
-                Cond::Ae => {
-                    let c = self.f.append(self.block, Op::ReadCell(Cell::C));
-                    self.not01(c)
-                }
-                Cond::Be => {
-                    let c = self.f.append(self.block, Op::ReadCell(Cell::C));
-                    let z = self.f.append(self.block, Op::ReadCell(Cell::Z));
-                    self.bin(BinOp::Or, c, z)
-                }
-                Cond::A => {
-                    let be = self.cond_value(Cond::Be);
-                    self.not01(be)
-                }
-            }
-        }
-
-        fn read_nv(&mut self) -> (ValueId, ValueId) {
-            let n = self.f.append(self.block, Op::ReadCell(Cell::N));
-            let v = self.f.append(self.block, Op::ReadCell(Cell::V));
-            (n, v)
-        }
-
-        fn not01(&mut self, v: ValueId) -> ValueId {
-            let one = self.konst(1);
-            self.bin(BinOp::Xor, v, one)
         }
     }
 }
@@ -1520,6 +938,27 @@ mod tests {
              not r4\n\
              not r4\n\
              svc 0\n";
+
+    /// A single-superblock loop that stores and reloads one address
+    /// every iteration, with back-to-back loads and arithmetic whose
+    /// flags are immediately redefined.
+    const FORWARDY: &str = "    .global _start\n\
+         _start:\n\
+             mov r4, buffer\n\
+             mov r2, 5\n\
+         .loop:\n\
+             store [r4], r2\n\
+             load r1, [r4]\n\
+             load r3, [r4]\n\
+             add r1, 1\n\
+             sub r2, 1\n\
+             cmp r2, 0\n\
+             jne .loop\n\
+             mov r1, 0\n\
+             svc 0\n\
+             .data\n\
+         buffer:\n\
+             .space 8\n";
 
     fn cache_for(exe: &Executable) -> BlockCache {
         BlockCache::build(exe, [exe.entry]).expect("text decodes")
@@ -1588,7 +1027,7 @@ mod tests {
 
     #[test]
     fn uop_execution_matches_interpreter_exactly() {
-        for src in [LOOPY, FLAGGY] {
+        for src in [LOOPY, FLAGGY, FORWARDY] {
             let exe = assemble_and_link(src).unwrap();
             let mut reference = Machine::new(&exe, &[]);
             let want = reference.run(10_000);
@@ -1596,12 +1035,7 @@ mod tests {
             let cache = cache_for(&exe);
             let mut m = Machine::new(&exe, &[]);
             let mut stats = BlockStats::default();
-            let got = m.run_uops(
-                &cache,
-                UopConfig { hot_threshold: 0, ..UopConfig::default() },
-                10_000,
-                &mut stats,
-            );
+            let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
 
             assert_eq!(got, want);
             assert_state_matches("eager uops", &m, &reference);
@@ -1618,12 +1052,7 @@ mod tests {
         let cache = cache_for(&exe);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        m.run_uops(
-            &cache,
-            UopConfig { hot_threshold: 0, ..UopConfig::default() },
-            10_000,
-            &mut stats,
-        );
+        m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
         // Five loop iterations execute five fused cmp+jne pairs; only
         // block exits materialize, so materializations stay far below
         // the count of flag-setting instructions executed.
@@ -1635,7 +1064,7 @@ mod tests {
 
     #[test]
     fn fences_landing_mid_block_and_mid_fusion_are_precise() {
-        for src in [LOOPY, FLAGGY] {
+        for src in [LOOPY, FLAGGY, FORWARDY] {
             let exe = assemble_and_link(src).unwrap();
             let total = {
                 let mut m = Machine::new(&exe, &[]);
@@ -1648,7 +1077,7 @@ mod tests {
                     let want = reference.run(fence);
                     let mut m = Machine::new(&exe, &[]);
                     let mut stats = BlockStats::default();
-                    let config = UopConfig { hot_threshold, ..UopConfig::default() };
+                    let config = UopConfig { hot_threshold };
                     let got = m.run_uops(&cache, config, fence, &mut stats);
                     assert_eq!(got, want, "fence={fence} hot={hot_threshold}");
                     assert_state_matches(
@@ -1668,12 +1097,7 @@ mod tests {
         let cache = cache_for(&exe);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        let result = m.run_uops(
-            &cache,
-            UopConfig { hot_threshold: 2, ..UopConfig::default() },
-            10_000,
-            &mut stats,
-        );
+        let result = m.run_uops(&cache, UopConfig { hot_threshold: 2 }, 10_000, &mut stats);
 
         let mut reference = Machine::new(&exe, &[]);
         assert_eq!(result, reference.run(10_000));
@@ -1717,7 +1141,7 @@ mod tests {
             let mut m = Machine::new(&exe, &[]);
             let mut stats = BlockStats::default();
             let mut trace = Vec::new();
-            let config = UopConfig { hot_threshold, ..UopConfig::default() };
+            let config = UopConfig { hot_threshold };
             let got = m.run_uops_traced(&cache, config, 10_000, &mut stats, &mut trace);
             assert_eq!(got, want, "hot={hot_threshold}");
             assert_eq!(trace, ref_trace, "hot={hot_threshold}");
@@ -1744,12 +1168,7 @@ mod tests {
             let cache = cache_for(&exe);
             let mut m = Machine::new(&exe, &[]);
             let mut stats = BlockStats::default();
-            let got = m.run_uops(
-                &cache,
-                UopConfig { hot_threshold: 0, ..UopConfig::default() },
-                100,
-                &mut stats,
-            );
+            let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 100, &mut stats);
             assert_eq!(got, want, "{src}");
             assert_state_matches(src, &m, &reference);
         }
@@ -1761,12 +1180,7 @@ mod tests {
         let cache = cache_for(&exe);
         // Warm the cache so the corrupted block is already compiled.
         let mut warm = BlockStats::default();
-        Machine::new(&exe, &[]).run_uops(
-            &cache,
-            UopConfig { hot_threshold: 0, ..UopConfig::default() },
-            10_000,
-            &mut warm,
-        );
+        Machine::new(&exe, &[]).run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut warm);
         assert!(warm.blocks_compiled > 0);
 
         let mut reference = Machine::new(&exe, &[]);
@@ -1778,12 +1192,7 @@ mod tests {
         }
         let want = reference.run(10_000);
         let mut stats = BlockStats::default();
-        let got = m.run_uops(
-            &cache,
-            UopConfig { hot_threshold: 0, ..UopConfig::default() },
-            10_000,
-            &mut stats,
-        );
+        let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
         assert_eq!(got, want);
         assert_eq!(m.take_output(), reference.take_output());
         assert!(stats.interp_steps > 0, "dirty block must interpret: {stats:?}");
@@ -1811,12 +1220,7 @@ mod tests {
         let cache = BlockCache::build(&exe, exe.text_range().chain([exe.entry])).unwrap();
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        let got = m.run_uops(
-            &cache,
-            UopConfig { hot_threshold: 0, ..UopConfig::default() },
-            100,
-            &mut stats,
-        );
+        let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 100, &mut stats);
         assert_eq!(got, want);
         assert_state_matches("mid-block entry", &m, &reference);
     }
@@ -1840,125 +1244,5 @@ mod tests {
             fused.then_some(b.start)
         });
         assert!(loop_block.is_some(), "cmp+jne idiom must fuse");
-    }
-
-    /// A single-superblock loop rich in optimizer fodder: a
-    /// store-to-load pair (forwarding), back-to-back loads of one
-    /// address (redundant-load elimination), and arithmetic whose flags
-    /// are immediately redefined (dead-flag elimination).
-    const FORWARDY: &str = "    .global _start\n\
-         _start:\n\
-             mov r4, buffer\n\
-             mov r2, 5\n\
-         .loop:\n\
-             store [r4], r2\n\
-             load r1, [r4]\n\
-             load r3, [r4]\n\
-             add r1, 1\n\
-             sub r2, 1\n\
-             cmp r2, 0\n\
-             jne .loop\n\
-             mov r1, 0\n\
-             svc 0\n\
-             .data\n\
-         buffer:\n\
-             .space 8\n";
-
-    #[test]
-    fn optimized_execution_matches_the_exact_lowering() {
-        for src in [LOOPY, FLAGGY, FORWARDY] {
-            let exe = assemble_and_link(src).unwrap();
-            let mut reference = Machine::new(&exe, &[]);
-            let want = reference.run(10_000);
-
-            let mut results = Vec::new();
-            for opt in [OptLevel::None, OptLevel::Full] {
-                // Fresh cache per level: the first promotion's config
-                // decides the shared body.
-                let cache = cache_for(&exe);
-                let mut m = Machine::new(&exe, &[]);
-                let mut stats = BlockStats::default();
-                let mut trace = Vec::new();
-                let config = UopConfig { hot_threshold: 0, opt };
-                let got = m.run_uops_traced(&cache, config, 10_000, &mut stats, &mut trace);
-                assert_eq!(got, want, "opt {opt}");
-                assert_state_matches(&format!("opt {opt}"), &m, &reference);
-                results.push((trace, stats));
-            }
-            let (none_trace, none_stats) = &results[0];
-            let (full_trace, full_stats) = &results[1];
-            assert_eq!(none_trace, full_trace, "optimization must not change the trace");
-            assert_eq!(none_stats.blocks_optimized, 0, "{none_stats:?}");
-            assert_eq!(none_stats.uops_eliminated, 0, "{none_stats:?}");
-            assert_eq!(none_stats.total(), full_stats.total());
-            if std::ptr::eq(src, FORWARDY) {
-                assert!(full_stats.blocks_optimized > 0, "{full_stats:?}");
-                assert!(full_stats.uops_eliminated > 0, "{full_stats:?}");
-                assert!(full_stats.loads_forwarded >= 2, "{full_stats:?}");
-                assert!(full_stats.flag_defs_killed > 0, "{full_stats:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn fenced_optimized_runs_stay_exact() {
-        // Chunked runs over the forwarding-rich loop: fences land at
-        // every offset, forcing constant hand-offs between the
-        // optimized body (full passes) and the exact body (tails).
-        let exe = assemble_and_link(FORWARDY).unwrap();
-        let total = {
-            let mut m = Machine::new(&exe, &[]);
-            m.run(10_000).steps
-        };
-        let cache = cache_for(&exe);
-        for fence in 0..=total + 2 {
-            let mut reference = Machine::new(&exe, &[]);
-            let want = reference.run(fence);
-            let mut m = Machine::new(&exe, &[]);
-            let mut stats = BlockStats::default();
-            let config = UopConfig { hot_threshold: 0, opt: OptLevel::Full };
-            let got = m.run_uops(&cache, config, fence, &mut stats);
-            assert_eq!(got, want, "fence={fence}");
-            assert_state_matches(&format!("fence={fence}"), &m, &reference);
-        }
-    }
-
-    #[test]
-    fn opt_level_parses_and_displays() {
-        assert_eq!("none".parse::<OptLevel>(), Ok(OptLevel::None));
-        assert_eq!("full".parse::<OptLevel>(), Ok(OptLevel::Full));
-        assert!("fast".parse::<OptLevel>().is_err());
-        assert_eq!(OptLevel::Full.to_string(), "full");
-        assert_eq!(OptLevel::default(), OptLevel::Full);
-    }
-
-    #[test]
-    fn ir_bridge_lowers_blocks_to_verified_functions() {
-        let src = "    .global _start\n\
-             _start:\n\
-                 mov r1, 5\n\
-                 add r1, 3\n\
-                 mov r2, buffer\n\
-                 store [r2], r1\n\
-                 load r3, [r2]\n\
-                 cmp r3, 8\n\
-                 jne .bad\n\
-                 mov r1, 0\n\
-                 svc 0\n\
-             .bad:\n\
-                 halt\n\
-                 .data\n\
-             buffer:\n\
-                 .space 8\n";
-        let exe = assemble_and_link(src).unwrap();
-        let cache = cache_for(&exe);
-        let f = lower_block_to_ir(&cache, exe.entry).expect("bridged subset");
-        rr_ir::verify_function(&f, None).expect("bridge emits verified IR");
-        // The trailing jne becomes a CondBr seam.
-        let has_condbr =
-            f.block_ids().any(|id| matches!(f.block(id).term, rr_ir::Terminator::CondBr { .. }));
-        assert!(has_condbr, "conditional tail lowers to CondBr");
-        // No block there at a data address.
-        assert!(lower_block_to_ir(&cache, 0).is_none());
     }
 }

@@ -3,13 +3,13 @@
 
 use proptest::prelude::*;
 use rr_asm::assemble_and_link;
-use rr_emu::{execute, BlockCache, BlockStats, Machine, OptLevel, RunOutcome, UopConfig};
+use rr_emu::{execute, BlockCache, BlockStats, Machine, RunOutcome, UopConfig};
 
 /// Random but *assemblable* straight-line programs over safe instructions
 /// (no unbalanced memory, no control flow — those are covered by
 /// targeted tests). Balanced `push`/`pop` pairs, `not`/`neg`, and dead
-/// compares are included so the uop optimizer's forwarding and
-/// flag-elimination paths see real work.
+/// compares are included so the uop tier's stack ops and lazy flags see
+/// real work.
 fn safe_line() -> impl Strategy<Value = String> {
     let reg = (0u8..14).prop_map(|i| format!("r{i}"));
     prop_oneof![
@@ -57,26 +57,9 @@ fn looped_program(lines: &[String], iters: u64) -> String {
     src
 }
 
-/// Runs `machine` to completion through the block executor in
-/// `chunk`-step slices (so fences land at arbitrary mid-block steps) and
-/// returns `(outcome, total_steps)`.
-fn run_blocks_chunked(
-    machine: &mut Machine,
-    cache: &BlockCache,
-    chunk: u64,
-    max_steps: u64,
-) -> (RunOutcome, u64) {
-    let mut stats = BlockStats::default();
-    let mut total = 0u64;
-    while machine.stopped().is_none() && total < max_steps {
-        let result = machine.run_blocks(cache, chunk.min(max_steps - total), &mut stats);
-        total += result.steps;
-    }
-    (machine.stopped().unwrap_or(RunOutcome::TimedOut), total)
-}
-
-/// [`run_blocks_chunked`] for the uop tier: drives `run_uops` in
-/// `chunk`-step slices under the given tiering threshold.
+/// Runs `machine` to completion through the uop tier in `chunk`-step
+/// slices (so fences land at arbitrary mid-block steps) under the given
+/// tiering threshold, and returns `(outcome, total_steps)`.
 fn run_uops_chunked(
     machine: &mut Machine,
     cache: &BlockCache,
@@ -145,52 +128,16 @@ proptest! {
         let _ = result.outcome;
     }
 
-    /// Block-cached execution is bit-identical to the interpreter over
-    /// random looped programs, for every fence placement: the same
-    /// outcome after the same number of steps, with the same registers,
-    /// flags, program counter, and output — even when the run is driven
-    /// in chunks whose boundaries land mid-block.
-    #[test]
-    fn block_cached_execution_matches_the_interpreter(
-        lines in proptest::collection::vec(safe_line(), 0..24),
-        iters in 1u64..6,
-        chunk in 1u64..97,
-    ) {
-        let exe = assemble_and_link(&looped_program(&lines, iters)).expect("program builds");
-        let text = exe.text_range();
-        // Every text offset as a candidate leader: undecodable or
-        // mid-instruction candidates are dropped by the builder, so this
-        // maximizes block-entry coverage without knowing the CFG.
-        let cache = BlockCache::build(&exe, text.start..text.end).expect("text decodes");
-        let max_steps = 50_000u64;
-
-        let mut interp = Machine::new(&exe, &[]);
-        let interp_result = interp.run(max_steps);
-
-        let mut blocks = Machine::new(&exe, &[]);
-        let (outcome, steps) = run_blocks_chunked(&mut blocks, &cache, chunk, max_steps);
-
-        prop_assert_eq!(interp_result.outcome, outcome);
-        prop_assert_eq!(interp_result.steps, steps);
-        prop_assert_eq!(interp.pc(), blocks.pc());
-        prop_assert_eq!(interp.flags(), blocks.flags());
-        for i in 0..16u8 {
-            let reg = rr_isa::Reg::from_index(i);
-            prop_assert_eq!(interp.reg(reg), blocks.reg(reg), "r{}", i);
-        }
-        prop_assert_eq!(interp.take_output(), blocks.take_output());
-    }
-
-    /// Compiled uop execution is bit-identical to the interpreter over
-    /// random looped programs, for every fence placement, every tiering
-    /// threshold — eager compilation (0), promote-on-reentry (1), and a
-    /// threshold the short run may never cross (8, leaving some or all
-    /// blocks on the decoded tier) — and both optimization levels (the
-    /// straight lowering and the `rr-ir`-optimized trace). Full
+    /// Uop-tier execution is bit-identical to the interpreter over
+    /// random looped programs, for every fence placement and every
+    /// tiering threshold — eager compilation (0), promote-on-reentry
+    /// (1), a threshold the short run may never cross (8, leaving some or
+    /// all blocks on their decoded bodies), and one no block reaches
+    /// (`u32::MAX`, decoded bodies only). Every text offset is a
+    /// candidate block leader, which maximizes mid-block entry. Full
     /// architectural state is compared at the end of every chunked run:
     /// outcome, step count, pc, **NZCV flags** (the lazy-materialization
-    /// and dead-flag-elimination contract), all sixteen registers, and
-    /// output.
+    /// contract), all sixteen registers, and output.
     #[test]
     fn uop_execution_matches_the_interpreter_across_thresholds(
         lines in proptest::collection::vec(safe_line(), 0..24),
@@ -205,28 +152,26 @@ proptest! {
         let interp_result = interp.run(max_steps);
         let interp_output = interp.take_output();
 
-        for opt in [OptLevel::None, OptLevel::Full] {
-            for hot_threshold in [0u32, 1, 8] {
-                // A fresh cache per configuration: heat accumulated (and
-                // bodies compiled) under one configuration must not leak
-                // into the next.
-                let cache = BlockCache::build(&exe, text.start..text.end).expect("text decodes");
-                let config = UopConfig { hot_threshold, opt };
-                let mut uops = Machine::new(&exe, &[]);
-                let (outcome, steps) =
-                    run_uops_chunked(&mut uops, &cache, config, chunk, max_steps);
+        for hot_threshold in [0u32, 1, 8, u32::MAX] {
+            // A fresh cache per threshold: heat accumulated (and bodies
+            // compiled) under one threshold must not leak into the next.
+            // Undecodable or mid-instruction leader candidates are
+            // dropped by the builder.
+            let cache = BlockCache::build(&exe, text.start..text.end).expect("text decodes");
+            let config = UopConfig { hot_threshold };
+            let mut uops = Machine::new(&exe, &[]);
+            let (outcome, steps) = run_uops_chunked(&mut uops, &cache, config, chunk, max_steps);
 
-                let ctx = |what: &str| format!("{what} threshold {hot_threshold} opt {opt}");
-                prop_assert_eq!(interp_result.outcome, outcome, "{}", ctx("outcome"));
-                prop_assert_eq!(interp_result.steps, steps, "{}", ctx("steps"));
-                prop_assert_eq!(interp.pc(), uops.pc(), "{}", ctx("pc"));
-                prop_assert_eq!(interp.flags(), uops.flags(), "{}", ctx("flags"));
-                for i in 0..16u8 {
-                    let reg = rr_isa::Reg::from_index(i);
-                    prop_assert_eq!(interp.reg(reg), uops.reg(reg), "{}", ctx("reg"));
-                }
-                prop_assert_eq!(&interp_output, &uops.take_output(), "{}", ctx("output"));
+            let ctx = |what: &str| format!("{what} threshold {hot_threshold}");
+            prop_assert_eq!(interp_result.outcome, outcome, "{}", ctx("outcome"));
+            prop_assert_eq!(interp_result.steps, steps, "{}", ctx("steps"));
+            prop_assert_eq!(interp.pc(), uops.pc(), "{}", ctx("pc"));
+            prop_assert_eq!(interp.flags(), uops.flags(), "{}", ctx("flags"));
+            for i in 0..16u8 {
+                let reg = rr_isa::Reg::from_index(i);
+                prop_assert_eq!(interp.reg(reg), uops.reg(reg), "{}", ctx("reg"));
             }
+            prop_assert_eq!(&interp_output, &uops.take_output(), "{}", ctx("output"));
         }
     }
 

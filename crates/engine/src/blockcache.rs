@@ -1,7 +1,7 @@
 //! Session-level construction and invalidation of the emulator's
 //! pre-decoded [`BlockCache`].
 //!
-//! The emulator owns block *execution* ([`rr_emu::Machine::run_blocks`]);
+//! The emulator owns block *execution* ([`rr_emu::Machine::run_uops`]);
 //! this module owns the *policy*: where block leaders come from
 //! (`rr-disasm`'s recovered CFG), when a session may keep a cache across
 //! a binary rewrite (only when the text bytes are identical), and how
@@ -71,7 +71,11 @@ pub fn rebuild_block_cache(
 mod tests {
     use super::*;
     use rr_asm::assemble_and_link;
-    use rr_emu::{BlockStats, Machine};
+    use rr_emu::{BlockStats, Machine, UopConfig};
+
+    /// A threshold no block reaches: every cached block runs its
+    /// pre-decoded body.
+    const DECODED: UopConfig = UopConfig { hot_threshold: u32::MAX };
 
     fn sample() -> Executable {
         assemble_and_link(
@@ -101,7 +105,7 @@ mod tests {
         let want = reference.run(10_000);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        assert_eq!(m.run_blocks(&cache, 10_000, &mut stats), want);
+        assert_eq!(m.run_uops(&cache, DECODED, 10_000, &mut stats), want);
         assert_eq!(stats.interp_steps, 0, "fully covered program: {stats:?}");
     }
 
@@ -153,7 +157,7 @@ mod tests {
         let want = reference.run(10_000);
         let mut m = Machine::new(&rebuilt, &[]);
         let mut stats = BlockStats::default();
-        assert_eq!(m.run_blocks(&fresh, 10_000, &mut stats), want);
+        assert_eq!(m.run_uops(&fresh, DECODED, 10_000, &mut stats), want);
     }
 
     #[test]

@@ -62,11 +62,9 @@ pub mod shard;
 
 pub use blockcache::{build_block_cache, rebuild_block_cache};
 pub use replay::{
-    auto_interval, flush_block_stats, ExecMode, ReplayConfig, ReplayEngine, ReplayError,
-    ReplayFootprint,
+    auto_interval, flush_block_stats, ReplayConfig, ReplayEngine, ReplayError, ReplayFootprint,
 };
 
-// The uop tiering and optimization knobs are part of [`ReplayConfig`];
-// re-exported so replay consumers don't need an rr-emu dependency to
-// set them.
-pub use rr_emu::{OptLevel, UopConfig};
+// The uop tiering knob is part of [`ReplayConfig`]; re-exported so
+// replay consumers don't need an rr-emu dependency to set it.
+pub use rr_emu::UopConfig;

@@ -8,60 +8,7 @@ use rr_emu::{
 use rr_obj::Executable;
 use rr_telemetry::{Counter, Gauge, SpanKind, Telemetry};
 use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
-
-/// How recorded and replayed instructions execute.
-///
-/// All three modes are bit-identical — same traces, same outcomes, same
-/// architectural state at every observable point (pinned by the emu
-/// proptests and the campaign equivalence suites) — so the choice is
-/// purely a speed/robustness knob, surfaced as `--exec` on the CLI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Per-step fetch/decode interpretation everywhere (the reference
-    /// implementation).
-    Interp,
-    /// Pre-decoded superblock execution with interpreter fallback over
-    /// modified code (see [`crate::build_block_cache`]).
-    Blocks,
-    /// The blocks tier plus micro-op compilation: blocks crossing
-    /// [`rr_emu::UopConfig::hot_threshold`] are lowered once into
-    /// pre-extracted micro-op traces executed with lazy NZCV
-    /// materialization ([`rr_emu::Machine::run_uops`]).
-    #[default]
-    Uops,
-}
-
-impl ExecMode {
-    /// Whether this mode executes through a pre-decoded block cache.
-    pub fn uses_block_cache(self) -> bool {
-        self != ExecMode::Interp
-    }
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ExecMode::Interp => "interp",
-            ExecMode::Blocks => "blocks",
-            ExecMode::Uops => "uops",
-        })
-    }
-}
-
-impl FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" => Ok(ExecMode::Interp),
-            "blocks" => Ok(ExecMode::Blocks),
-            "uops" => Ok(ExecMode::Uops),
-            other => Err(format!("unknown exec mode `{other}` (interp|blocks|uops)")),
-        }
-    }
-}
 
 /// Tunables for [`ReplayEngine::record`].
 #[derive(Debug, Clone)]
@@ -98,18 +45,13 @@ pub struct ReplayConfig {
     pub telemetry: Telemetry,
     /// Pre-decoded superblocks over the executable's text (see
     /// [`crate::build_block_cache`]). When set, the recording run and
-    /// [`ReplayEngine::machine_at`] forward-stepping execute through
-    /// [`rr_emu::Machine::run_blocks`] — bit-identical to the
+    /// [`ReplayEngine::machine_at`] forward-stepping execute through the
+    /// uop tier ([`rr_emu::Machine::run_uops`]) — bit-identical to the
     /// interpreter, but without per-step fetch/decode outside injection
     /// and capture fences. `None` runs the plain interpreter.
     pub block_cache: Option<Arc<BlockCache>>,
-    /// Which tier executes when a block cache is present:
-    /// [`ExecMode::Uops`] (default) additionally compiles hot blocks to
-    /// micro-op traces, [`ExecMode::Blocks`] stays with decoded bodies.
-    /// Without a cache both degrade to interpretation.
-    pub exec: ExecMode,
-    /// Tiering knob for [`ExecMode::Uops`]: how hot a block runs
-    /// decoded before it is compiled.
+    /// Tiering knob for the uop tier: how hot a block runs decoded
+    /// before it is compiled. Ignored without a block cache.
     pub uop: UopConfig,
 }
 
@@ -123,7 +65,6 @@ impl Default for ReplayConfig {
             record_snapshots: true,
             telemetry: Telemetry::default(),
             block_cache: None,
-            exec: ExecMode::default(),
             uop: UopConfig::default(),
         }
     }
@@ -233,11 +174,9 @@ pub struct ReplayEngine {
     /// means only the initial state exists and replay is from step 0).
     snapshots: bool,
     /// Block cache the recording ran under; [`ReplayEngine::machine_at`]
-    /// forward-steps through it when present.
+    /// forward-steps through it (in the uop tier) when present, keeping
+    /// the compiled bodies accumulated in the shared cache warm.
     block_cache: Option<Arc<BlockCache>>,
-    /// Execution tier the recording ran under; replays use the same one
-    /// (compiled bodies accumulated in the shared cache stay warm).
-    exec: ExecMode,
     uop: UopConfig,
     telemetry: Telemetry,
 }
@@ -393,7 +332,7 @@ impl<'a> Recorder<'a> {
 /// Drives one recorded execution under `recorder`'s capture schedule:
 /// the interpreter path checks the schedule before every step; the
 /// block-cached path executes fence-to-fence segments through
-/// [`Machine::run_blocks_traced`], paying the schedule check once per
+/// [`Machine::run_uops_traced`], paying the schedule check once per
 /// segment instead of once per instruction.
 fn run_recorded(
     machine: &mut Machine,
@@ -423,12 +362,7 @@ fn run_recorded(
             recorder.capture(machine, step);
         }
         let fence = recorder.next_fence(step).map_or(config.max_steps, |f| f.min(config.max_steps));
-        match config.exec {
-            ExecMode::Uops => {
-                machine.run_uops_traced(cache, config.uop, fence - step, &mut stats, trace)
-            }
-            _ => machine.run_blocks_traced(cache, fence - step, &mut stats, trace),
-        };
+        machine.run_uops_traced(cache, config.uop, fence - step, &mut stats, trace);
     };
     flush_block_stats(&config.telemetry, stats);
     result
@@ -454,18 +388,6 @@ pub fn flush_block_stats(telemetry: &Telemetry, stats: BlockStats) {
     }
     if stats.tier_promotions > 0 {
         telemetry.count(Counter::TierPromotions, stats.tier_promotions);
-    }
-    if stats.blocks_optimized > 0 {
-        telemetry.count(Counter::BlocksOptimized, stats.blocks_optimized);
-    }
-    if stats.uops_eliminated > 0 {
-        telemetry.count(Counter::UopsEliminated, stats.uops_eliminated);
-    }
-    if stats.loads_forwarded > 0 {
-        telemetry.count(Counter::LoadsForwarded, stats.loads_forwarded);
-    }
-    if stats.flag_defs_killed > 0 {
-        telemetry.count(Counter::FlagDefsKilled, stats.flag_defs_killed);
     }
 }
 
@@ -506,7 +428,6 @@ impl ReplayEngine {
             interval: recorder.interval,
             snapshots: config.record_snapshots,
             block_cache: config.block_cache.clone(),
-            exec: config.exec,
             uop: config.uop,
             telemetry: config.telemetry.clone(),
         };
@@ -556,7 +477,6 @@ impl ReplayEngine {
             interval: recorder.interval,
             snapshots: config.record_snapshots,
             block_cache: config.block_cache.clone(),
-            exec: config.exec,
             uop: config.uop,
             telemetry: config.telemetry.clone(),
         };
@@ -689,10 +609,7 @@ impl ReplayEngine {
             Some(cache) => {
                 let mut stats = BlockStats::default();
                 let budget = step - checkpoint.step;
-                let result = match self.exec {
-                    ExecMode::Uops => machine.run_uops(cache, self.uop, budget, &mut stats),
-                    _ => machine.run_blocks(cache, budget, &mut stats),
-                };
+                let result = machine.run_uops(cache, self.uop, budget, &mut stats);
                 flush_block_stats(&self.telemetry, stats);
                 if let RunOutcome::Crashed { .. } = result.outcome {
                     // The last of `result.steps` executed instructions
@@ -717,16 +634,10 @@ impl ReplayEngine {
     }
 
     /// The block cache the recording ran under, if any — sessions share
-    /// it across replays and post-injection continuations.
+    /// it across replays and post-injection continuations, which then
+    /// run in the uop tier so the compiled bodies in it stay warm.
     pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
         self.block_cache.as_ref()
-    }
-
-    /// The execution tier the recording ran under — replays and
-    /// continuations should use the same one so compiled micro-op
-    /// bodies in the shared cache stay warm.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
     }
 
     /// The uop tiering knob the recording ran under.
@@ -1115,26 +1026,27 @@ mod tests {
     }
 
     /// Accelerated configs for an executable: the same `ReplayConfig`
-    /// with a cache built from the recovered CFG and the given tier.
-    fn accel(config: &ReplayConfig, exe: &Executable, exec: ExecMode) -> ReplayConfig {
+    /// with a cache built from the recovered CFG and the given tiering.
+    fn accel(config: &ReplayConfig, exe: &Executable, uop: UopConfig) -> ReplayConfig {
         ReplayConfig {
             block_cache: Some(
                 crate::build_block_cache(exe, &config.telemetry).expect("sample decodes"),
             ),
-            exec,
-            // Threshold 1 exercises the decoded→compiled promotion path
-            // inside recorded runs, not just steady-state compiled bodies.
-            uop: rr_emu::UopConfig { hot_threshold: 1, ..Default::default() },
+            uop,
             ..config.clone()
         }
     }
 
-    const ACCEL_MODES: [ExecMode; 2] = [ExecMode::Blocks, ExecMode::Uops];
+    /// Decoded bodies only (a threshold no block reaches), and threshold
+    /// 1, which exercises the decoded→compiled promotion path inside
+    /// recorded runs, not just steady-state compiled bodies.
+    const ACCEL_MODES: [UopConfig; 2] =
+        [UopConfig { hot_threshold: u32::MAX }, UopConfig { hot_threshold: 1 }];
 
     #[test]
     fn accelerated_recording_is_bit_identical() {
         let exe = looping_exe(300);
-        for exec in ACCEL_MODES {
+        for uop in ACCEL_MODES {
             for base in [
                 ReplayConfig::default(),
                 ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() },
@@ -1142,14 +1054,14 @@ mod tests {
                 ReplayConfig { record_snapshots: false, ..ReplayConfig::default() },
             ] {
                 let interp = ReplayEngine::record(&exe, &[], &base);
-                let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, exec));
-                assert_eq!(interp.execution(), fast.execution(), "{exec}");
-                assert_eq!(interp.trace(), fast.trace(), "{exec}");
-                assert_eq!(interp.interval(), fast.interval(), "{exec}");
-                assert_eq!(interp.checkpoint_count(), fast.checkpoint_count(), "{exec}");
+                let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, uop));
+                assert_eq!(interp.execution(), fast.execution(), "{uop:?}");
+                assert_eq!(interp.trace(), fast.trace(), "{uop:?}");
+                assert_eq!(interp.interval(), fast.interval(), "{uop:?}");
+                assert_eq!(interp.checkpoint_count(), fast.checkpoint_count(), "{uop:?}");
                 let steps: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
                 let fast_steps: Vec<u64> = fast.checkpoints.iter().map(|c| c.step).collect();
-                assert_eq!(steps, fast_steps, "{exec}: capture schedule must not drift");
+                assert_eq!(steps, fast_steps, "{uop:?}: capture schedule must not drift");
             }
         }
     }
@@ -1159,18 +1071,18 @@ mod tests {
         let exe = looping_exe(80);
         let base = ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() };
         let interp = ReplayEngine::record(&exe, &[], &base);
-        for exec in ACCEL_MODES {
-            let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, exec));
-            assert_eq!(fast.exec_mode(), exec);
+        for uop in ACCEL_MODES {
+            let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, uop));
+            assert_eq!(fast.uop_config(), uop);
             let total = interp.trace().len() as u64;
             for step in [0, 1, 15, 16, 17, 100, total - 1, total] {
                 let a = interp.machine_at(step).unwrap();
                 let b = fast.machine_at(step).unwrap();
-                assert_eq!(a.pc(), b.pc(), "{exec}: pc at step {step}");
-                assert_eq!(a.flags(), b.flags(), "{exec}: flags at step {step}");
-                assert_eq!(a.stopped(), b.stopped(), "{exec}: stop state at step {step}");
+                assert_eq!(a.pc(), b.pc(), "{uop:?}: pc at step {step}");
+                assert_eq!(a.flags(), b.flags(), "{uop:?}: flags at step {step}");
+                assert_eq!(a.stopped(), b.stopped(), "{uop:?}: stop state at step {step}");
                 for r in rr_isa_regs() {
-                    assert_eq!(a.reg(r), b.reg(r), "{exec}: reg {r} at step {step}");
+                    assert_eq!(a.reg(r), b.reg(r), "{uop:?}: reg {r} at step {step}");
                 }
             }
         }
@@ -1183,56 +1095,41 @@ mod tests {
         let window = (steps / 3)..(steps / 2);
         let base = ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() };
         let interp = ReplayEngine::replay_range(&exe, &[], &base, window.clone());
-        for exec in ACCEL_MODES {
+        for uop in ACCEL_MODES {
             let fast =
-                ReplayEngine::replay_range(&exe, &[], &accel(&base, &exe, exec), window.clone());
-            assert_eq!(interp.execution(), fast.execution(), "{exec}");
-            assert_eq!(interp.trace(), fast.trace(), "{exec}");
+                ReplayEngine::replay_range(&exe, &[], &accel(&base, &exe, uop), window.clone());
+            assert_eq!(interp.execution(), fast.execution(), "{uop:?}");
+            assert_eq!(interp.trace(), fast.trace(), "{uop:?}");
             let steps_a: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
             let steps_b: Vec<u64> = fast.checkpoints.iter().map(|c| c.step).collect();
-            assert_eq!(steps_a, steps_b, "{exec}: windowed capture schedule must not drift");
+            assert_eq!(steps_a, steps_b, "{uop:?}: windowed capture schedule must not drift");
             for step in [0, window.start, window.start + 5, window.end - 1] {
                 let a = interp.machine_at(step).unwrap();
                 let b = fast.machine_at(step).unwrap();
-                assert_eq!(a.pc(), b.pc(), "{exec}: step {step}");
+                assert_eq!(a.pc(), b.pc(), "{uop:?}: step {step}");
             }
         }
     }
 
     #[test]
     fn accelerated_thinning_keeps_the_schedule_aligned() {
-        // Byte-budget thinning doubles the interval mid-run; the block
-        // and uop drivers must re-derive their fences from the widened
+        // Byte-budget thinning doubles the interval mid-run; the
+        // accelerated driver must re-derive its fences from the widened
         // schedule.
         let exe = stack_churn_exe(800);
         let free = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
         let budget = free.retained_bytes() / 4;
         let base = ReplayConfig { max_retained_bytes: budget, ..ReplayConfig::default() };
         let interp = ReplayEngine::record(&exe, &[], &base);
-        for exec in ACCEL_MODES {
-            let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, exec));
-            assert_eq!(interp.execution(), fast.execution(), "{exec}");
-            assert_eq!(interp.interval(), fast.interval(), "{exec}");
+        for uop in ACCEL_MODES {
+            let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, uop));
+            assert_eq!(interp.execution(), fast.execution(), "{uop:?}");
+            assert_eq!(interp.interval(), fast.interval(), "{uop:?}");
             let steps_a: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
             let steps_b: Vec<u64> = fast.checkpoints.iter().map(|c| c.step).collect();
-            assert_eq!(steps_a, steps_b, "{exec}");
-            assert!(fast.retained_bytes() <= budget, "{exec}");
+            assert_eq!(steps_a, steps_b, "{uop:?}");
+            assert!(fast.retained_bytes() <= budget, "{uop:?}");
         }
-    }
-
-    #[test]
-    fn exec_mode_names_parse_and_render() {
-        assert_eq!("interp".parse::<ExecMode>().unwrap(), ExecMode::Interp);
-        assert_eq!("blocks".parse::<ExecMode>().unwrap(), ExecMode::Blocks);
-        assert_eq!("uops".parse::<ExecMode>().unwrap(), ExecMode::Uops);
-        assert!("jit".parse::<ExecMode>().is_err());
-        assert_eq!(ExecMode::default(), ExecMode::Uops, "uops is the default tier");
-        assert_eq!(ExecMode::Interp.to_string(), "interp");
-        assert_eq!(ExecMode::Blocks.to_string(), "blocks");
-        assert_eq!(ExecMode::Uops.to_string(), "uops");
-        assert!(!ExecMode::Interp.uses_block_cache());
-        assert!(ExecMode::Blocks.uses_block_cache());
-        assert!(ExecMode::Uops.uses_block_cache());
     }
 
     #[test]

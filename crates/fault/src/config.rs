@@ -49,10 +49,47 @@ impl FromStr for CampaignEngine {
     }
 }
 
-// How a session executes emulated instructions now lives in rr-engine
-// (the layer that actually dispatches the tiers); re-exported here so
-// campaign callers keep a single import path.
-pub use rr_engine::ExecMode;
+/// How a session executes emulated instructions.
+///
+/// Both modes are bit-identical — same traces, same outcomes, same
+/// architectural state at every observable point (pinned by the emu
+/// proptests and the campaign equivalence suites) — so the choice is
+/// purely a speed knob, surfaced as `--exec` on the CLI.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// Per-step fetch/decode interpretation everywhere (the reference
+    /// oracle).
+    Interp,
+    /// The uop tier ([`rr_emu::Machine::run_uops`]): the session decodes
+    /// the text once into a block cache ([`rr_engine::build_block_cache`]);
+    /// cold blocks run as pre-decoded bodies, blocks crossing
+    /// [`rr_emu::UopConfig::hot_threshold`] compile once to micro-op
+    /// traces with lazy NZCV, and modified code falls back to the
+    /// interpreter.
+    #[default]
+    Uops,
+}
+
+impl fmt::Display for ExecMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ExecMode::Interp => "interp",
+            ExecMode::Uops => "uops",
+        })
+    }
+}
+
+impl FromStr for ExecMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "interp" => Ok(ExecMode::Interp),
+            "uops" => Ok(ExecMode::Uops),
+            other => Err(format!("unknown exec mode `{other}` (interp|uops)")),
+        }
+    }
+}
 
 /// Tunables for a fault-injection session.
 #[derive(Debug, Clone)]
@@ -96,20 +133,18 @@ pub struct CampaignConfig {
     /// plans — singletons and multi-fault alike — are grouped by the
     /// checkpoint preceding their earliest injection, and each bucket is
     /// evaluated by one sweep that restores the checkpoint once and
-    /// walks forward (block-cached under
-    /// [`ExecMode::Blocks`]), cloning the in-flight machine at every
-    /// injection point — instead of paying a restore-plus-forward-replay
+    /// walks forward (in the uop tier under [`ExecMode::Uops`]), cloning
+    /// the in-flight machine at every injection point — instead of paying a restore-plus-forward-replay
     /// per plan. Classifications are identical either way (the
     /// multifault benchmark gates the speedup); `false` falls back to
     /// per-plan positioning everywhere.
     pub bucketing: bool,
-    /// How emulated instructions execute — compiled uop traces
-    /// (default), pre-decoded superblocks, or the plain interpreter. See
-    /// [`ExecMode`].
+    /// How emulated instructions execute — the uop tier (default) or the
+    /// plain interpreter. See [`ExecMode`].
     pub exec: ExecMode,
     /// Tiering knob for [`ExecMode::Uops`]: how many executions promote
     /// a decoded superblock to its compiled uop body (`0` = compile
-    /// eagerly on first execution).
+    /// eagerly on first execution, `u32::MAX` = decoded bodies only).
     pub uop: rr_emu::UopConfig,
     /// Drop plans the static analysis ([`crate::Analysis`]) proves
     /// benign from the plan space before enumeration and budget
@@ -180,12 +215,12 @@ mod tests {
     #[test]
     fn exec_mode_names_parse_and_render() {
         assert_eq!("interp".parse::<ExecMode>().unwrap(), ExecMode::Interp);
-        assert_eq!("blocks".parse::<ExecMode>().unwrap(), ExecMode::Blocks);
         assert_eq!("uops".parse::<ExecMode>().unwrap(), ExecMode::Uops);
         assert!("jit".parse::<ExecMode>().is_err());
+        let err = "blocks".parse::<ExecMode>().unwrap_err();
+        assert!(err.contains("blocks") && err.contains("interp|uops"), "{err}");
         assert_eq!(ExecMode::default(), ExecMode::Uops);
         assert_eq!(ExecMode::Interp.to_string(), "interp");
-        assert_eq!(ExecMode::Blocks.to_string(), "blocks");
         assert_eq!(ExecMode::Uops.to_string(), "uops");
     }
 }

@@ -221,7 +221,7 @@ impl CampaignSessionBuilder {
         // seeded session accounts the rewrite's invalidations against
         // the prior session's cache (and reuses it outright when the
         // text bytes are unchanged).
-        let block_cache = if config.exec.uses_block_cache() {
+        let block_cache = if config.exec == ExecMode::Uops {
             match &self.seed {
                 Some((seed, delta)) => rr_engine::rebuild_block_cache(
                     seed.block_cache.as_ref(),
@@ -241,7 +241,6 @@ impl CampaignSessionBuilder {
             record_snapshots: config.engine == CampaignEngine::Checkpointed,
             telemetry: self.telemetry.clone(),
             block_cache,
-            exec: config.exec,
             uop: config.uop,
             ..ReplayConfig::default()
         };
@@ -694,10 +693,8 @@ impl CampaignSession {
         }
     }
 
-    /// Runs `max_steps` through the session's accelerated tier — compiled
-    /// uop bodies under [`ExecMode::Uops`], decoded superblocks under
-    /// [`ExecMode::Blocks`] — flushing per-run execution stats to
-    /// telemetry.
+    /// Runs `max_steps` through the uop tier, flushing per-run execution
+    /// stats to telemetry.
     fn run_accelerated(
         &self,
         machine: &mut Machine,
@@ -705,12 +702,7 @@ impl CampaignSession {
         max_steps: u64,
     ) -> RunResult {
         let mut stats = BlockStats::default();
-        let result = match self.replay.exec_mode() {
-            ExecMode::Uops => {
-                machine.run_uops(cache, self.replay.uop_config(), max_steps, &mut stats)
-            }
-            _ => machine.run_blocks(cache, max_steps, &mut stats),
-        };
+        let result = machine.run_uops(cache, self.replay.uop_config(), max_steps, &mut stats);
         rr_engine::flush_block_stats(&self.telemetry, stats);
         result
     }

@@ -1,13 +1,13 @@
-//! Execution-mode equivalence: the accelerated tiers — pre-decoded
-//! superblock execution ([`rr_fault::ExecMode::Blocks`]) and compiled
-//! micro-op traces ([`rr_fault::ExecMode::Uops`], the default) — must
+//! Execution-mode equivalence: the uop tier
+//! ([`rr_fault::ExecMode::Uops`], the default) — pre-decoded superblock
+//! bodies for cold blocks, compiled micro-op traces for hot ones — must
 //! classify every fault exactly like the per-step interpreter
 //! ([`rr_fault::ExecMode::Interp`]), for every workload, engine,
 //! thread count, and bucketing choice.
 //!
-//! This is the bit-identity contract the acceleration rests on: both
-//! tiers run the *same* decoded instructions over the *same* bytes
-//! (the uop tier additionally pre-lowers hot bodies and defers NZCV
+//! This is the bit-identity contract the acceleration rests on: the
+//! decoded bodies run the *same* decoded instructions over the *same*
+//! bytes (compiled bodies additionally pre-lower them and defer NZCV
 //! materialization, but never past an observable point), fall back to
 //! interpretation over any code the session modified (injections mark
 //! their ranges exec-dirty), and stop at exactly the same step for
@@ -19,19 +19,14 @@
 
 use rr_fault::{
     CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, ExecMode, FaultModel,
-    InstructionSkip, OptLevel, PairPolicy, PlanConfig, SingleBitFlip, UopConfig,
+    InstructionSkip, PairPolicy, PlanConfig, SingleBitFlip, UopConfig,
 };
 use rr_workloads::Workload;
 
-/// Both accelerated tiers — the uop tier at both optimization levels —
-/// each compared against the interpreter.
-fn accel_configs() -> [(ExecMode, UopConfig); 3] {
-    [
-        (ExecMode::Blocks, UopConfig::default()),
-        (ExecMode::Uops, UopConfig { opt: OptLevel::None, ..UopConfig::default() }),
-        (ExecMode::Uops, UopConfig::default()),
-    ]
-}
+/// The uop tier on decoded bodies only (a threshold no block reaches)
+/// and at the default tiering, each compared against the interpreter.
+const ACCEL_CONFIGS: [UopConfig; 2] =
+    [UopConfig { hot_threshold: u32::MAX }, UopConfig { hot_threshold: 2 }];
 
 fn session(w: &Workload, config: CampaignConfig) -> CampaignSession {
     CampaignSession::builder(w.build().unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name)))
@@ -60,8 +55,8 @@ fn assert_reports_equal(a: &CampaignReport, b: &CampaignReport, context: &str) {
 }
 
 /// Every workload, both engines, bucketing on and off, serial and
-/// parallel: interp, blocks, and uops classify identically, report for
-/// report.
+/// parallel: interp and the uop tier (decoded-only and tiered) classify
+/// identically, report for report.
 #[test]
 fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
     for w in rr_workloads::all_workloads() {
@@ -84,12 +79,13 @@ fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
             let interp = session(&w, CampaignConfig { exec: ExecMode::Interp, ..base.clone() });
             let interp_skip = run_one(&interp, &InstructionSkip);
             let interp_flip = run_one(&interp, &SingleBitFlip);
-            for (exec, uop) in accel_configs() {
+            for uop in ACCEL_CONFIGS {
                 let context = format!(
-                    "{} engine={engine} bucketing={bucketing} threads={threads} exec={exec} opt={}",
-                    w.name, uop.opt
+                    "{} engine={engine} bucketing={bucketing} threads={threads} hot={}",
+                    w.name, uop.hot_threshold
                 );
-                let fast = session(&w, CampaignConfig { exec, uop, ..base.clone() });
+                let fast =
+                    session(&w, CampaignConfig { exec: ExecMode::Uops, uop, ..base.clone() });
                 assert_reports_equal(
                     &interp_skip,
                     &run_one(&fast, &InstructionSkip),
@@ -111,7 +107,8 @@ fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
 }
 
 /// Multi-fault plans inject at several timed points of one continuation;
-/// both accelerated tiers must honour every intermediate fence exactly.
+/// decoded and compiled bodies must honour every intermediate fence
+/// exactly.
 #[test]
 fn accelerated_tiers_match_interp_for_double_fault_plans() {
     let w = rr_workloads::pincheck();
@@ -126,12 +123,12 @@ fn accelerated_tiers_match_interp_for_double_fault_plans() {
     };
     let interp = session(&w, CampaignConfig { exec: ExecMode::Interp, ..base.clone() });
     let interp_report = run_one(&interp, &InstructionSkip);
-    for (exec, uop) in accel_configs() {
-        let fast = session(&w, CampaignConfig { exec, uop, ..base.clone() });
+    for uop in ACCEL_CONFIGS {
+        let fast = session(&w, CampaignConfig { exec: ExecMode::Uops, uop, ..base.clone() });
         assert_reports_equal(
             &interp_report,
             &run_one(&fast, &InstructionSkip),
-            &format!("pincheck order-2 skip exec={exec} opt={}", uop.opt),
+            &format!("pincheck order-2 skip hot={}", uop.hot_threshold),
         );
     }
 }
@@ -156,30 +153,11 @@ fn default_session_is_uop_compiled_and_equivalent() {
     // relative to the tiered default threshold.
     let eager = session(
         &w,
-        CampaignConfig {
-            uop: UopConfig { hot_threshold: 0, ..UopConfig::default() },
-            ..CampaignConfig::default()
-        },
+        CampaignConfig { uop: UopConfig { hot_threshold: 0 }, ..CampaignConfig::default() },
     );
     assert_reports_equal(
         &default_report,
         &run_one(&eager, &InstructionSkip),
         "otp tiered-vs-eager",
-    );
-    // The default session runs the optimized uop traces
-    // (`OptLevel::Full`); switching the optimizer off must not change a
-    // verdict either.
-    assert_eq!(CampaignConfig::default().uop.opt, OptLevel::Full);
-    let unopt = session(
-        &w,
-        CampaignConfig {
-            uop: UopConfig { opt: OptLevel::None, ..UopConfig::default() },
-            ..CampaignConfig::default()
-        },
-    );
-    assert_reports_equal(
-        &default_report,
-        &run_one(&unopt, &InstructionSkip),
-        "otp opt-full-vs-none",
     );
 }

@@ -123,21 +123,7 @@ impl<'a> Interp<'a> {
     /// # Errors
     ///
     /// See [`InterpError`].
-    pub fn run(self) -> Result<InterpResult, InterpError> {
-        self.run_with_cells().map(|(result, _)| result)
-    }
-
-    /// Like [`Interp::run`], additionally returning the final cell file —
-    /// for differential pass testing, where the architectural end state
-    /// (registers and flags) is part of the observable contract, not just
-    /// the output stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`InterpError`].
-    pub fn run_with_cells(
-        mut self,
-    ) -> Result<(InterpResult, [u64; Cell::COUNT as usize]), InterpError> {
+    pub fn run(mut self) -> Result<InterpResult, InterpError> {
         let entry = self
             .module
             .function(&self.module.entry)
@@ -150,12 +136,11 @@ impl<'a> Interp<'a> {
                 None => InterpOutcome::Aborted,
             },
         };
-        let result = InterpResult {
+        Ok(InterpResult {
             outcome: finalize(outcome, self.exited),
             output: self.output,
             steps: self.steps,
-        };
-        Ok((result, self.cells))
+        })
     }
 
     /// Executes one function; `Ok(Some(()))` means it returned normally,

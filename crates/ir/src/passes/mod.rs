@@ -1,15 +1,9 @@
 //! Transformation passes and the pass manager.
 
 mod dce;
-mod flagelim;
-mod fold;
-mod loadfwd;
 mod promote;
 
 pub use dce::DeadCodeElimination;
-pub use flagelim::DeadFlagElimination;
-pub use fold::ConstFold;
-pub use loadfwd::LoadForwarding;
 pub use promote::PromoteCells;
 
 use crate::module::Module;
@@ -59,13 +53,6 @@ impl PassManager {
     /// Appends a pass.
     pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
         self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Appends an already-boxed pass (for dynamically-assembled
-    /// pipelines).
-    pub fn add_boxed(&mut self, pass: Box<dyn Pass>) -> &mut Self {
-        self.passes.push(pass);
         self
     }
 

@@ -49,7 +49,5 @@
 #![forbid(unsafe_code)]
 
 mod codegen;
-pub mod uops;
 
 pub use codegen::{compile, emit_listing, LowerError};
-pub use uops::{plan_slots, RegWrite, ResolvedValue, SlotPlan};

@@ -78,11 +78,11 @@ fn instruction_skip_is_invariant_across_all_workloads() {
 /// rewrite shifts the text, the carried cache is invalidated through the
 /// patch's listing delta and rebuilt (dropping compiled uop bodies with
 /// their blocks), and the loop still classifies, patches, and converges
-/// bit-identically to the interpreter — under both the superblock tier
-/// and the compiled uop tier, the latter at both optimization levels.
+/// bit-identically to the interpreter — under the uop tier on decoded
+/// bodies only and at its default tiering.
 #[test]
 fn exec_mode_is_invariant_across_harden_iterations() {
-    use rr_fault::{CampaignConfig, ExecMode, OptLevel, UopConfig};
+    use rr_fault::{CampaignConfig, ExecMode, UopConfig};
     use rr_telemetry::{Counter, Telemetry};
     for w in [rr_workloads::pincheck(), rr_workloads::otp_check()] {
         let exe = w.build().unwrap();
@@ -99,15 +99,11 @@ fn exec_mode_is_invariant_across_harden_iterations() {
                 .unwrap_or_else(|e| panic!("{} hardening failed: {e}", w.name))
         };
         let interp = harden_with(ExecMode::Interp, UopConfig::default(), Telemetry::disabled());
-        for (exec, uop) in [
-            (ExecMode::Blocks, UopConfig::default()),
-            (ExecMode::Uops, UopConfig { opt: OptLevel::None, ..UopConfig::default() }),
-            (ExecMode::Uops, UopConfig::default()),
-        ] {
+        for uop in [UopConfig { hot_threshold: u32::MAX }, UopConfig::default()] {
             let telemetry = Telemetry::counters();
-            let fast = harden_with(exec, uop, telemetry.clone());
+            let fast = harden_with(ExecMode::Uops, uop, telemetry.clone());
 
-            let context = format!("workload {} exec {exec} opt {}", w.name, uop.opt);
+            let context = format!("workload {} hot {}", w.name, uop.hot_threshold);
             assert_eq!(interp.iterations, fast.iterations, "{context}");
             assert_eq!(
                 interp.hardened.to_bytes(),
@@ -121,28 +117,26 @@ fn exec_mode_is_invariant_across_harden_iterations() {
             // The accelerated path really ran: text was decoded into
             // blocks, accelerated steps exist, and each post-rewrite
             // campaign invalidated the stale blocks of the carried cache
-            // before rebuilding. Under the uop tier the loop must also
-            // have promoted and compiled hot bodies.
+            // before rebuilding. With decoded bodies only, the cached
+            // blocks ran decoded; at the default tiering the loop must
+            // also have promoted and compiled hot bodies.
             let metrics = telemetry.metrics().expect("counters attached");
             assert!(metrics.counter(Counter::BlocksDecoded) > 0, "{context}: no blocks decoded");
-            match exec {
-                ExecMode::Uops => {
-                    assert!(metrics.counter(Counter::UopSteps) > 0, "{context}: no uop steps");
-                    assert!(
-                        metrics.counter(Counter::BlocksCompiled) > 0,
-                        "{context}: nothing compiled"
-                    );
-                    assert!(
-                        metrics.counter(Counter::TierPromotions) > 0,
-                        "{context}: nothing promoted"
-                    );
-                }
-                _ => {
-                    assert!(
-                        metrics.counter(Counter::BlockSteps) > 0,
-                        "{context}: no block-executed steps"
-                    );
-                }
+            if uop.hot_threshold == u32::MAX {
+                assert!(
+                    metrics.counter(Counter::BlockSteps) > 0,
+                    "{context}: no block-executed steps"
+                );
+            } else {
+                assert!(metrics.counter(Counter::UopSteps) > 0, "{context}: no uop steps");
+                assert!(
+                    metrics.counter(Counter::BlocksCompiled) > 0,
+                    "{context}: nothing compiled"
+                );
+                assert!(
+                    metrics.counter(Counter::TierPromotions) > 0,
+                    "{context}: nothing promoted"
+                );
             }
             if fast.campaigns >= 2 {
                 assert!(

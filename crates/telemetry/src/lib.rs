@@ -155,7 +155,8 @@ pub enum Counter {
     BucketPlans,
     /// Superblocks pre-decoded into the block-cached execution engine.
     BlocksDecoded,
-    /// Instructions executed from pre-decoded block bodies.
+    /// Instructions executed from pre-decoded block bodies (uop-tier
+    /// blocks not yet past the hot threshold).
     BlockSteps,
     /// Instructions executed by the plain interpreter while a block
     /// cache was available (fallback: cache miss, dirty code, fences).
@@ -164,8 +165,8 @@ pub enum Counter {
     BlockInvalidations,
     /// Hot superblocks compiled into pre-lowered micro-op traces.
     BlocksCompiled,
-    /// Instructions executed from compiled micro-op bodies (the third
-    /// tier alongside `BlockSteps` and `InterpSteps`).
+    /// Instructions executed from compiled micro-op bodies (alongside
+    /// `BlockSteps` and `InterpSteps`).
     UopSteps,
     /// Deferred NZCV tuples actually materialized by the uop tier (a
     /// consumer or block exit read the flags; fused compare+branch
@@ -174,17 +175,10 @@ pub enum Counter {
     /// Blocks promoted from decoded to compiled execution by crossing
     /// the hot threshold.
     TierPromotions,
-    /// Compiled superblocks for which the uop compiler's `rr-ir`
-    /// optimization stage produced an improved trace.
+    /// Always 0: nothing increments it. Kept only because the committed
+    /// end-to-end benchmark reads it; it goes with the next benchmark
+    /// revision.
     BlocksOptimized,
-    /// Uop slots the optimization stage replaced with a cheaper form.
-    UopsEliminated,
-    /// Redundant loads removed by the optimization stage (forwarded
-    /// from an earlier load or store of the same address).
-    LoadsForwarded,
-    /// Provably dead NZCV definitions dropped by the optimization
-    /// stage.
-    FlagDefsKilled,
     /// Plans the static analysis proved benign and pruned from the plan
     /// space before any replay time was spent.
     PlansPrunedStatic,
@@ -196,7 +190,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 22;
     /// Every counter, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::PlansExecuted,
@@ -219,9 +213,6 @@ impl Counter {
         Counter::FlagMaterializations,
         Counter::TierPromotions,
         Counter::BlocksOptimized,
-        Counter::UopsEliminated,
-        Counter::LoadsForwarded,
-        Counter::FlagDefsKilled,
         Counter::PlansPrunedStatic,
         Counter::AuditFailures,
     ];
@@ -249,9 +240,6 @@ impl Counter {
             Counter::FlagMaterializations => "flag_materializations",
             Counter::TierPromotions => "tier_promotions",
             Counter::BlocksOptimized => "blocks_optimized",
-            Counter::UopsEliminated => "uops_eliminated",
-            Counter::LoadsForwarded => "loads_forwarded",
-            Counter::FlagDefsKilled => "flag_defs_killed",
             Counter::PlansPrunedStatic => "plans_pruned_static",
             Counter::AuditFailures => "audit_failures",
         }
