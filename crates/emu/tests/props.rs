@@ -128,12 +128,52 @@ proptest! {
         let _ = result.outcome;
     }
 
-    /// Uop-tier execution is bit-identical to the interpreter over
-    /// random looped programs, for every fence placement and every
-    /// tiering threshold — eager compilation (0), promote-on-reentry
-    /// (1), a threshold the short run may never cross (8, leaving some or
-    /// all blocks on their decoded bodies), and one no block reaches
-    /// (`u32::MAX`, decoded bodies only). Every text offset is a
+    /// Block-cached execution — every block on its pre-decoded body
+    /// (`hot_threshold: u32::MAX`, so nothing ever compiles) — is
+    /// bit-identical to the interpreter over random looped programs, for
+    /// every fence placement: the same outcome after the same number of
+    /// steps, with the same registers, flags, program counter, and output
+    /// — even when the run is driven in chunks whose boundaries land
+    /// mid-block.
+    #[test]
+    fn block_cached_execution_matches_the_interpreter(
+        lines in proptest::collection::vec(safe_line(), 0..24),
+        iters in 1u64..6,
+        chunk in 1u64..97,
+    ) {
+        let exe = assemble_and_link(&looped_program(&lines, iters)).expect("program builds");
+        let text = exe.text_range();
+        // Every text offset as a candidate leader: undecodable or
+        // mid-instruction candidates are dropped by the builder, so this
+        // maximizes block-entry coverage without knowing the CFG.
+        let cache = BlockCache::build(&exe, text.start..text.end).expect("text decodes");
+        let max_steps = 50_000u64;
+
+        let mut interp = Machine::new(&exe, &[]);
+        let interp_result = interp.run(max_steps);
+
+        let decoded_only = UopConfig { hot_threshold: u32::MAX };
+        let mut blocks = Machine::new(&exe, &[]);
+        let (outcome, steps) =
+            run_uops_chunked(&mut blocks, &cache, decoded_only, chunk, max_steps);
+
+        prop_assert_eq!(interp_result.outcome, outcome);
+        prop_assert_eq!(interp_result.steps, steps);
+        prop_assert_eq!(interp.pc(), blocks.pc());
+        prop_assert_eq!(interp.flags(), blocks.flags());
+        for i in 0..16u8 {
+            let reg = rr_isa::Reg::from_index(i);
+            prop_assert_eq!(interp.reg(reg), blocks.reg(reg), "r{}", i);
+        }
+        prop_assert_eq!(interp.take_output(), blocks.take_output());
+    }
+
+    /// Uop-tier execution with compilation is bit-identical to the
+    /// interpreter over random looped programs, for every fence placement
+    /// and every tiering threshold — eager compilation (0),
+    /// promote-on-reentry (1), and a threshold the short run may never
+    /// cross (8, leaving some or all blocks on their decoded bodies; the
+    /// decoded-only program is checked above). Every text offset is a
     /// candidate block leader, which maximizes mid-block entry. Full
     /// architectural state is compared at the end of every chunked run:
     /// outcome, step count, pc, **NZCV flags** (the lazy-materialization
@@ -152,7 +192,7 @@ proptest! {
         let interp_result = interp.run(max_steps);
         let interp_output = interp.take_output();
 
-        for hot_threshold in [0u32, 1, 8, u32::MAX] {
+        for hot_threshold in [0u32, 1, 8] {
             // A fresh cache per threshold: heat accumulated (and bodies
             // compiled) under one threshold must not leak into the next.
             // Undecodable or mid-instruction leader candidates are

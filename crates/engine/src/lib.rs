@@ -62,7 +62,8 @@ pub mod shard;
 
 pub use blockcache::{build_block_cache, rebuild_block_cache};
 pub use replay::{
-    auto_interval, flush_block_stats, ReplayConfig, ReplayEngine, ReplayError, ReplayFootprint,
+    auto_interval, flush_block_stats, ExecMode, ReplayConfig, ReplayEngine, ReplayError,
+    ReplayFootprint,
 };
 
 // The uop tiering knob is part of [`ReplayConfig`]; re-exported so

@@ -8,7 +8,59 @@ use rr_emu::{
 use rr_obj::Executable;
 use rr_telemetry::{Counter, Gauge, SpanKind, Telemetry};
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
+
+/// How recorded and replayed instructions execute.
+///
+/// Both modes are bit-identical — same traces, same outcomes, same
+/// architectural state at every observable point (pinned by the emu
+/// proptests and the campaign equivalence suites) — so the choice is
+/// purely a speed knob, surfaced as `--exec` on the CLI. A session
+/// builds a block cache ([`crate::build_block_cache`]) exactly when
+/// [`ExecMode::uses_block_cache`] holds; a present
+/// [`ReplayConfig::block_cache`] then means the uop tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// Per-step fetch/decode interpretation everywhere (the reference
+    /// oracle).
+    Interp,
+    /// The uop tier ([`rr_emu::Machine::run_uops`]): cold blocks run as
+    /// pre-decoded bodies, blocks crossing
+    /// [`rr_emu::UopConfig::hot_threshold`] compile once to micro-op
+    /// traces with lazy NZCV, and modified code falls back to the
+    /// interpreter.
+    #[default]
+    Uops,
+}
+
+impl ExecMode {
+    /// Whether this mode executes through a pre-decoded block cache.
+    pub fn uses_block_cache(self) -> bool {
+        self != ExecMode::Interp
+    }
+}
+
+impl fmt::Display for ExecMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ExecMode::Interp => "interp",
+            ExecMode::Uops => "uops",
+        })
+    }
+}
+
+impl FromStr for ExecMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "interp" => Ok(ExecMode::Interp),
+            "uops" => Ok(ExecMode::Uops),
+            other => Err(format!("unknown exec mode `{other}` (interp|uops)")),
+        }
+    }
+}
 
 /// Tunables for [`ReplayEngine::record`].
 #[derive(Debug, Clone)]
@@ -1130,6 +1182,19 @@ mod tests {
             assert_eq!(steps_a, steps_b, "{uop:?}");
             assert!(fast.retained_bytes() <= budget, "{uop:?}");
         }
+    }
+
+    #[test]
+    fn exec_mode_names_parse_and_render() {
+        assert_eq!("interp".parse::<ExecMode>().unwrap(), ExecMode::Interp);
+        assert_eq!("uops".parse::<ExecMode>().unwrap(), ExecMode::Uops);
+        assert!("jit".parse::<ExecMode>().is_err());
+        assert!("blocks".parse::<ExecMode>().is_err(), "the blocks mode is gone");
+        assert_eq!(ExecMode::default(), ExecMode::Uops, "uops is the default tier");
+        assert_eq!(ExecMode::Interp.to_string(), "interp");
+        assert_eq!(ExecMode::Uops.to_string(), "uops");
+        assert!(!ExecMode::Interp.uses_block_cache());
+        assert!(ExecMode::Uops.uses_block_cache());
     }
 
     #[test]

@@ -49,47 +49,10 @@ impl FromStr for CampaignEngine {
     }
 }
 
-/// How a session executes emulated instructions.
-///
-/// Both modes are bit-identical — same traces, same outcomes, same
-/// architectural state at every observable point (pinned by the emu
-/// proptests and the campaign equivalence suites) — so the choice is
-/// purely a speed knob, surfaced as `--exec` on the CLI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Per-step fetch/decode interpretation everywhere (the reference
-    /// oracle).
-    Interp,
-    /// The uop tier ([`rr_emu::Machine::run_uops`]): the session decodes
-    /// the text once into a block cache ([`rr_engine::build_block_cache`]);
-    /// cold blocks run as pre-decoded bodies, blocks crossing
-    /// [`rr_emu::UopConfig::hot_threshold`] compile once to micro-op
-    /// traces with lazy NZCV, and modified code falls back to the
-    /// interpreter.
-    #[default]
-    Uops,
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ExecMode::Interp => "interp",
-            ExecMode::Uops => "uops",
-        })
-    }
-}
-
-impl FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" => Ok(ExecMode::Interp),
-            "uops" => Ok(ExecMode::Uops),
-            other => Err(format!("unknown exec mode `{other}` (interp|uops)")),
-        }
-    }
-}
+// How a session executes emulated instructions lives in rr-engine (the
+// layer that builds the block cache the uop tier runs on); re-exported
+// here so campaign callers keep a single import path.
+pub use rr_engine::ExecMode;
 
 /// Tunables for a fault-injection session.
 #[derive(Debug, Clone)]
@@ -134,8 +97,8 @@ pub struct CampaignConfig {
     /// checkpoint preceding their earliest injection, and each bucket is
     /// evaluated by one sweep that restores the checkpoint once and
     /// walks forward (in the uop tier under [`ExecMode::Uops`]), cloning
-    /// the in-flight machine at every injection point — instead of paying a restore-plus-forward-replay
-    /// per plan. Classifications are identical either way (the
+    /// the in-flight machine at every injection point — instead of
+    /// paying a restore-plus-forward-replay per plan. Classifications are identical either way (the
     /// multifault benchmark gates the speedup); `false` falls back to
     /// per-plan positioning everywhere.
     pub bucketing: bool,

@@ -21,7 +21,7 @@
 
 use crate::analysis::{fault_verdict, plan_is_benign, Analysis, StaticVerdict};
 use crate::cache::{self, CampaignSeed, ClassificationCache, ReuseStats};
-use crate::config::{CampaignConfig, CampaignEngine, ExecMode};
+use crate::config::{CampaignConfig, CampaignEngine};
 use crate::model::{enumerate_plans_pruned, FaultModel};
 use crate::oracle::{Behavior, GoldenPairOracle, Oracle};
 use crate::report::{CampaignReport, FaultResult, ModelSummary, Summary};
@@ -221,7 +221,7 @@ impl CampaignSessionBuilder {
         // seeded session accounts the rewrite's invalidations against
         // the prior session's cache (and reuses it outright when the
         // text bytes are unchanged).
-        let block_cache = if config.exec == ExecMode::Uops {
+        let block_cache = if config.exec.uses_block_cache() {
             match &self.seed {
                 Some((seed, delta)) => rr_engine::rebuild_block_cache(
                     seed.block_cache.as_ref(),
@@ -786,6 +786,12 @@ impl CampaignSession {
                     Err(_) => diverged = true,
                 }
             }
+            // Walking the cursor to this plan's injection point and
+            // cloning it there is the sweep's share of positioning — the
+            // same work `machine_at` times under its own restore span —
+            // so it is timed as restore too, keeping record, restore,
+            // inject and classify a partition of the campaign work.
+            let position_span = self.telemetry.span(SpanKind::Restore);
             if let Some((machine, at)) = cursor.as_mut() {
                 let target = plan.earliest_step();
                 match self.replay.block_cache() {
@@ -829,6 +835,7 @@ impl CampaignSession {
             let (machine, _) = cursor.as_ref().expect("cursor initialized above");
             self.telemetry.count(Counter::CowClones, 1);
             let clone = Machine::from_snapshot(&machine.snapshot());
+            drop(position_span);
             let class = self.inject_and_classify(clone, plan);
             self.note_plan(plan, class, false);
             out[k] = Some(class);

@@ -82,15 +82,18 @@ pub enum SpanKind {
     Record,
     /// Capturing one machine snapshot (nested inside `Record`).
     Snapshot,
-    /// Restoring a checkpoint and stepping forward to an injection point.
+    /// Positioning a machine at an injection point: restoring a
+    /// checkpoint and stepping forward, or, inside a bucket sweep,
+    /// walking the sweep's cursor forward and cloning it.
     Restore,
     /// Applying fault effects and running the faulted machine.
     Inject,
     /// Classifying a faulted run against the oracle.
     Classify,
-    /// One whole checkpoint-neighbourhood bucket sweep (restore, cursor
-    /// stepping, per-plan COW clones, and the nested inject/classify
-    /// spans of every plan in the bucket).
+    /// One whole checkpoint-neighbourhood bucket sweep: the nested
+    /// restore (checkpoint restore, cursor stepping, per-plan COW
+    /// clones), inject and classify spans of every plan in the bucket,
+    /// plus the sweep's own bookkeeping.
     BucketSweep,
 }
 
