@@ -1,11 +1,9 @@
-//! Fault-campaign throughput: serial vs parallel scheduling, contiguous
-//! vs interleaved shard policies, and per fault model (the faulter is
-//! the inner loop of the whole methodology).
+//! Fault-campaign throughput: serial vs parallel scheduling, per fault
+//! model (the faulter is the inner loop of the whole methodology).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rr_fault::{
-    CampaignConfig, CampaignSession, Collect, FaultModel, FlagFlip, InstructionSkip, ShardPolicy,
-    SingleBitFlip,
+    CampaignConfig, CampaignSession, Collect, FaultModel, FlagFlip, InstructionSkip, SingleBitFlip,
 };
 
 fn session(w: &rr_workloads::Workload, config: CampaignConfig) -> CampaignSession {
@@ -35,15 +33,6 @@ fn bench_campaigns(c: &mut Criterion) {
         let parallel = session(&w, CampaignConfig::default());
         group.bench_with_input(BenchmarkId::new("parallel", name), &(), |b, ()| {
             b.iter(|| parallel.run(&[model], Collect).pop().unwrap().results.len())
-        });
-        // Round-robin site assignment: balances the skewed per-site
-        // fault counts of the bit-flip model across workers.
-        let interleaved = session(
-            &w,
-            CampaignConfig { shard: ShardPolicy::Interleaved, ..CampaignConfig::default() },
-        );
-        group.bench_with_input(BenchmarkId::new("interleaved", name), &(), |b, ()| {
-            b.iter(|| interleaved.run(&[model], Collect).pop().unwrap().results.len())
         });
     }
 

@@ -17,10 +17,10 @@
 //!
 //! Criterion benches (`cargo bench -p rr-bench`): `emulator`, `campaign`,
 //! `rewriting`, `pipelines`, plus the CI-gated `engine`, `memory`,
-//! `incremental`, and `multifault` benches — each of which also emits a
-//! machine-readable `BENCH_<name>.json` record ([`write_bench_json`])
-//! into `target/bench-results/` so the perf trajectory is tracked across
-//! commits.
+//! `incremental`, `blockexec`, `uop`, and `analysis` benches — each of
+//! which also emits a machine-readable `BENCH_<name>.json` record
+//! ([`write_bench_json`]) into `target/bench-results/` so the perf
+//! trajectory is tracked across commits.
 
 #![forbid(unsafe_code)]
 

@@ -5,7 +5,7 @@ use crate::Args;
 use rr_fault::{
     CampaignConfig, CampaignEngine, CampaignSession, CampaignSessionBuilder, Collect,
     CrashTriageOracle, ExecMode, FaultModel, FlagFlip, InstructionSkip, OutputPrefixOracle,
-    PairPolicy, PlanConfig, ShardPolicy, SingleBitFlip, Stream,
+    PairPolicy, PlanConfig, SingleBitFlip, Stream,
 };
 use rr_obj::Executable;
 use rr_telemetry::{Counter, JsonlRecorder, ProgressRecorder, Recorder, Telemetry};
@@ -229,20 +229,21 @@ fn plan_header(plan: &PlanConfig) -> String {
 }
 
 /// `rr fault <prog.rfx> --bad BYTES [--good BYTES] [--model a[,b…]]
-/// [--engine naive|checkpoint] [--exec interp|uops]
-/// [--shard contiguous|interleaved]
+/// [--engine naive|checkpoint] [--exec interp|uops] [--threads N]
 /// [--oracle golden|crash|prefix:TEXT] [--streaming]
 /// [--order N [--pair-window N] [--plan-budget N] [--seed N]]
 /// [--no-static-prune] [--audit-analysis]`
 ///
 /// One campaign session evaluates every listed model in a single
 /// scheduling pass. `--streaming` folds classifications straight into
-/// per-model summaries without materializing per-fault results —
-/// O(shards) memory no matter how many faults the models enumerate, for
-/// million-fault campaigns. `--oracle crash` and `--oracle prefix:TEXT`
-/// run golden-good-free campaigns (no `--good` needed). `--order 2`
-/// opens the multi-fault plan space (double faults); the header echoes
-/// the plan space and sampling seed, and reports split counts by order.
+/// per-model summaries without materializing per-fault results — memory
+/// bounded by the sampled sites plus one batch of plans (order ≥ 2 adds
+/// each sampled site's single faults), no matter how many plans the
+/// models enumerate, for million-fault campaigns.
+/// `--oracle crash` and `--oracle prefix:TEXT` run golden-good-free
+/// campaigns (no `--good` needed). `--order 2` opens the multi-fault
+/// plan space (double faults); the header echoes the plan space and
+/// sampling seed, and reports split counts by order.
 /// Provably-benign plans are pruned by static analysis before
 /// enumeration (`--no-static-prune` disables this); `--audit-analysis`
 /// executes them anyway and errors if any classifies non-benign.
@@ -257,7 +258,6 @@ pub fn fault(raw: &[String]) -> Result<String, String> {
             "model",
             "engine",
             "exec",
-            "shard",
             "oracle",
             "order",
             "pair-window",
@@ -274,12 +274,11 @@ pub fn fault(raw: &[String]) -> Result<String, String> {
     let models = models_by_names(args.value("model").unwrap_or("skip"))?;
     let engine: CampaignEngine = args.parsed("engine")?.unwrap_or_default();
     let exec: ExecMode = args.parsed("exec")?.unwrap_or_default();
-    let shard: ShardPolicy = args.parsed("shard")?.unwrap_or_default();
     let plan = plan_config_from(&args)?;
     let tel = telemetry_from(&args)?;
     // The engine choice is fixed at construction: naive sessions skip
     // snapshot recording entirely.
-    let mut config = CampaignConfig { engine, exec, shard, plan, ..CampaignConfig::default() };
+    let mut config = CampaignConfig { engine, exec, plan, ..CampaignConfig::default() };
     config.static_prune = !args.flag("no-static-prune");
     config.audit_analysis = args.flag("audit-analysis");
     let audit = config.audit_analysis;
@@ -653,15 +652,16 @@ mod tests {
         let exe_path = tmp("options.rfx");
         workload(&sv(&["pincheck", "-o", &exe_path])).unwrap();
         let out_path = tmp("options.hardened.rfx");
-        // The retired optimizer level and blocks mode, a typo of a
-        // boolean flag, and an option no command declares: each is an
-        // error that names the option, never silently ignored. The
+        // The retired optimizer level, blocks mode, and shard policy, a
+        // typo of a boolean flag, and an option no command declares: each
+        // is an error that names the option, never silently ignored. The
         // retired option is spelled in two parts so that searching the
         // tree for it finds no live use.
         let retired = concat!("--uop", "-opt");
         for (extra, named) in [
             (&[retired, "none"][..], retired),
             (&["--exec", "blocks"][..], "--exec"),
+            (&["--shard", "interleaved"][..], "--shard"),
             (&["--no-static-prun"][..], "--no-static-prun"),
             (&["--bogus-opt", "none"][..], "--bogus-opt"),
         ] {
@@ -818,18 +818,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_policies_oracles_and_multi_models() {
+    fn oracles_and_multi_models() {
         let exe_path = tmp("session.rfx");
         workload(&sv(&["pincheck", "-o", &exe_path])).unwrap();
-        // Scheduling is invisible in reports.
-        let base = fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291"])).unwrap();
-        let interleaved =
-            fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--shard", "interleaved"]))
-                .unwrap();
-        assert_eq!(base, interleaved);
-        assert!(fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--shard", "zigzag"]))
-            .is_err());
-
         // Oracle-driven campaigns need no --good…
         let crash =
             fault(&sv(&[&exe_path, "--bad", "7291", "--oracle", "crash", "--model", "bitflip"]))

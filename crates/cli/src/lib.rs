@@ -74,7 +74,7 @@ pub fn usage() -> &'static str {
      \x20   rr analyze <prog.rfx> [--json]\n\
      \x20   rr fault <prog.rfx> --bad BYTES [--good BYTES]\n\
      \x20            [--model skip|bitflip|flagflip[,…]] [--engine naive|checkpoint]\n\
-     \x20            [--exec interp|uops] [--shard contiguous|interleaved] [--threads N]\n\
+     \x20            [--exec interp|uops] [--threads N]\n\
      \x20            [--oracle golden|crash|prefix:TEXT] [--streaming]\n\
      \x20            [--order N] [--pair-window N] [--plan-budget N] [--seed N]\n\
      \x20            [--no-static-prune] [--audit-analysis]\n\
@@ -95,9 +95,11 @@ pub fn usage() -> &'static str {
      micro-ops) unless --exec interp is given (bit-identical results\n\
      either way). Every command rejects an option it does not declare.\n\
      All --model entries share one scheduling pass; --streaming\n\
-     folds results into per-model summaries in O(shards) memory for\n\
-     million-fault campaigns. The default golden oracle needs --good;\n\
-     --oracle crash and --oracle prefix:TEXT campaign a single input.\n\
+     folds results into per-model summaries, holding only the sampled\n\
+     sites plus one batch of plans (order >= 2 adds each site's single\n\
+     faults), for million-fault campaigns. The default golden oracle\n\
+     needs --good; --oracle crash and --oracle prefix:TEXT campaign a\n\
+     single input.\n\
      --order 2 evaluates double-fault plans too (--pair-window bounds the\n\
      step gap between the two injections; --plan-budget caps each order\n\
      by seeded sampling, --seed makes the sample reproducible and is\n\

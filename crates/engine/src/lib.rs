@@ -1,4 +1,4 @@
-//! # rr-engine — checkpointed replay and sharded campaign scheduling
+//! # rr-engine — checkpointed replay and campaign scheduling
 //!
 //! Fault-injection campaigns replay one golden execution thousands of
 //! times: once per candidate fault, each time up to the injection step.
@@ -14,10 +14,10 @@
 //!   machine at an arbitrary trace step then costs O(regions) for the
 //!   snapshot plus at most `k` single steps — O(T·√T) for a whole
 //!   exhaustive campaign instead of O(T²).
-//! * [`shard`] provides the parallel scheduler: contiguous or
-//!   round-robin ([`shard::ShardPolicy`]) work assignment across OS
-//!   threads with order-preserving collection and a streaming fold for
-//!   aggregation without materializing per-item results.
+//! * [`shard`] provides the parallel scheduler, [`shard::run_bucketed`]:
+//!   work items grouped by the checkpoint they restore from, so each
+//!   group pays one restore, dealt to OS threads by work stealing and
+//!   collected in item order.
 //!
 //! Snapshots are copy-on-write at *page* granularity
 //! ([`rr_emu::Memory`] shares fixed 4 KiB pages, with a zero-page fast

@@ -1,63 +1,19 @@
-//! Sharded parallel scheduling: work assignment across OS threads with
-//! order-preserving collection and streaming aggregation.
+//! The campaign scheduler: checkpoint-affinity buckets dealt to worker
+//! threads with work stealing and order-preserving collection.
 //!
-//! Two assignment policies ([`ShardPolicy`]) are provided:
-//!
-//! * **Contiguous** ([`contiguous_ranges`]) hands each worker a
-//!   contiguous slice. Contiguity matters for the checkpointed engine:
-//!   neighbouring faults restore from the same checkpoints, so a shard's
-//!   snapshot restores stay warm in cache instead of ping-ponging across
-//!   the trace.
-//! * **Interleaved** ([`interleaved_ranges`]) deals items round-robin,
-//!   worker `s` of `n` taking items `s, s+n, s+2n, …`. This trades
-//!   checkpoint affinity for balance: fault models with skewed per-site
-//!   fault counts (bit flips enumerate `8 × len` faults per site, so
-//!   long instructions clustered in one trace region overload one
-//!   contiguous shard) spread evenly across workers. Assignments are
-//!   lazy [`InterleavedRange`] descriptors — O(shards) memory, not
-//!   8 bytes per item.
-//!
-//! Both policies collect results in item order, so scheduling is
-//! invisible in the output — campaigns classify identically under
-//! either.
+//! [`run_bucketed`] is the one parallel runner. Callers key every work
+//! item, a checkpointed campaign by the replay checkpoint the item
+//! restores from; items sharing a key form a bucket that one call to the
+//! caller's `work` serves, so a per-bucket setup cost (restoring a
+//! snapshot and walking forward) is paid once per bucket instead of once
+//! per item. Workers claim buckets —
+//! and contiguous chunks of oversized ones ([`contiguous_ranges`]) — from
+//! an atomic cursor as they go idle, and results come back in item
+//! order, so scheduling is invisible in the output: campaigns classify
+//! identically at every thread count.
 
-use std::fmt;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::str::FromStr;
-
-/// How work items are assigned to parallel workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Contiguous ranges ([`contiguous_ranges`]): best checkpoint-restore
-    /// locality, the default.
-    #[default]
-    Contiguous,
-    /// Round-robin assignment ([`interleaved_ranges`]): best balance
-    /// under skewed per-item cost.
-    Interleaved,
-}
-
-impl fmt::Display for ShardPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ShardPolicy::Contiguous => "contiguous",
-            ShardPolicy::Interleaved => "interleaved",
-        })
-    }
-}
-
-impl FromStr for ShardPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "contiguous" => Ok(ShardPolicy::Contiguous),
-            "interleaved" => Ok(ShardPolicy::Interleaved),
-            other => Err(format!("unknown shard policy `{other}` (contiguous|interleaved)")),
-        }
-    }
-}
 
 /// Resolves a requested worker count: `0` means all available cores.
 pub fn resolve_threads(requested: usize) -> usize {
@@ -84,189 +40,44 @@ pub fn contiguous_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
     (0..len).step_by(chunk).map(|start| start..(start + chunk).min(len)).collect()
 }
 
-/// One worker's round-robin assignment: the indices `start, start +
-/// stride, start + 2·stride, …` below `len`, produced lazily by
-/// [`InterleavedRange::iter`] — a worker's whole assignment is three
-/// words, not 8 bytes per item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InterleavedRange {
-    /// First index (the shard number).
-    pub start: usize,
-    /// Exclusive upper bound (the total item count).
-    pub len: usize,
-    /// Distance between consecutive indices (the shard count).
-    pub stride: usize,
-}
-
-impl InterleavedRange {
-    /// The assigned indices, in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> {
-        (self.start..self.len).step_by(self.stride.max(1))
-    }
-
-    /// Number of assigned indices.
-    pub fn count(&self) -> usize {
-        (self.len.saturating_sub(self.start)).div_ceil(self.stride.max(1))
-    }
-
-    /// Whether no index is assigned.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.len
-    }
-}
-
-impl IntoIterator for InterleavedRange {
-    type Item = usize;
-    type IntoIter = std::iter::StepBy<Range<usize>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        (self.start..self.len).step_by(self.stride.max(1))
-    }
-}
-
-/// Round-robin counterpart of [`contiguous_ranges`]: splits the indices
-/// `0..len` into at most `shards` non-empty lazy sequences, shard `s` of
-/// `n` taking `s, s+n, s+2n, …`.
-///
-/// Same degenerate-input semantics as [`contiguous_ranges`]: `len == 0`
-/// yields no shards and `shards == 0` is treated as one shard, so every
-/// returned assignment is non-empty and the whole index space is covered
-/// exactly once. Like `contiguous_ranges`, per-shard order is increasing,
-/// so collecting shard results in `(shard, position)` order preserves
-/// item order.
-pub fn interleaved_ranges(len: usize, shards: usize) -> Vec<InterleavedRange> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, len);
-    (0..shards).map(|s| InterleavedRange { start: s, len, stride: shards }).collect()
-}
-
-/// Runs `work` over contiguous shards of `items` on up to `threads`
-/// workers, returning one result per shard in shard order.
-///
-/// `work` receives the shard index and the shard's slice. With one thread
-/// (or a single shard) everything runs on the caller's thread — campaign
-/// results are therefore identical regardless of parallelism.
-pub fn run_sharded<T, R, F>(items: &[T], threads: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let ranges = contiguous_ranges(items.len(), resolve_threads(threads));
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(|r| work(0, &items[r])).collect();
-    }
-    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(ranges.len()).collect();
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(index, range)| {
-                let slice = &items[range];
-                scope.spawn(move || work(index, slice))
-            })
-            .collect();
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("shard worker panicked"));
-        }
-    });
-    results.into_iter().map(|r| r.expect("every shard reported")).collect()
-}
-
-/// Streaming map-reduce over shards: each worker folds its shard into an
-/// accumulator seeded from `init`, and the per-shard accumulators are
-/// merged in shard order with `merge`. Nothing per-item is ever
-/// materialized, so campaigns can aggregate summaries over millions of
-/// faults in O(shards) memory.
-///
-/// `init` must be the identity of `merge` (e.g. a zeroed counter): every
-/// shard starts from a clone of it, so a non-identity seed would be
-/// counted once per shard.
-pub fn sharded_fold<T, A, F, M>(items: &[T], threads: usize, init: A, fold: F, merge: M) -> A
-where
-    T: Sync,
-    A: Clone + Send + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let accumulators =
-        run_sharded(items, threads, |_, shard| shard.iter().fold(init.clone(), &fold));
-    accumulators.into_iter().reduce(merge).unwrap_or(init)
-}
-
-/// Maps every item to a result on up to `threads` workers under the
-/// given assignment `policy`, returning the results **in item order**
-/// regardless of which worker produced them — scheduling is invisible
-/// in the output.
-pub fn run_scheduled<T, R, F>(items: &[T], threads: usize, policy: ShardPolicy, map: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    match policy {
-        ShardPolicy::Contiguous => {
-            run_sharded(items, threads, |_, shard| shard.iter().map(&map).collect::<Vec<R>>())
-                .into_iter()
-                .flatten()
-                .collect()
-        }
-        ShardPolicy::Interleaved => {
-            let assignments = interleaved_ranges(items.len(), resolve_threads(threads));
-            if assignments.len() <= 1 {
-                return items.iter().map(map).collect();
-            }
-            let mut slots: Vec<Option<R>> =
-                std::iter::repeat_with(|| None).take(items.len()).collect();
-            std::thread::scope(|scope| {
-                let map = &map;
-                let handles: Vec<_> = assignments
-                    .iter()
-                    .map(|assignment| {
-                        scope.spawn(move || {
-                            assignment.iter().map(|i| map(&items[i])).collect::<Vec<R>>()
-                        })
-                    })
-                    .collect();
-                for (assignment, handle) in assignments.iter().zip(handles) {
-                    let results = handle.join().expect("interleaved worker panicked");
-                    for (index, result) in assignment.iter().zip(results) {
-                        slots[index] = Some(result);
-                    }
-                }
-            });
-            slots.into_iter().map(|r| r.expect("every item mapped")).collect()
-        }
-    }
-}
+/// Items per extra worker [`run_bucketed`] needs before it splits
+/// buckets across threads. Every split re-pays a bucket's setup, which
+/// for a checkpointed campaign is a restore plus a walk of up to one
+/// checkpoint interval; plans near the end of a trace run for fewer
+/// steps than that walk, so a short tail campaign (a few dozen plans in
+/// one neighbourhood) is cheapest inline. Longer runs of plans amortize
+/// the setup and spread across workers.
+const MIN_ITEMS_PER_WORKER: usize = 32;
 
 /// Affinity scheduling: groups items into buckets by a caller-supplied
-/// key, deals whole buckets to up to `threads` workers (contiguously in
-/// ascending key order, so neighbouring buckets land on one worker), and
-/// runs `work` once per bucket. Results come back **in item order**, as
-/// with [`run_scheduled`] — the bucketing is invisible in the output.
+/// key, runs `work` over the buckets on up to `threads` workers, and
+/// returns one result per item **in item order** — bucketing and thread
+/// count are invisible in the output.
 ///
 /// `work` receives the bucket's key and a run of the bucket's item
 /// indices in ascending order, and must return one result per index, in
 /// that order. Handing `work` a whole run — rather than one item at a
 /// time — is the point: a worker can pay a per-bucket setup cost (e.g.
 /// restoring one replay checkpoint) once for every item that shares it.
-/// This is the checkpoint-neighbourhood scheduling multi-fault campaigns
-/// use: plans keyed by the checkpoint preceding their first injection
-/// restore that checkpoint once per run instead of once per plan.
+/// This is how checkpointed campaigns schedule plans: keyed by the
+/// checkpoint preceding their first injection, a bucket restores that
+/// checkpoint once per run instead of once per plan.
 ///
-/// Scheduling is work-stealing over an atomic cursor: workers claim the
-/// next unclaimed unit as they go idle, so a few expensive buckets can
-/// no longer serialize the tail of a run behind one worker while the
-/// rest sit idle (the old static deal pinned whole bucket ranges to
-/// workers up front). **Oversized buckets are additionally split** into
-/// contiguous chunks of at most `⌈items / (4 × workers)⌉` indices —
-/// each chunk re-pays the bucket's setup cost, but idle workers get to
-/// help with a giant neighbourhood instead of watching it run. Both
-/// choices are invisible in the output; only wall-clock changes.
+/// Workers are capped by the work on offer: at most one per bucket or
+/// one per `MIN_ITEMS_PER_WORKER` (32) items, whichever allows more. With
+/// one worker — one thread, or a single bucket too small to be worth
+/// splitting — every bucket runs whole on the caller's thread, in
+/// ascending key order, paying its setup once. With more, scheduling is
+/// work-stealing over an atomic cursor: workers claim the next unclaimed
+/// unit as they go idle, so a few expensive buckets cannot serialize the
+/// tail of a run behind one worker while the rest sit idle. **Oversized
+/// buckets are split** into contiguous chunks of at most
+/// `⌈items / (16 × workers)⌉` indices — each chunk re-pays the bucket's
+/// setup cost, but idle workers get to help with a giant neighbourhood
+/// (a streamed batch of plans from a few neighbouring sites is often one
+/// bucket) instead of watching it run, and the last chunk of a call,
+/// which every other worker waits out, stays short. Only wall-clock time
+/// depends on these choices.
 pub fn run_bucketed<T, K, R, F>(
     items: &[T],
     threads: usize,
@@ -291,7 +102,8 @@ where
             slots[index] = Some(result);
         }
     };
-    let workers = resolve_threads(threads).min(buckets.len()).max(1);
+    let workers =
+        resolve_threads(threads).min(buckets.len().max(items.len() / MIN_ITEMS_PER_WORKER)).max(1);
     if workers <= 1 {
         for (key, indices) in &buckets {
             let results = work(key, indices);
@@ -300,10 +112,13 @@ where
     } else {
         // Claimable units: whole buckets, except buckets larger than the
         // chunk target, which split into contiguous index runs so idle
-        // workers can steal part of an oversized neighbourhood. ~4 units
-        // per worker keeps claim contention negligible while leaving
-        // enough slack for stealing to balance skewed bucket costs.
-        let chunk_target = items.len().div_ceil(workers * 4).max(1);
+        // workers can steal part of an oversized neighbourhood. ~16 units
+        // per worker keeps claim contention negligible (one atomic add
+        // per unit) while leaving enough slack for stealing to balance
+        // skewed bucket costs, and bounds the idle tail at the end of
+        // the call: a streamed campaign makes one call per batch of
+        // plans, so it pays that tail once per batch.
+        let chunk_target = items.len().div_ceil(workers * 16).max(1);
         let units: Vec<(usize, Range<usize>)> = buckets
             .iter()
             .enumerate()
@@ -342,55 +157,6 @@ where
     slots.into_iter().map(|r| r.expect("every item evaluated")).collect()
 }
 
-/// Streaming map-reduce under an assignment `policy`: like
-/// [`sharded_fold`], but the items each worker folds are chosen by
-/// `policy`. Per-shard accumulators are merged in shard order, so the
-/// result is deterministic for a given `(items, threads, policy)`
-/// triple; when `merge` is commutative and associative (e.g. summary
-/// counters) the result is identical across policies and thread counts.
-///
-/// `init` must be the identity of `merge` — see [`sharded_fold`].
-pub fn scheduled_fold<T, A, F, M>(
-    items: &[T],
-    threads: usize,
-    policy: ShardPolicy,
-    init: A,
-    fold: F,
-    merge: M,
-) -> A
-where
-    T: Sync,
-    A: Clone + Send + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    match policy {
-        ShardPolicy::Contiguous => sharded_fold(items, threads, init, fold, merge),
-        ShardPolicy::Interleaved => {
-            let assignments = interleaved_ranges(items.len(), resolve_threads(threads));
-            if assignments.len() <= 1 {
-                return items.iter().fold(init, fold);
-            }
-            let accumulators: Vec<A> = std::thread::scope(|scope| {
-                let fold = &fold;
-                let init = &init;
-                assignments
-                    .iter()
-                    .map(|assignment| {
-                        scope.spawn(move || {
-                            assignment.iter().fold(init.clone(), |acc, i| fold(acc, &items[i]))
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|handle| handle.join().expect("interleaved worker panicked"))
-                    .collect()
-            });
-            accumulators.into_iter().reduce(merge).unwrap_or(init)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,96 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_results_preserve_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let shards = run_sharded(&items, 4, |index, shard| (index, shard.to_vec()));
-        let flattened: Vec<usize> = shards.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-        assert_eq!(flattened, items);
-        for (expected, (index, _)) in shards.iter().enumerate() {
-            assert_eq!(expected, *index);
-        }
-    }
-
-    #[test]
-    fn all_threads_participate_for_large_inputs() {
-        let items: Vec<u32> = (0..1000).collect();
-        let distinct = AtomicUsize::new(0);
-        let results = run_sharded(&items, 4, |_, shard| {
-            distinct.fetch_add(1, Ordering::Relaxed);
-            shard.iter().map(|&x| u64::from(x)).sum::<u64>()
-        });
-        assert_eq!(distinct.load(Ordering::Relaxed), results.len());
-        assert_eq!(results.iter().sum::<u64>(), (0..1000u64).sum::<u64>());
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        let items = [1, 2, 3];
-        let results = run_sharded(&items, 1, |_, shard| shard.len());
-        assert_eq!(results, vec![3]);
-    }
-
-    #[test]
-    fn fold_streams_without_materializing() {
-        let items: Vec<u64> = (1..=10_000).collect();
-        let total = sharded_fold(&items, 0, 0u64, |acc, &x| acc + x, |a, b| a + b);
-        assert_eq!(total, 10_000 * 10_001 / 2);
-    }
-
-    #[test]
     fn resolve_threads_defaults_to_cores() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
     }
 
-    #[test]
-    fn interleaved_ranges_deal_round_robin() {
-        for len in [0usize, 1, 2, 7, 8, 9, 100, 101] {
-            for shards in [1usize, 2, 3, 8, 200] {
-                let assignments = interleaved_ranges(len, shards);
-                if len == 0 {
-                    assert!(assignments.is_empty());
-                    continue;
-                }
-                let n = assignments.len();
-                assert!(n <= shards.max(1) && n <= len);
-                let mut seen = vec![false; len];
-                for (s, assignment) in assignments.iter().enumerate() {
-                    assert!(!assignment.is_empty(), "len={len} shards={shards}");
-                    assert_eq!(assignment.count(), assignment.iter().count());
-                    for (k, index) in assignment.iter().enumerate() {
-                        assert_eq!(index, s + k * n, "round-robin stride");
-                        assert!(!std::mem::replace(&mut seen[index], true), "duplicate {index}");
-                    }
-                }
-                assert!(seen.iter().all(|&s| s), "full coverage for len={len} shards={shards}");
-                // Balance: assignment sizes differ by at most one item.
-                let sizes: Vec<usize> = assignments.iter().map(InterleavedRange::count).collect();
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "skewed deal: {sizes:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn interleaved_range_is_lazy_and_word_sized() {
-        // The descriptor is the whole assignment: three machine words, no
-        // per-item storage (the old representation materialized 8 B per
-        // item).
-        assert_eq!(std::mem::size_of::<InterleavedRange>(), 3 * std::mem::size_of::<usize>());
-        let shard = InterleavedRange { start: 2, len: 1_000_000_007, stride: 5 };
-        assert_eq!(shard.count(), 200_000_001);
-        assert_eq!(shard.iter().nth(3), Some(17));
-        let collected: Vec<usize> = shard.into_iter().take(4).collect();
-        assert_eq!(collected, vec![2, 7, 12, 17]);
-        assert!(InterleavedRange { start: 4, len: 4, stride: 2 }.is_empty());
-        // A zero stride (unreachable through interleaved_ranges, which
-        // clamps) degrades to stride 1 instead of looping forever.
-        assert_eq!(InterleavedRange { start: 0, len: 3, stride: 0 }.count(), 3);
-    }
-
-    // Property coverage for the assignment functions, with the edge cases
-    // the example-based tests above skip: `shards > len`, `len == 0`, and
+    // Property coverage for `contiguous_ranges`, with the edge cases the
+    // example-based test above skips: `shards > len`, `len == 0`, and
     // `shards == 0` (documented to behave like a single shard).
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
@@ -527,42 +210,6 @@ mod tests {
                 "len={len} shards={shards}: coverage {seen:?}"
             );
             proptest::prop_assert!(ranges.len() <= shards.max(1).min(len.max(1)));
-        }
-
-        #[test]
-        fn interleaved_ranges_cover_every_index_exactly_once(
-            len in 0usize..300,
-            shards in 0usize..400,
-        ) {
-            let assignments = interleaved_ranges(len, shards);
-            let mut seen = vec![0usize; len];
-            for assignment in &assignments {
-                proptest::prop_assert!(!assignment.is_empty(), "empty shard {assignment:?}");
-                let mut previous = None;
-                for index in assignment.iter() {
-                    proptest::prop_assert!(index < len);
-                    proptest::prop_assert!(previous < Some(index), "order within a shard");
-                    previous = Some(index);
-                    seen[index] += 1;
-                }
-            }
-            proptest::prop_assert!(
-                seen.iter().all(|&count| count == 1),
-                "len={len} shards={shards}: coverage {seen:?}"
-            );
-            proptest::prop_assert!(assignments.len() <= shards.max(1).min(len.max(1)));
-        }
-    }
-
-    #[test]
-    fn scheduled_map_is_order_preserving_under_both_policies() {
-        let items: Vec<usize> = (0..137).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * 3).collect();
-        for policy in [ShardPolicy::Contiguous, ShardPolicy::Interleaved] {
-            for threads in [1, 2, 4, 7] {
-                let results = run_scheduled(&items, threads, policy, |&x| x * 3);
-                assert_eq!(results, expected, "{policy} threads={threads}");
-            }
         }
     }
 
@@ -630,17 +277,70 @@ mod tests {
         );
         assert_eq!(results, expected);
         let chunks = giant_chunks.into_inner().unwrap();
-        // Chunk target = ⌈400 / (4 workers × 4)⌉ = 25: the 396-item
+        // Chunk target = ⌈400 / (4 workers × 16)⌉ = 7: the 396-item
         // bucket must arrive as many bounded runs, not one call.
-        assert!(chunks.len() >= 396 / 25, "only {} chunks", chunks.len());
+        assert!(chunks.len() >= 396 / 7, "only {} chunks", chunks.len());
         let mut all: Vec<usize> = Vec::new();
         for chunk in &chunks {
-            assert!(chunk.len() <= 25, "chunk of {} items", chunk.len());
+            assert!(chunk.len() <= 7, "chunk of {} items", chunk.len());
             assert!(chunk.windows(2).all(|w| w[0] < w[1]), "ascending within a chunk");
             all.extend(chunk);
         }
         all.sort_unstable();
         assert_eq!(all, (0..396).collect::<Vec<_>>(), "giant bucket covered exactly once");
+    }
+
+    #[test]
+    fn single_thread_runs_inline() {
+        // One worker — one thread, or at any thread count one bucket
+        // with fewer than two workers' worth of items (a short tail
+        // campaign) — runs each bucket whole, in one call on the
+        // caller's thread: no worker is spawned and each bucket's setup
+        // (one checkpoint restore) is paid once.
+        let caller = std::thread::current().id();
+        for (threads, len, width) in
+            [(1, 400, 100), (4, 2 * MIN_ITEMS_PER_WORKER - 1, 2 * MIN_ITEMS_PER_WORKER)]
+        {
+            let items: Vec<usize> = (0..len).collect();
+            let buckets = len.div_ceil(width);
+            let calls = AtomicUsize::new(0);
+            let results = run_bucketed(
+                &items,
+                threads,
+                |&x| x / width,
+                |_, indices| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    assert_eq!(indices.len(), width.min(len), "threads={threads}");
+                    assert_eq!(std::thread::current().id(), caller, "threads={threads}");
+                    indices.iter().map(|&i| items[i] * 2).collect()
+                },
+            );
+            assert_eq!(results, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            assert_eq!(calls.into_inner(), buckets, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn one_large_bucket_splits_across_workers() {
+        // A single bucket holding many items — a streamed batch whose
+        // plans all share one checkpoint — is still split into bounded
+        // chunks when threads are available, instead of running on one
+        // worker. Chunk target = ⌈1024 / (2 workers × 16)⌉ = 32.
+        let items: Vec<usize> = (0..1024).collect();
+        let chunks = std::sync::Mutex::new(Vec::new());
+        let results = run_bucketed(
+            &items,
+            2,
+            |_| 0u8,
+            |_, indices| {
+                chunks.lock().unwrap().push(indices.to_vec());
+                indices.iter().map(|&i| items[i] + 1).collect()
+            },
+        );
+        assert_eq!(results, items.iter().map(|x| x + 1).collect::<Vec<_>>());
+        let chunks = chunks.into_inner().unwrap();
+        assert_eq!(chunks.len(), 32, "one bucket dealt as 32 claimable chunks");
+        assert!(chunks.iter().all(|chunk| chunk.len() == 32));
     }
 
     #[test]
@@ -658,28 +358,5 @@ mod tests {
     fn bucketed_work_must_answer_every_item() {
         let items = [1u32, 2, 3];
         let _ = run_bucketed(&items, 1, |_| 0u8, |_, _| Vec::<u32>::new());
-    }
-
-    #[test]
-    fn scheduled_fold_agrees_across_policies() {
-        let items: Vec<u64> = (1..=5_000).collect();
-        let expected = 5_000u64 * 5_001 / 2;
-        for policy in [ShardPolicy::Contiguous, ShardPolicy::Interleaved] {
-            for threads in [0, 1, 3] {
-                let total =
-                    scheduled_fold(&items, threads, policy, 0u64, |acc, &x| acc + x, |a, b| a + b);
-                assert_eq!(total, expected, "{policy} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_policy_parses_and_renders() {
-        assert_eq!("contiguous".parse::<ShardPolicy>().unwrap(), ShardPolicy::Contiguous);
-        assert_eq!("interleaved".parse::<ShardPolicy>().unwrap(), ShardPolicy::Interleaved);
-        assert!("zigzag".parse::<ShardPolicy>().is_err());
-        assert_eq!(ShardPolicy::default(), ShardPolicy::Contiguous);
-        assert_eq!(ShardPolicy::Contiguous.to_string(), "contiguous");
-        assert_eq!(ShardPolicy::Interleaved.to_string(), "interleaved");
     }
 }

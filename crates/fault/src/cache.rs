@@ -604,9 +604,9 @@ mod tests {
 
     proptest::proptest! {
         /// `ReuseStats::merge` is a commutative monoid: associative, with
-        /// `ReuseStats::default()` as the identity — the properties shard
-        /// aggregation and the metrics layer's loop-wide accounting rely
-        /// on.
+        /// `ReuseStats::default()` as the identity — the properties the
+        /// hardening loop's per-session accounting and the metrics
+        /// layer's loop-wide accounting rely on.
         #[test]
         fn reuse_stats_merge_is_associative_with_identity(
             ar in 0usize..1_000_000, ap in 0usize..1_000_000,

@@ -2,7 +2,6 @@
 //! multi-fault plan space.
 
 use crate::model::PlanConfig;
-use rr_engine::shard::ShardPolicy;
 use rr_engine::ReplayConfig;
 use std::fmt;
 use std::str::FromStr;
@@ -11,10 +10,10 @@ use std::str::FromStr;
 ///
 /// The choice is made **once, at session construction**: a
 /// [`Checkpointed`](CampaignEngine::Checkpointed) session records
-/// `rr-engine` snapshots along the golden bad-input pass and restores
-/// the nearest one per fault; a [`Naive`](CampaignEngine::Naive) session
-/// records no snapshots (paying no checkpoint memory) and replays every
-/// fault from step 0. There is no way to ask a naive session for a
+/// `rr-engine` snapshots along the golden bad-input pass and sweeps each
+/// checkpoint's neighbourhood of plans from one restore; a
+/// [`Naive`](CampaignEngine::Naive) session records no snapshots (paying
+/// no checkpoint memory) and replays every fault from step 0. There is no way to ask a naive session for a
 /// checkpointed evaluation afterwards — the old API let that combination
 /// silently degrade to replay-from-zero; the session API makes it
 /// unrepresentable.
@@ -22,8 +21,10 @@ use std::str::FromStr;
 pub enum CampaignEngine {
     /// Replay from step 0 for every fault (the reference implementation).
     Naive,
-    /// Restore the nearest recorded checkpoint, then step forward
-    /// (bit-identical results, ~√T of the naive replay cost per fault).
+    /// Restore the recorded checkpoint preceding a neighbourhood of
+    /// plans once, then walk forward through it, cloning the machine at
+    /// each plan's injection point (bit-identical results, ~√T of the
+    /// naive replay cost per fault).
     #[default]
     Checkpointed,
 }
@@ -63,15 +64,10 @@ pub struct CampaignConfig {
     pub faulted_step_multiplier: u64,
     /// …but never less than this floor (faults can lengthen runs a lot).
     pub faulted_min_steps: u64,
-    /// Worker threads for the parallel runner; `0` means "all available
+    /// Worker threads for the campaign scheduler
+    /// ([`rr_engine::shard::run_bucketed`]); `0` means "all available
     /// cores".
     pub threads: usize,
-    /// How fault sites are dealt to worker threads:
-    /// [`ShardPolicy::Contiguous`] ranges keep checkpoint restores warm,
-    /// [`ShardPolicy::Interleaved`] round-robin balances skewed per-site
-    /// fault counts (bit-flip models enumerate `8 × len` faults per
-    /// site). Results are identical either way.
-    pub shard: ShardPolicy,
     /// Evaluate only every `site_stride`-th trace site (≥ 1). Statistical
     /// fault injection (Leveugle et al., cited by the paper) for long
     /// traces; `1` = exhaustive.
@@ -92,16 +88,6 @@ pub struct CampaignConfig {
     /// policy, sampling budget, and sampling seed. The default is the
     /// classic single-fault campaign (order 1).
     pub plan: PlanConfig,
-    /// Checkpoint-neighbourhood plan bucketing (checkpointed engine):
-    /// plans — singletons and multi-fault alike — are grouped by the
-    /// checkpoint preceding their earliest injection, and each bucket is
-    /// evaluated by one sweep that restores the checkpoint once and
-    /// walks forward (in the uop tier under [`ExecMode::Uops`]), cloning
-    /// the in-flight machine at every injection point — instead of
-    /// paying a restore-plus-forward-replay per plan. Classifications are identical either way (the
-    /// multifault benchmark gates the speedup); `false` falls back to
-    /// per-plan positioning everywhere.
-    pub bucketing: bool,
     /// How emulated instructions execute — the uop tier (default) or the
     /// plain interpreter. See [`ExecMode`].
     pub exec: ExecMode,
@@ -131,13 +117,11 @@ impl Default for CampaignConfig {
             faulted_step_multiplier: 4,
             faulted_min_steps: 10_000,
             threads: 0,
-            shard: ShardPolicy::Contiguous,
             site_stride: 1,
             checkpoint_interval: 0,
             max_retained_bytes: ReplayConfig::default().max_retained_bytes,
             engine: CampaignEngine::default(),
             plan: PlanConfig::default(),
-            bucketing: true,
             exec: ExecMode::default(),
             uop: rr_emu::UopConfig::default(),
             static_prune: true,
@@ -166,10 +150,8 @@ mod tests {
         let config = CampaignConfig::default();
         assert_eq!(config.site_stride, 1);
         assert_eq!(config.engine, CampaignEngine::Checkpointed);
-        assert_eq!(config.shard, ShardPolicy::Contiguous);
         assert_eq!(config.plan.order, 1, "single-fault campaigns are the default");
         assert_eq!(config.plan.budget, None, "order 1 is exhaustive by default");
-        assert!(config.bucketing, "warm checkpoint scheduling is the default");
         assert_eq!(config.exec, ExecMode::Uops, "compiled uop execution is the default");
         assert!(config.static_prune, "static pruning is the default");
         assert!(!config.audit_analysis, "auditing is opt-in");

@@ -35,16 +35,16 @@
 //!   otherwise); [`OutputPrefixOracle`] and [`CrashTriageOracle`] run
 //!   campaigns that need no good input at all.
 //! * [`CampaignSession::run`] is the one entry point: any number of
-//!   models share a single scheduling pass (contiguous or round-robin
-//!   [`ShardPolicy`]), and the sink argument picks the consumption —
-//!   [`Collect`] materializes a [`CampaignReport`] per model, [`Stream`]
-//!   folds straight into a [`ModelSummary`] per model in O(shards)
-//!   memory.
+//!   models share a single scheduling pass, and the sink argument picks
+//!   the consumption — [`Collect`] materializes a [`CampaignReport`] per
+//!   model, [`Stream`] folds straight into a [`ModelSummary`] per model,
+//!   holding the sampled sites plus one batch of plans (order ≥ 2 also
+//!   holds each sampled site's single faults).
 //!
 //! Both engines classify every fault identically — determinism is the
 //! emulator's contract, and `crates/fault/tests/engine_equiv.rs`
-//! enforces bit-identical reports across engines, thread counts, and
-//! shard policies.
+//! enforces bit-identical reports across engines, sinks, and thread
+//! counts.
 //!
 //! For iterative loops that re-campaign after a small binary rewrite,
 //! sessions support **incremental re-campaigning**: package a finished
@@ -83,12 +83,15 @@
 //! reaches its trace step, wherever the earlier fault diverted control —
 //! and a run that ends early simply never receives them.
 //!
-//! Checkpointed sessions schedule plans by **checkpoint neighbourhood**
-//! ([`CampaignConfig::bucketing`]): plans whose earliest injections
-//! share a retained checkpoint are swept together, restoring the
-//! checkpoint once and cloning the in-flight machine (cheap, COW) at
-//! each injection point, instead of paying restore-plus-forward-replay
-//! per plan.
+//! Every campaign, through either sink, schedules its plans in buckets
+//! ([`rr_engine::shard::run_bucketed`]). A checkpointed session buckets
+//! plans by **checkpoint neighbourhood** — plans whose earliest
+//! injections share a retained checkpoint — and sweeps each bucket,
+//! restoring the checkpoint once and cloning the in-flight machine
+//! (cheap, COW) at each injection point, instead of paying
+//! restore-plus-forward-replay per plan. A naive session buckets plans
+//! by earliest injection step, only to spread them across workers, and
+//! replays each from step 0.
 //!
 //! ## Example
 //!
@@ -163,10 +166,6 @@ pub use report::{CampaignReport, FaultResult, ModelSummary, Summary};
 pub use rr_emu::UopConfig;
 pub use session::{CampaignError, CampaignSession, CampaignSessionBuilder, Collect, Sink, Stream};
 pub use site::{Fault, FaultClass, FaultEffect, FaultPlan, FaultSite};
-
-// The shard policy is part of [`CampaignConfig`]; re-exported so session
-// consumers don't need an rr-engine dependency to select it.
-pub use rr_engine::shard::ShardPolicy;
 
 // The listing delta is the input to [`CampaignSessionBuilder::seed_from`];
 // re-exported so incremental campaign drivers don't need an rr-disasm

@@ -261,27 +261,37 @@ pub fn enumerate_plans_pruned(
     PlanSet { plans, total_by_order, pruned_by_order, sampled }
 }
 
-/// How many plans static pruning removes per order, `(order, pruned)` —
-/// singleton benign faults at order 1, all-benign chains above. The
-/// counting DP is O(order × sites); cheap next to executing even one
-/// plan.
-pub(crate) fn pruned_counts_by_order(
+/// Plan counts per order, `(order, kept, pruned)`, without enumerating
+/// a plan: `kept` is the space enumeration draws from (before any
+/// sampling budget) and `pruned` what static pruning removes — singleton
+/// benign faults at order 1, all-benign chains above; zero without an
+/// `analysis`. Order 1 counts each site's faults as they are generated,
+/// holding one site's list at a time; higher orders run the counting DP
+/// over a [`PlanSpace`], which holds every site's faults. The DP is
+/// O(order × sites); cheap next to executing even one plan.
+pub(crate) fn plan_counts_by_order(
     model: &dyn FaultModel,
     sites: &[&FaultSite],
     config: &PlanConfig,
-    analysis: &Analysis,
-) -> Vec<(usize, u128)> {
-    let faults = model_faults(model, sites);
-    let benign = benign_mask(&faults, Some(analysis));
-    let singles: u128 = benign.iter().flatten().filter(|&&b| b).count() as u128;
-    let mut counts = vec![(1, singles)];
+    analysis: Option<&Analysis>,
+) -> Vec<(usize, u128, u128)> {
     if config.order >= 2 {
-        let space = PlanSpace::new(sites, faults, benign, config.policy, config.order);
-        for order in 2..=config.order {
-            counts.push((order, space.pruned_total(order)));
+        let space = plan_space(model, sites, config, analysis);
+        return (1..=config.order)
+            .map(|order| (order, space.total(order), space.pruned_total(order)))
+            .collect();
+    }
+    let (mut kept, mut pruned) = (0u128, 0u128);
+    for site in sites {
+        for fault in model.faults_at(site) {
+            if analysis.is_some_and(|a| fault_verdict(a, &fault) == StaticVerdict::Benign) {
+                pruned += 1;
+            } else {
+                kept += 1;
+            }
         }
     }
-    counts
+    vec![(1, kept, pruned)]
 }
 
 /// The higher-order (2..=`config.order`) plans alone — for consumers
@@ -554,9 +564,9 @@ impl PlanSpace {
 
     /// Visits every kept plan of every order in `2..=max_order` whose
     /// **earliest** injection sits at `site`, one at a time — nothing is
-    /// materialized, so a streaming fold over first-injection sites
-    /// covers the kept multi-fault space (each plan exactly once) in
-    /// O(1) extra memory per worker.
+    /// materialized, so a streaming consumer walking the first-injection
+    /// sites covers the kept multi-fault space (each plan exactly once)
+    /// in O(1) extra memory.
     pub(crate) fn for_each_starting_at(
         &self,
         max_order: usize,

@@ -66,7 +66,7 @@ impl Summary {
         }
     }
 
-    /// Combines two partial summaries (shard aggregation).
+    /// Combines two partial summaries, e.g. of separate runs.
     #[must_use]
     pub fn merge(self, other: Summary) -> Summary {
         Summary {

@@ -15,20 +15,26 @@
 //!   unrepresentable;
 //! * the **sink** argument selects consumption: [`Collect`] materializes
 //!   one [`CampaignReport`] per model, [`Stream`] folds classifications
-//!   straight into one [`ModelSummary`] per model in O(shards) memory;
-//! * all models passed to one `run` call share a single scheduling pass
-//!   over the trace sites (per [`CampaignConfig::shard`] policy).
+//!   straight into one [`ModelSummary`] per model, holding the sampled
+//!   sites plus one batch of plans (order ≥ 2 also holds each sampled
+//!   site's single faults, the space its plans are drawn from);
+//! * all models passed to one `run` call share a single scheduling pass:
+//!   both sinks hand their plans to one scheduler,
+//!   [`rr_engine::shard::run_bucketed`], which a checkpointed session
+//!   keys by the checkpoint preceding each plan's earliest injection.
 
 use crate::analysis::{fault_verdict, plan_is_benign, Analysis, StaticVerdict};
 use crate::cache::{self, CampaignSeed, ClassificationCache, ReuseStats};
 use crate::config::{CampaignConfig, CampaignEngine};
-use crate::model::{enumerate_plans_pruned, FaultModel};
+use crate::model::{
+    enumerate_plans_pruned, higher_order_plans, plan_counts_by_order, plan_space, FaultModel,
+};
 use crate::oracle::{Behavior, GoldenPairOracle, Oracle};
 use crate::report::{CampaignReport, FaultResult, ModelSummary, Summary};
 use crate::site::{Fault, FaultClass, FaultEffect, FaultPlan, FaultSite};
 use rr_disasm::ListingDelta;
 use rr_emu::{execute, BlockStats, Execution, Machine, RunOutcome, RunResult};
-use rr_engine::shard::{run_bucketed, run_scheduled, scheduled_fold};
+use rr_engine::shard::run_bucketed;
 use rr_engine::{ReplayConfig, ReplayEngine, ReplayFootprint};
 use rr_isa::{decode, Flags, MAX_INSTR_LEN};
 use rr_obj::Executable;
@@ -107,8 +113,8 @@ impl CampaignSessionBuilder {
         self
     }
 
-    /// Replaces the whole configuration (step budgets, threads, shard
-    /// policy, engine).
+    /// Replaces the whole configuration (step budgets, threads, engine,
+    /// plan space).
     #[must_use]
     pub fn config(mut self, config: CampaignConfig) -> Self {
         self.config = config;
@@ -532,14 +538,14 @@ impl CampaignSession {
     ///
     /// * [`Collect`] → one [`CampaignReport`] per model (site order);
     /// * [`Stream`] → one [`ModelSummary`] per model, without ever
-    ///   materializing per-fault results — O(sites + shards) memory no
-    ///   matter how many faults the models produce.
+    ///   materializing per-fault results — the sampled sites plus one
+    ///   batch of plans in memory (order ≥ 2 adds each sampled site's
+    ///   single faults), no matter how many plans the models produce.
     ///
-    /// The engine, thread count, and shard policy come from the
-    /// session's [`CampaignConfig`]. Classifications are identical
-    /// across engines, sinks, thread counts, and shard policies — the
-    /// emulator is deterministic, and the equivalence test suite
-    /// enforces it.
+    /// The engine and thread count come from the session's
+    /// [`CampaignConfig`]. Classifications are identical across engines,
+    /// sinks, and thread counts — the emulator is deterministic, and the
+    /// equivalence test suite enforces it.
     pub fn run<S: Sink>(&self, models: &[&dyn FaultModel], sink: S) -> S::Output {
         let _ = sink;
         S::drive(self, models)
@@ -578,9 +584,9 @@ impl CampaignSession {
     /// Classifies one plan of `model`: served from the carried-over
     /// [`ClassificationCache`] when the seed plan proved the prior
     /// classification still valid, otherwise by positioning a machine at
-    /// the plan's earliest injection step (restore + step forward for
-    /// checkpointed sessions; replay from step 0 for naive ones),
-    /// injecting, resuming, and consulting the oracle.
+    /// the plan's earliest injection step on its own (for a naive
+    /// session, a replay from step 0: the reference oracle), injecting,
+    /// resuming, and consulting the oracle.
     fn evaluate(&self, model: &'static str, plan: &FaultPlan) -> FaultClass {
         if let Some(class) = self.cache.lookup(model, plan) {
             self.reused.fetch_add(1, Ordering::Relaxed);
@@ -713,35 +719,42 @@ impl CampaignSession {
         self.oracle.classify(faulted)
     }
 
-    /// Evaluates every `(model, plan)` pair, scheduling per the session
-    /// config: checkpointed sessions with [`CampaignConfig::bucketing`]
-    /// group plans — singletons and multi-fault alike — by the
-    /// checkpoint preceding their earliest injection and sweep each
-    /// neighbourhood with one restore
-    /// ([`CampaignSession::evaluate_bucket`]); otherwise every plan is
-    /// positioned independently under the session's
-    /// [`rr_engine::shard::ShardPolicy`]. Singleton plans used to take
-    /// the per-plan path, but the bucket sweep wins for them too: one
-    /// restore plus one forward walk serves every fault enumerated in
-    /// the neighbourhood, where per-plan positioning re-pays the walk
-    /// for each of the `8 × len` bit-flip faults at a single site.
+    /// Evaluates every `(model, plan)` pair — the one scheduling pass
+    /// both sinks share ([`run_bucketed`]). A checkpointed session groups
+    /// plans by the checkpoint preceding their earliest injection and
+    /// sweeps each neighbourhood from one restore
+    /// ([`CampaignSession::evaluate_bucket`]); that wins for singleton
+    /// plans too, since one restore plus one forward walk serves every
+    /// fault enumerated in the neighbourhood, such as the `8 × len`
+    /// bit-flip faults at a single site. A naive session evaluates plan
+    /// by plan from step 0 ([`CampaignSession::evaluate`]), the reference
+    /// oracle. Its only checkpoint is step 0 and its plans share no
+    /// positioning, so it keys them by earliest injection step: one
+    /// checkpoint key would make a single bucket, which `run_bucketed`
+    /// keeps on one thread until it holds dozens of plans.
     /// Classifications are identical either way.
     fn evaluate_all(&self, plans: &[(&'static str, FaultPlan)]) -> Vec<FaultClass> {
-        let bucketed = self.config.bucketing
-            && self.config.engine == CampaignEngine::Checkpointed
-            && self.replay.records_snapshots();
-        if bucketed {
-            run_bucketed(
-                plans,
-                self.config.threads,
-                |(_, plan)| self.replay.checkpoint_step_before(plan.earliest_step()),
-                |&checkpoint_step, indices| self.evaluate_bucket(checkpoint_step, plans, indices),
-            )
-        } else {
-            run_scheduled(plans, self.config.threads, self.config.shard, |(name, plan)| {
-                self.evaluate(name, plan)
-            })
-        }
+        let engine = self.config.engine;
+        run_bucketed(
+            plans,
+            self.config.threads,
+            |(_, plan)| match engine {
+                CampaignEngine::Checkpointed => {
+                    self.replay.checkpoint_step_before(plan.earliest_step())
+                }
+                CampaignEngine::Naive => plan.earliest_step(),
+            },
+            |&key, indices| match engine {
+                CampaignEngine::Checkpointed => self.evaluate_bucket(key, plans, indices),
+                CampaignEngine::Naive => indices
+                    .iter()
+                    .map(|&index| {
+                        let (name, plan) = &plans[index];
+                        self.evaluate(name, plan)
+                    })
+                    .collect(),
+            },
+        )
     }
 
     /// Evaluates one checkpoint neighbourhood: all of `indices` share the
@@ -834,7 +847,7 @@ impl CampaignSession {
             }
             let (machine, _) = cursor.as_ref().expect("cursor initialized above");
             self.telemetry.count(Counter::CowClones, 1);
-            let clone = Machine::from_snapshot(&machine.snapshot());
+            let clone = machine.clone();
             drop(position_span);
             let class = self.inject_and_classify(clone, plan);
             self.note_plan(plan, class, false);
@@ -954,122 +967,126 @@ impl Sink for Collect {
 
 /// Fold classifications straight into per-model [`Summary`] counters:
 /// [`CampaignSession::run`] returns one [`ModelSummary`] per model,
-/// keeping memory at O(sites + shards) no matter how many plans the
-/// campaign evaluates — for campaigns too large to keep every
-/// [`FaultResult`]. Singleton plans are enumerated per site inside each
-/// shard; unbudgeted higher-order plans are visited lazily per
-/// first-injection site (the cross-product is never materialized); a
-/// sampling budget ([`crate::PlanConfig::budget`]) bounds the one list
-/// that is materialized — the drawn sample — which then goes through the
-/// bucketed scheduling pass.
+/// holding the sampled sites plus one batch of plans no matter how many
+/// plans the campaign evaluates — for campaigns too large to keep every
+/// [`FaultResult`]. Order ≥ 2 also holds each sampled site's single
+/// faults, which the higher-order plan space counts and enumerates
+/// over. Plans are enumerated lazily: every site's singletons
+/// first, then per model either the sampled higher orders, when a
+/// budget ([`crate::PlanConfig::budget`]) is set, or the exhaustive
+/// higher orders one first-injection site at a time (the cross-product
+/// is never materialized). Each batch of up to 1024 plans goes through
+/// the same bucketed scheduling pass as a [`Collect`] run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Stream;
+
+/// Plans a [`Stream`] run evaluates per scheduling pass: enough to keep
+/// every worker busy — plans arrive in site order, so a batch often
+/// falls in one or two checkpoint neighbourhoods, which `run_bucketed`
+/// splits into chunks across workers — while the batch stays a minor
+/// share of a campaign's memory.
+const STREAM_BATCH: usize = 1024;
 
 impl Sink for Stream {
     type Output = Vec<ModelSummary>;
 
     fn drive(session: &CampaignSession, models: &[&dyn FaultModel]) -> Vec<ModelSummary> {
         let sampled = session.sampled_sites();
+        let plan = &session.config.plan;
         let pruning = session.pruning_analysis();
-        if let Some(analysis) = pruning {
-            // Streamed runs materialize no PlanSet; account the pruned
-            // space up front from the counting DP.
-            let pruned: u128 = models
-                .iter()
-                .flat_map(|model| {
-                    crate::model::pruned_counts_by_order(
-                        *model,
-                        &sampled,
-                        &session.config.plan,
-                        analysis,
-                    )
-                })
-                .map(|(_, n)| n)
-                .sum();
-            if pruned > 0 {
-                session.telemetry.count(Counter::PlansPrunedStatic, pruned as u64);
+        // Streamed runs materialize no PlanSet: account the pruned space
+        // and announce the plan total up front, from the counting DP.
+        let (mut total, mut pruned) = (0u128, 0u128);
+        for model in models {
+            for (order, kept, dropped) in plan_counts_by_order(*model, &sampled, plan, pruning) {
+                total += match plan.budget {
+                    Some(budget) if order >= 2 => kept.min(budget as u128),
+                    _ => kept,
+                };
+                pruned += dropped;
             }
         }
-        let mut summaries = scheduled_fold(
-            &sampled,
-            session.config.threads,
-            session.config.shard,
-            vec![Summary::default(); models.len()],
-            |mut acc, site| {
-                for (m, model) in models.iter().enumerate() {
-                    for fault in model.faults_at(site) {
-                        if pruning
-                            .is_some_and(|a| fault_verdict(a, &fault) == StaticVerdict::Benign)
-                        {
-                            continue;
-                        }
-                        acc[m].record(session.evaluate(model.name(), &FaultPlan::single(fault)));
+        if pruned > 0 {
+            session.telemetry.count(Counter::PlansPrunedStatic, pruned as u64);
+        }
+        session.telemetry.gauge(Gauge::PlansTotal, total as u64);
+        let mut batch = StreamBatch {
+            session,
+            plans: Vec::with_capacity(STREAM_BATCH),
+            owners: Vec::with_capacity(STREAM_BATCH),
+            summaries: vec![Summary::default(); models.len()],
+        };
+        for site in &sampled {
+            for (m, model) in models.iter().enumerate() {
+                for fault in model.faults_at(site) {
+                    if pruning.is_some_and(|a| fault_verdict(a, &fault) == StaticVerdict::Benign) {
+                        continue;
                     }
-                }
-                acc
-            },
-            |a, b| a.into_iter().zip(b).map(|(x, y)| x.merge(y)).collect(),
-        );
-        if session.config.plan.order >= 2 {
-            if session.config.plan.budget.is_some() {
-                // Budgeted: at most `budget` plans per order survive
-                // sampling, so materializing them costs bounded memory
-                // and buys the bucketed (warm-checkpoint) schedule.
-                let mut counts = Vec::with_capacity(models.len());
-                let mut plans: Vec<(&'static str, FaultPlan)> = Vec::new();
-                for model in models {
-                    let before = plans.len();
-                    let higher = crate::model::higher_order_plans(
-                        *model,
-                        &sampled,
-                        &session.config.plan,
-                        pruning,
-                    );
-                    plans.extend(higher.into_iter().map(|plan| (model.name(), plan)));
-                    counts.push(plans.len() - before);
-                }
-                session.telemetry.gauge(Gauge::PlansTotal, plans.len() as u64);
-                let mut classes = session.evaluate_all(&plans).into_iter();
-                for (m, count) in counts.into_iter().enumerate() {
-                    for class in classes.by_ref().take(count) {
-                        summaries[m].record(class);
-                    }
-                }
-            } else {
-                // Unbudgeted: the exhaustive pair/k-tuple space can be
-                // quadratic and larger — fold it lazily, sharding by
-                // first-injection site and visiting each plan exactly
-                // once, so memory stays O(sites + shards).
-                let site_indices: Vec<usize> = (0..sampled.len()).collect();
-                for (m, model) in models.iter().enumerate() {
-                    let space =
-                        crate::model::plan_space(*model, &sampled, &session.config.plan, pruning);
-                    let extra = scheduled_fold(
-                        &site_indices,
-                        session.config.threads,
-                        session.config.shard,
-                        Summary::default(),
-                        |mut acc, &site| {
-                            space.for_each_starting_at(
-                                session.config.plan.order,
-                                site,
-                                &mut |plan| {
-                                    acc.record(session.evaluate(model.name(), &plan));
-                                },
-                            );
-                            acc
-                        },
-                        Summary::merge,
-                    );
-                    summaries[m] = summaries[m].merge(extra);
+                    batch.push(m, model.name(), FaultPlan::single(fault));
                 }
             }
         }
+        if plan.order >= 2 {
+            for (m, model) in models.iter().enumerate() {
+                if plan.budget.is_some() {
+                    // Budgeted: at most `budget` plans per order survive
+                    // sampling, so materializing them costs bounded
+                    // memory.
+                    for higher in higher_order_plans(*model, &sampled, plan, pruning) {
+                        batch.push(m, model.name(), higher);
+                    }
+                } else {
+                    // Unbudgeted: the exhaustive pair/k-tuple space can be
+                    // quadratic and larger — visit it lazily, one
+                    // first-injection site at a time.
+                    let space = plan_space(*model, &sampled, plan, pruning);
+                    for site in 0..sampled.len() {
+                        space.for_each_starting_at(plan.order, site, &mut |higher| {
+                            batch.push(m, model.name(), higher);
+                        });
+                    }
+                }
+            }
+        }
+        batch.flush();
         models
             .iter()
-            .zip(summaries)
+            .zip(batch.summaries)
             .map(|(model, summary)| ModelSummary { model: model.name(), summary })
             .collect()
+    }
+}
+
+/// The plans a [`Stream`] run has enumerated but not yet evaluated, and
+/// the per-model summaries evaluated plans fold into.
+struct StreamBatch<'s> {
+    session: &'s CampaignSession,
+    plans: Vec<(&'static str, FaultPlan)>,
+    /// Index of the model each of `plans` belongs to.
+    owners: Vec<usize>,
+    summaries: Vec<Summary>,
+}
+
+impl StreamBatch<'_> {
+    /// Queues one plan of model `model`, evaluating the batch once it
+    /// holds [`STREAM_BATCH`] plans.
+    fn push(&mut self, model: usize, name: &'static str, plan: FaultPlan) {
+        self.plans.push((name, plan));
+        self.owners.push(model);
+        if self.plans.len() == STREAM_BATCH {
+            self.flush();
+        }
+    }
+
+    /// Evaluates the queued plans and folds their classes into the
+    /// summaries.
+    fn flush(&mut self) {
+        let classes = self.session.evaluate_all(&self.plans);
+        for (&model, class) in self.owners.iter().zip(classes) {
+            self.summaries[model].record(class);
+        }
+        self.plans.clear();
+        self.owners.clear();
     }
 }
 
@@ -1089,7 +1106,6 @@ mod tests {
     use super::*;
     use crate::model::{FlagFlip, InstructionSkip, SingleBitFlip};
     use rr_asm::assemble_and_link;
-    use rr_engine::shard::ShardPolicy;
     use rr_isa::InstrKind;
     use rr_workloads::pincheck;
 
@@ -1222,14 +1238,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_and_shard_policies_do_not_change_results() {
+    fn thread_counts_do_not_change_results() {
         let reference = run_one(&pincheck_session(), &InstructionSkip);
         for threads in [1, 4] {
-            for shard in [ShardPolicy::Contiguous, ShardPolicy::Interleaved] {
-                let config = CampaignConfig { threads, shard, ..CampaignConfig::default() };
-                let report = run_one(&pincheck_session_with(config), &InstructionSkip);
-                assert_eq!(report.results, reference.results, "threads={threads} {shard}");
-            }
+            let config = CampaignConfig { threads, ..CampaignConfig::default() };
+            let report = run_one(&pincheck_session_with(config), &InstructionSkip);
+            assert_eq!(report.results, reference.results, "threads={threads}");
         }
     }
 
@@ -1288,6 +1302,33 @@ mod tests {
             let streamed = session.run(&[&FlagFlip as &dyn FaultModel], Stream);
             assert_eq!(streamed.len(), 1);
             assert_eq!(streamed[0].summary, report.summary(), "{engine}");
+        }
+    }
+
+    #[test]
+    fn streamed_runs_announce_every_plan_before_evaluating() {
+        use crate::model::{PairPolicy, PlanConfig};
+        // Progress reads plans executed over `plans_total`: a streamed
+        // run announces the kept singles plus each higher order's kept
+        // count, capped by the budget — the plans a Collect run lists.
+        let pairs = PlanConfig { order: 2, policy: PairPolicy::Pairs, budget: Some(5), seed: 3 };
+        for plan in [PlanConfig::default(), pairs] {
+            let config = CampaignConfig { plan, ..CampaignConfig::default() };
+            let w = pincheck();
+            let telemetry = Telemetry::counters();
+            let session = CampaignSession::builder(w.build().unwrap())
+                .good_input(&w.good_input[..])
+                .bad_input(&w.bad_input[..])
+                .config(config.clone())
+                .telemetry(telemetry.clone())
+                .build()
+                .unwrap();
+            session.run(&[&InstructionSkip as &dyn FaultModel], Stream);
+            let metrics = telemetry.metrics().unwrap();
+            let executed = metrics.counter(Counter::PlansExecuted);
+            assert_eq!(metrics.gauge(Gauge::PlansTotal), executed, "order {}", plan.order);
+            let collected = run_one(&pincheck_session_with(config), &InstructionSkip);
+            assert_eq!(executed, collected.results.len() as u64, "order {}", plan.order);
         }
     }
 
@@ -1470,11 +1511,10 @@ mod tests {
     #[test]
     fn order_two_campaigns_subsume_order_one_and_agree_across_schedulers() {
         use crate::model::{PairPolicy, PlanConfig};
-        let order2 = |bucketing, engine, threads| {
+        let order2 = |engine, threads| {
             pincheck_session_with(CampaignConfig {
                 engine,
                 threads,
-                bucketing,
                 plan: PlanConfig {
                     order: 2,
                     policy: PairPolicy::WithinWindow { max_gap: 6 },
@@ -1483,7 +1523,7 @@ mod tests {
                 ..CampaignConfig::default()
             })
         };
-        let reference = run_one(&order2(false, CampaignEngine::Naive, 1), &InstructionSkip);
+        let reference = run_one(&order2(CampaignEngine::Naive, 1), &InstructionSkip);
         assert!(reference.max_order() == 2, "pairs were enumerated");
         // The order-1 prefix is exactly the singleton campaign.
         let singles = run_one(&pincheck_session(), &InstructionSkip);
@@ -1492,19 +1532,14 @@ mod tests {
         for (single, multi) in singles.results.iter().zip(prefix) {
             assert_eq!(single, multi, "order-1 results are unchanged by the pair space");
         }
-        // Bucketed checkpointed evaluation and per-plan evaluation agree,
-        // across thread counts and both sinks.
-        for bucketing in [false, true] {
-            for threads in [1, 4] {
-                let session = order2(bucketing, CampaignEngine::Checkpointed, threads);
-                let report = run_one(&session, &InstructionSkip);
-                assert_eq!(
-                    report.results, reference.results,
-                    "bucketing={bucketing} threads={threads}"
-                );
-                let streamed = session.run(&[&InstructionSkip as &dyn FaultModel], Stream);
-                assert_eq!(streamed[0].summary, report.summary(), "stream bucketing={bucketing}");
-            }
+        // Bucketed checkpointed evaluation and naive per-plan evaluation
+        // agree, across thread counts and both sinks.
+        for threads in [1, 4] {
+            let session = order2(CampaignEngine::Checkpointed, threads);
+            let report = run_one(&session, &InstructionSkip);
+            assert_eq!(report.results, reference.results, "threads={threads}");
+            let streamed = session.run(&[&InstructionSkip as &dyn FaultModel], Stream);
+            assert_eq!(streamed[0].summary, report.summary(), "stream threads={threads}");
         }
     }
 

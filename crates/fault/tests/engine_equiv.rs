@@ -17,7 +17,7 @@
 
 use rr_fault::{
     CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, FaultClass,
-    FaultModel, FlagFlip, InstructionSkip, RegisterBitFlip, ShardPolicy, SingleBitFlip, Stream,
+    FaultModel, FlagFlip, InstructionSkip, RegisterBitFlip, SingleBitFlip, Stream,
 };
 use rr_workloads::Workload;
 
@@ -117,8 +117,8 @@ fn checkpointed_matches_naive_for_every_model_and_workload() {
 
 #[test]
 fn scheduling_is_invisible_in_reports() {
-    // Thread counts and shard policies are pure scheduling: reports stay
-    // bit-identical, in site order, under every combination.
+    // Thread counts are pure scheduling: reports stay bit-identical, in
+    // site order, at every count.
     for w in workloads() {
         let serial = run_one(
             &session(
@@ -128,12 +128,9 @@ fn scheduling_is_invisible_in_reports() {
             &InstructionSkip,
         );
         for threads in [2, 5] {
-            for shard in [ShardPolicy::Contiguous, ShardPolicy::Interleaved] {
-                let config =
-                    CampaignConfig { threads, shard, site_stride: 2, ..CampaignConfig::default() };
-                let sharded = run_one(&session(&w, config), &InstructionSkip);
-                assert_eq!(serial.results, sharded.results, "{} threads={threads} {shard}", w.name);
-            }
+            let config = CampaignConfig { threads, site_stride: 2, ..CampaignConfig::default() };
+            let parallel = run_one(&session(&w, config), &InstructionSkip);
+            assert_eq!(serial.results, parallel.results, "{} threads={threads}", w.name);
         }
     }
 }

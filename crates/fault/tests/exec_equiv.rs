@@ -2,8 +2,8 @@
 //! ([`rr_fault::ExecMode::Uops`], the default) — pre-decoded superblock
 //! bodies for cold blocks, compiled micro-op traces for hot ones — must
 //! classify every fault exactly like the per-step interpreter
-//! ([`rr_fault::ExecMode::Interp`]), for every workload, engine,
-//! thread count, and bucketing choice.
+//! ([`rr_fault::ExecMode::Interp`]), for every workload, engine, and
+//! thread count.
 //!
 //! This is the bit-identity contract the acceleration rests on: the
 //! decoded bodies run the *same* decoded instructions over the *same*
@@ -54,34 +54,28 @@ fn assert_reports_equal(a: &CampaignReport, b: &CampaignReport, context: &str) {
     }
 }
 
-/// Every workload, both engines, bucketing on and off, serial and
-/// parallel: interp and the uop tier (decoded-only and tiered) classify
-/// identically, report for report.
+/// Every workload, both engines, serial and parallel: interp and the uop
+/// tier (decoded-only and tiered) classify identically, report for
+/// report.
 #[test]
 fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
     for w in rr_workloads::all_workloads() {
         // Keep the grid affordable: skip is exhaustive on every
         // workload, and strided bit flips cover the code-corrupting
         // effect that forces interpreter fallback.
-        for (engine, bucketing, threads) in [
-            (CampaignEngine::Checkpointed, true, 1),
-            (CampaignEngine::Checkpointed, false, 1),
-            (CampaignEngine::Checkpointed, true, 4),
-            (CampaignEngine::Naive, false, 1),
+        for (engine, threads) in [
+            (CampaignEngine::Checkpointed, 1),
+            (CampaignEngine::Checkpointed, 4),
+            (CampaignEngine::Naive, 1),
         ] {
-            let base = CampaignConfig {
-                engine,
-                bucketing,
-                threads,
-                site_stride: 2,
-                ..CampaignConfig::default()
-            };
+            let base =
+                CampaignConfig { engine, threads, site_stride: 2, ..CampaignConfig::default() };
             let interp = session(&w, CampaignConfig { exec: ExecMode::Interp, ..base.clone() });
             let interp_skip = run_one(&interp, &InstructionSkip);
             let interp_flip = run_one(&interp, &SingleBitFlip);
             for uop in ACCEL_CONFIGS {
                 let context = format!(
-                    "{} engine={engine} bucketing={bucketing} threads={threads} hot={}",
+                    "{} engine={engine} threads={threads} hot={}",
                     w.name, uop.hot_threshold
                 );
                 let fast =

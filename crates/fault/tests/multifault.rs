@@ -8,15 +8,17 @@
 //! this reference is the pin.
 //!
 //! Also pinned here: bucketed (checkpoint-neighbourhood) evaluation vs
-//! per-plan positioning on multi-fault campaigns, and the determinism of
-//! budgeted plan sampling across sessions.
+//! the naive engine's per-plan replay on multi-fault campaigns, through
+//! both sinks; the exact positioning work a bucketed campaign does; and
+//! the determinism of budgeted plan sampling across sessions.
 
 use rr_emu::{execute, Execution, Machine, RunOutcome};
 use rr_fault::{
     fault_verdict, CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, Fault,
     FaultClass, FaultEffect, FaultModel, FlagFlip, InstructionSkip, PairPolicy, PlanConfig,
-    RegisterBitFlip, ShardPolicy, SingleBitFlip, StaticVerdict,
+    RegisterBitFlip, SingleBitFlip, StaticVerdict, Stream,
 };
+use rr_telemetry::{Counter, Telemetry};
 use rr_workloads::{all_workloads, Workload};
 
 fn models() -> Vec<Box<dyn FaultModel>> {
@@ -193,8 +195,6 @@ proptest::proptest! {
         workload_index in 0usize..4,
         model_index in 0usize..4,
         naive_engine in proptest::arbitrary::any::<bool>(),
-        bucketing in proptest::arbitrary::any::<bool>(),
-        interleaved in proptest::arbitrary::any::<bool>(),
         threads in 0usize..5,
         extra_stride in 0usize..3,
         declare_order2 in proptest::arbitrary::any::<bool>(),
@@ -212,8 +212,6 @@ proptest::proptest! {
         };
         let config = CampaignConfig {
             engine: if naive_engine { CampaignEngine::Naive } else { CampaignEngine::Checkpointed },
-            bucketing,
-            shard: if interleaved { ShardPolicy::Interleaved } else { ShardPolicy::Contiguous },
             threads,
             site_stride: stride,
             plan,
@@ -225,10 +223,11 @@ proptest::proptest! {
 }
 
 #[test]
-fn bucketed_and_per_plan_order_two_campaigns_agree_on_every_workload() {
+fn bucketed_naive_and_streamed_order_two_campaigns_agree_on_every_workload() {
+    let skip: [&dyn FaultModel; 1] = [&InstructionSkip];
     for w in all_workloads() {
-        let config = |bucketing| CampaignConfig {
-            bucketing,
+        let config = |engine| CampaignConfig {
+            engine,
             site_stride: 2,
             plan: PlanConfig {
                 order: 2,
@@ -238,21 +237,60 @@ fn bucketed_and_per_plan_order_two_campaigns_agree_on_every_workload() {
             },
             ..CampaignConfig::default()
         };
-        let bucketed = session(&w, config(true))
-            .run(&[&InstructionSkip as &dyn FaultModel], Collect)
-            .pop()
-            .unwrap();
-        let per_plan = session(&w, config(false))
-            .run(&[&InstructionSkip as &dyn FaultModel], Collect)
-            .pop()
-            .unwrap();
-        assert_eq!(bucketed.results, per_plan.results, "{}", w.name);
-        // The naive engine agrees too — the full three-way equivalence.
-        let naive = session(&w, CampaignConfig { engine: CampaignEngine::Naive, ..config(false) })
-            .run(&[&InstructionSkip as &dyn FaultModel], Collect)
-            .pop()
-            .unwrap();
+        let bucketed_session = session(&w, config(CampaignEngine::Checkpointed));
+        let bucketed = bucketed_session.run(&skip, Collect).pop().unwrap();
+        let naive = session(&w, config(CampaignEngine::Naive)).run(&skip, Collect).pop().unwrap();
         assert_eq!(naive.results, bucketed.results, "{}", w.name);
+        // The streaming sink folds the same classifications.
+        let streamed = bucketed_session.run(&skip, Stream).pop().unwrap();
+        assert_eq!(streamed.summary, bucketed.summary(), "{}", w.name);
+    }
+}
+
+/// Both sinks position a checkpointed machine only by bucket sweeps: one
+/// restore per sweep, at most one sweep per checkpoint (the campaign fits
+/// one stream batch and runs on one thread, so no bucket splits), and one
+/// COW clone per executed plan. The counts are exact, unlike wall time.
+#[test]
+fn bucketed_campaigns_restore_once_per_sweep_through_both_sinks() {
+    let w = rr_workloads::pincheck();
+    let config = CampaignConfig {
+        threads: 1,
+        plan: PlanConfig {
+            order: 2,
+            policy: PairPolicy::WithinWindow { max_gap: 4 },
+            budget: Some(300),
+            seed: 5,
+        },
+        ..CampaignConfig::default()
+    };
+    for streamed in [false, true] {
+        let telemetry = Telemetry::counters();
+        let s = CampaignSession::builder(w.build().unwrap())
+            .good_input(&w.good_input[..])
+            .bad_input(&w.bad_input[..])
+            .config(config.clone())
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
+        if streamed {
+            s.run(&[&InstructionSkip as &dyn FaultModel], Stream);
+        } else {
+            s.run(&[&InstructionSkip as &dyn FaultModel], Collect);
+        }
+        let m = telemetry.metrics().unwrap();
+        let c = |counter| m.counter(counter);
+        let executed = c(Counter::CacheMisses);
+        assert!(executed > 300, "streamed={streamed}: pairs and singles ran, got {executed}");
+        assert!(executed < 1024, "streamed={streamed}: fits one stream batch, got {executed}");
+        assert_eq!(c(Counter::CheckpointRestores), c(Counter::BucketSweeps), "streamed={streamed}");
+        assert!(
+            c(Counter::BucketSweeps) <= s.replay_engine().checkpoint_count() as u64,
+            "streamed={streamed}: {} sweeps over {} checkpoints",
+            c(Counter::BucketSweeps),
+            s.replay_engine().checkpoint_count()
+        );
+        assert_eq!(c(Counter::CowClones), executed, "streamed={streamed}");
     }
 }
 

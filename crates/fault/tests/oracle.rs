@@ -1,14 +1,13 @@
 //! Oracle coverage: the default golden-pair oracle over every
 //! [`FaultClass`] arm, and a property test pinning the streaming sink to
-//! the collected sink for random models, engines, shard policies, and
+//! the collected sink for random models, engines, thread counts, and
 //! strides.
 
 use proptest::prelude::*;
 use rr_emu::{CpuFault, RunOutcome};
 use rr_fault::{
     Behavior, CampaignConfig, CampaignEngine, CampaignSession, Collect, FaultClass, FaultModel,
-    FlagFlip, GoldenPairOracle, InstructionSkip, Oracle, RegisterBitFlip, ShardPolicy,
-    SingleBitFlip, Stream,
+    FlagFlip, GoldenPairOracle, InstructionSkip, Oracle, RegisterBitFlip, SingleBitFlip, Stream,
 };
 
 fn behavior(outcome: RunOutcome, output: &[u8]) -> Behavior {
@@ -107,28 +106,24 @@ fn model_pool() -> Vec<Box<dyn FaultModel>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For random (model, engine, shard policy, threads, stride)
-    /// combinations, the streaming sink's per-model summaries equal the
-    /// collected sink's — the O(shards)-memory path never drops or
-    /// double-counts a classification.
+    /// For random (model, engine, threads, stride) combinations, the
+    /// streaming sink's per-model summaries equal the collected sink's —
+    /// the batched path never drops or double-counts a classification.
     #[test]
     fn streaming_and_collected_sinks_agree(
         model_pick in 0usize..4,
         engine_pick in 0usize..2,
-        shard_pick in 0usize..2,
         threads in 1usize..5,
         site_stride in 1usize..4,
     ) {
         let engine =
             [CampaignEngine::Naive, CampaignEngine::Checkpointed][engine_pick];
-        let shard = [ShardPolicy::Contiguous, ShardPolicy::Interleaved][shard_pick];
         let w = rr_workloads::pincheck();
         let session = CampaignSession::builder(w.build().unwrap())
             .good_input(&w.good_input[..])
             .bad_input(&w.bad_input[..])
             .config(CampaignConfig {
                 engine,
-                shard,
                 threads,
                 site_stride,
                 ..CampaignConfig::default()
@@ -143,10 +138,9 @@ proptest! {
         prop_assert_eq!(
             streamed.summary,
             collected.summary(),
-            "model={} engine={} shard={} threads={} stride={}",
+            "model={} engine={} threads={} stride={}",
             model.name(),
             engine,
-            shard,
             threads,
             site_stride
         );

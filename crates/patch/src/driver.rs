@@ -20,7 +20,7 @@ pub struct HardenConfig {
     pub max_iterations: usize,
     /// Symbolization policy for the disassembly step.
     pub policy: SymbolizationPolicy,
-    /// Campaign settings (step budgets, threads, shard policy).
+    /// Campaign settings (step budgets, threads, plan space).
     pub campaign: CampaignConfig,
     /// Run campaigns in parallel.
     pub parallel: bool,
