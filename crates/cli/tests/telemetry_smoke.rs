@@ -190,7 +190,7 @@ impl<'a> Parser<'a> {
 
 const SPAN_KINDS: [&str; 6] =
     ["record", "snapshot", "restore", "inject", "classify", "bucket_sweep"];
-const COUNTERS: [&str; 22] = [
+const COUNTERS: [&str; 23] = [
     "plans_executed",
     "cache_hits",
     "cache_misses",
@@ -210,6 +210,7 @@ const COUNTERS: [&str; 22] = [
     "uop_steps",
     "flag_materializations",
     "tier_promotions",
+    "blocks_redecoded",
     "blocks_optimized",
     "plans_pruned_static",
     "audit_failures",

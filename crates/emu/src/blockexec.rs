@@ -13,17 +13,24 @@
 //!
 //! * cached instructions come from the **same bytes and the same
 //!   decoder** ([`rr_isa::decode`] over the executable's text) the
-//!   interpreter would use;
+//!   interpreter would use, through the one decode loop
+//!   (`DecodedBlock::decode`) every block is built by;
 //! * after every cached instruction the machine's PC is compared against
 //!   the block's recorded next address — *any* control transfer (taken
 //!   branch, call, fault, mid-block `svc` exit) leaves the block body
 //!   and re-enters through the cache lookup, so blocks need no
 //!   terminator special-casing;
-//! * blocks overlapping an exec-dirty range
+//! * cached blocks overlapping an exec-dirty range
 //!   ([`Memory::exec_dirty_intersects`](crate::Memory::exec_dirty_intersects))
-//!   — code a fault injection poked — fall back to the interpreter, and
-//!   a write that dirties text *mid-block* (a self-modifying store to a
-//!   write+exec mapping) is caught by the per-step epoch check;
+//!   — code a fault injection poked — are not used: the run decodes a
+//!   block of its own out of the machine's current bytes, through the
+//!   same fetch ([`Memory::fetch`](crate::Memory::fetch)) and decoder
+//!   the interpreter uses, and runs that instead. The same *local
+//!   blocks* serve pcs no leader covers; all of them are dropped when
+//!   the exec-dirty epoch moves, and a write that dirties text
+//!   *mid-block* (a self-modifying store to a write+exec mapping) is
+//!   caught by the per-step epoch check. Only a pc whose bytes do not
+//!   fetch or decode — the crashing step — is left to the interpreter;
 //! * step budgets are exact: the fence is checked before every cached
 //!   instruction, so a fence landing mid-block stops precisely there.
 //!
@@ -31,6 +38,7 @@
 //! the equivalence tests here and the engine/fault proptests upstream.
 
 use crate::machine::Machine;
+use crate::memory::PAGE_SIZE;
 use crate::uop::CompiledBlock;
 use rr_isa::{decode, Instr};
 use rr_obj::Executable;
@@ -40,7 +48,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 /// How a [`Machine::run_uops`] call split its work between the
-/// interpreter, pre-decoded block bodies, and compiled micro-op bodies.
+/// interpreter, pre-decoded block bodies, and compiled micro-op bodies,
+/// and what it decoded and compiled on the way.
 /// Accumulate across calls and feed the totals to telemetry in one
 /// batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,13 +57,17 @@ pub struct BlockStats {
     /// Instructions executed from pre-decoded block bodies (blocks not
     /// yet past [`UopConfig::hot_threshold`](crate::UopConfig::hot_threshold)).
     pub block_steps: u64,
-    /// Instructions executed by the plain interpreter (cache miss,
-    /// exec-dirty fallback, or control flow outside the text).
+    /// Instructions executed by the plain interpreter: only pcs whose
+    /// bytes do not fetch or decode, so each one is a crashing step.
     pub interp_steps: u64,
     /// Instructions executed from compiled micro-op bodies.
     pub uop_steps: u64,
     /// Superblocks lowered to micro-op bodies by this call.
     pub blocks_compiled: u64,
+    /// Blocks decoded out of the machine's own memory for pcs the shared
+    /// [`BlockCache`] could not serve: rewritten code (a bit flip or a
+    /// store into executable memory) and code no leader covers.
+    pub blocks_redecoded: u64,
     /// Blocks whose execution count crossed the hot threshold here,
     /// promoting them to the uop tier.
     pub tier_promotions: u64,
@@ -104,6 +117,45 @@ impl Clone for DecodedBlock {
     }
 }
 
+impl DecodedBlock {
+    /// Decodes the straight-line run starting at `leader`: it ends after
+    /// the first block terminator, at `limit`, or before the first pc
+    /// whose bytes (`bytes_at(pc)`, `None` when nothing can be fetched
+    /// there) do not decode. Returns `None` when not even the leader
+    /// decodes. The one decode loop behind both [`BlockCache::build`]
+    /// (over the executable's text) and [`LocalBlocks`] (over the
+    /// machine's own memory).
+    pub(crate) fn decode<'a>(
+        leader: u64,
+        limit: u64,
+        mut bytes_at: impl FnMut(u64) -> Option<&'a [u8]>,
+    ) -> Option<DecodedBlock> {
+        let mut pc = leader;
+        let mut pcs = Vec::new();
+        let mut body = Vec::new();
+        while pc < limit {
+            let Some(Ok((insn, len))) = bytes_at(pc).map(decode) else { break };
+            pcs.push(pc);
+            body.push((insn, len as u8));
+            pc += len as u64;
+            if insn.is_block_terminator() {
+                break;
+            }
+        }
+        if body.is_empty() {
+            return None;
+        }
+        Some(DecodedBlock {
+            start: leader,
+            end: pc,
+            pcs,
+            body,
+            heat: AtomicU32::new(0),
+            compiled: OnceLock::new(),
+        })
+    }
+}
+
 /// Pre-decoded superblocks over an executable's text, built once per
 /// session and shared (behind an `Arc`) by every replay that executes
 /// the same binary.
@@ -149,8 +201,9 @@ impl BlockCache {
     /// (block entry addresses — typically the CFG's basic-block starts;
     /// addresses outside the text are ignored). Each block extends until
     /// a block-terminating instruction, the next leader, or the end of
-    /// text. Undecodable leader runs are skipped (those addresses fall
-    /// back to the interpreter); returns `None` when nothing decodes.
+    /// text. Undecodable leader runs are skipped ([`Machine::run_uops`]
+    /// decodes those addresses out of the machine's memory if execution
+    /// reaches them); returns `None` when nothing decodes.
     ///
     /// Entering a block *mid-body* is supported: every decoded
     /// instruction start is indexed, so a branch target inside a
@@ -164,38 +217,17 @@ impl BlockCache {
         let mut blocks = Vec::new();
         let mut block_of = vec![u32::MAX; text.len()];
         let mut instr_of = vec![u32::MAX; text.len()];
+        let text_at = |pc: u64| text.get(usize::try_from(pc - text_start).ok()?..);
         let mut iter = sorted.iter().peekable();
         while let Some(&leader) = iter.next() {
             let limit = iter.peek().map_or(text_end, |&&next| next);
-            let mut pc = leader;
-            let mut pcs = Vec::new();
-            let mut body = Vec::new();
-            while pc < limit {
-                let off = (pc - text_start) as usize;
-                let Ok((insn, len)) = decode(&text[off..]) else { break };
-                pcs.push(pc);
-                body.push((insn, len as u8));
-                pc += len as u64;
-                if insn.is_block_terminator() {
-                    break;
-                }
-            }
-            if body.is_empty() {
-                continue;
-            }
+            let Some(block) = DecodedBlock::decode(leader, limit, text_at) else { continue };
             let index = u32::try_from(blocks.len()).ok()?;
-            for (i, &ipc) in pcs.iter().enumerate() {
+            for (i, &ipc) in block.pcs.iter().enumerate() {
                 block_of[(ipc - text_start) as usize] = index;
                 instr_of[(ipc - text_start) as usize] = i as u32;
             }
-            blocks.push(DecodedBlock {
-                start: leader,
-                end: pc,
-                pcs,
-                body,
-                heat: AtomicU32::new(0),
-                compiled: OnceLock::new(),
-            });
+            blocks.push(block);
         }
         if blocks.is_empty() {
             return None;
@@ -238,6 +270,61 @@ impl BlockCache {
             return None;
         }
         Some((&self.blocks[block as usize], self.instr_of[off] as usize))
+    }
+}
+
+/// The blocks one [`Machine::run_uops`] call decodes out of the
+/// machine's own memory, for pcs the shared [`BlockCache`] cannot serve:
+/// code a fault injection or a store rewrote (its shared block overlaps
+/// an exec-dirty range), and code no leader covers. They tier and run
+/// exactly like shared blocks. Every one of them is dropped when the
+/// exec-dirty epoch moves, since a new write may have made any of them
+/// stale.
+#[derive(Debug, Default)]
+pub(crate) struct LocalBlocks {
+    /// The [`Memory::exec_dirty_epoch`](crate::Memory::exec_dirty_epoch)
+    /// the blocks were decoded at.
+    epoch: usize,
+    blocks: Vec<DecodedBlock>,
+}
+
+impl LocalBlocks {
+    /// The local block holding an instruction that starts at the
+    /// machine's pc, and the instruction's index within it, decoding a
+    /// new block from the machine's memory when none holds the pc.
+    /// `None` when the bytes at the pc do not fetch or decode.
+    pub(crate) fn lookup_or_decode(
+        &mut self,
+        machine: &Machine,
+        stats: &mut BlockStats,
+    ) -> Option<(&DecodedBlock, usize)> {
+        let epoch = machine.memory().exec_dirty_epoch();
+        if epoch != self.epoch {
+            self.blocks.clear();
+            self.epoch = epoch;
+        }
+        let pc = machine.pc();
+        let held = self.blocks.iter().enumerate().find_map(|(i, block)| {
+            if pc < block.start || pc >= block.end {
+                return None;
+            }
+            Some((i, block.pcs.binary_search(&pc).ok()?))
+        });
+        let (index, entry) = match held {
+            Some(found) => found,
+            None => {
+                // A local block ends with its page: a jump into a long
+                // straight-line stretch (a zero-filled executable tail
+                // decodes as a `nop` sled) then decodes at most a page
+                // ahead of execution, not to the end of the mapping.
+                let page_end = (pc | (PAGE_SIZE as u64 - 1)).saturating_add(1);
+                let block = DecodedBlock::decode(pc, page_end, |at| machine.code_bytes(at).ok())?;
+                stats.blocks_redecoded += 1;
+                self.blocks.push(block);
+                (self.blocks.len() - 1, 0)
+            }
+        };
+        Some((&self.blocks[index], entry))
     }
 }
 
@@ -291,11 +378,12 @@ impl Machine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::machine::RunResult;
-    use crate::UopConfig;
+    use crate::{RunOutcome, UopConfig};
     use rr_asm::assemble_and_link;
+    use rr_obj::SectionKind;
 
     /// A threshold no block reaches: every cached block runs its
     /// pre-decoded body.
@@ -318,12 +406,26 @@ mod tests {
              svc 1\n\
              ret\n";
 
+    /// The entry block only: `emit` and the exit tail run from blocks
+    /// decoded out of the machine's memory.
     fn cache_for(exe: &Executable) -> BlockCache {
-        // Entry plus every byte offset as candidate leaders: offsets that
-        // are not instruction starts simply fail to decode and are
-        // skipped, instruction starts in the middle of real blocks are
-        // legal extra leaders (blocks just get shorter).
         BlockCache::build(exe, [exe.entry]).expect("text decodes")
+    }
+
+    /// Every instruction of `exe`'s text with its address and encoded
+    /// length, by a linear sweep (the test programs keep no data in
+    /// their text).
+    pub(crate) fn text_instrs(exe: &Executable) -> Vec<(u64, Instr, usize)> {
+        let text = exe.text_range();
+        let mut instrs = Vec::new();
+        let mut pc = text.start;
+        while pc < text.end {
+            let off = (pc - text.start) as usize;
+            let (insn, len) = decode(&exe.text_bytes()[off..]).expect("the text is all code");
+            instrs.push((pc, insn, len));
+            pc += len as u64;
+        }
+        instrs
     }
 
     fn interp_reference(exe: &Executable, input: &[u8], max_steps: u64) -> (RunResult, Machine) {
@@ -385,30 +487,44 @@ mod tests {
     }
 
     #[test]
-    fn poked_code_falls_back_to_the_interpreter() {
+    fn poked_code_runs_from_redecoded_blocks() {
         let exe = assemble_and_link(LOOPY).unwrap();
         let cache = cache_for(&exe);
-        // Corrupt the `sub r2, 1` update the same way a bit-flip fault
-        // model would, in both machines, and require identical behaviour.
+        // Corrupt the `sub r2, 1` update the way a bit-flip fault model
+        // would, in both machines: the immediate becomes 5, so the loop
+        // prints once and exits. The rewritten code still decodes, so it
+        // runs from blocks decoded out of the machine's own bytes and
+        // nothing is interpreted.
+        let (sub, ..) = text_instrs(&exe)
+            .into_iter()
+            .find(|&(_, insn, _)| matches!(insn, Instr::AluRI { op: rr_isa::AluOp::Sub, .. }))
+            .expect("LOOPY decrements its counter");
+        let imm = sub + 2;
         let mut reference = Machine::new(&exe, &[]);
         let mut blocked = Machine::new(&exe, &[]);
-        let target = exe.entry;
         for m in [&mut reference, &mut blocked] {
-            let byte = m.peek_bytes(target, 1).unwrap()[0];
-            assert!(m.poke_bytes(target, &[byte ^ 0x40]));
+            let byte = m.peek_bytes(imm, 1).unwrap()[0];
+            assert!(m.poke_bytes(imm, &[byte ^ 0x04]));
         }
         let want = reference.run(10_000);
         let mut stats = BlockStats::default();
         let got = blocked.run_uops(&cache, DECODED, 10_000, &mut stats);
         assert_eq!(got, want);
+        assert_eq!(blocked.pc(), reference.pc());
+        assert_eq!(blocked.flags(), reference.flags());
+        assert_eq!(blocked.output(), b"5", "the poked immediate ran");
         assert_eq!(blocked.take_output(), reference.take_output());
-        assert!(stats.interp_steps > 0, "dirty block must interpret: {stats:?}");
+        assert_eq!(stats.interp_steps, 0, "rewritten code that decodes is not interpreted");
+        assert!(stats.blocks_redecoded > 0, "{stats:?}");
+        assert_eq!(stats.total(), got.steps);
     }
 
     #[test]
     fn control_flow_outside_the_cache_is_interpreted() {
-        // Indirect jump into .data: the cache has no block there, and the
-        // crash taxonomy must match the interpreter's.
+        // Indirect jump into .data: the cache has no block there and,
+        // the data not being executable, no block decodes there either.
+        // The interpreter raises the fetch fault, and the crash taxonomy
+        // must match its own.
         let src = "    .global _start\n\
              _start:\n\
                  mov r1, target\n\
@@ -423,7 +539,25 @@ mod tests {
         let mut stats = BlockStats::default();
         let result = m.run_uops(&cache, DECODED, 100, &mut stats);
         assert_eq!(result, reference);
-        assert!(stats.interp_steps > 0, "{stats:?}");
+        assert_eq!(stats.interp_steps, 1, "only the crashing fetch: {stats:?}");
+    }
+
+    #[test]
+    fn local_blocks_stop_at_the_end_of_their_page() {
+        // The text runs on into a 1 MiB zero-filled executable tail, which
+        // decodes as a `nop` sled: each local block decoded there must end
+        // with its page instead of running to the end of the mapping.
+        let mut exe = assemble_and_link("    .global _start\n_start:\n    nop\n").unwrap();
+        let text = exe.segments.iter_mut().find(|seg| seg.section == SectionKind::Text).unwrap();
+        text.mem_size += 1 << 20;
+        let cache = cache_for(&exe);
+        let (reference, _) = interp_reference(&exe, &[], 10_000);
+        assert_eq!(reference.outcome, RunOutcome::TimedOut);
+        let mut m = Machine::new(&exe, &[]);
+        let mut stats = BlockStats::default();
+        assert_eq!(m.run_uops(&cache, DECODED, 10_000, &mut stats), reference);
+        assert_eq!(stats.block_steps, 10_000, "{stats:?}");
+        assert!(stats.blocks_redecoded >= 10_000 / PAGE_SIZE as u64, "{stats:?}");
     }
 
     #[test]

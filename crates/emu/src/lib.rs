@@ -27,8 +27,11 @@
 //! [`UopConfig::hot_threshold`] into flat micro-op traces with
 //! pre-extracted operands and lazy NZCV materialization. Flags are
 //! recomputed only when a consumer or a block exit reads them, so
-//! architectural state is exact at every observable point. Both tiers
-//! are bit-identical; the uop tier is the default for replay campaigns.
+//! architectural state is exact at every observable point. Code the
+//! cache cannot serve (rewritten by a fault or a store, or not covered by
+//! a leader) runs from blocks the call decodes out of the machine's own
+//! memory. Both tiers are bit-identical; the uop tier is the default for
+//! replay campaigns.
 //!
 //! ## Program I/O
 //!

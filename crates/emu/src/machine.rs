@@ -1,6 +1,6 @@
 //! The CPU interpreter.
 
-use crate::memory::{AccessKind, Memory, MemoryDelta, MemoryStats};
+use crate::memory::{AccessKind, MemResult, Memory, MemoryDelta, MemoryStats};
 use crate::outcome::{CpuFault, RunOutcome};
 use rr_isa::{decode, AluOp, Flags, Instr, Reg, ShiftOp, MAX_INSTR_LEN, STACK_TOP};
 use rr_obj::Executable;
@@ -213,11 +213,15 @@ impl Machine {
     ///
     /// Returns the [`CpuFault`] the machine would raise on this fetch.
     pub fn fetch_decode(&self) -> Result<(Instr, usize), CpuFault> {
-        let bytes = self
-            .memory
-            .fetch(self.pc, MAX_INSTR_LEN)
-            .map_err(|(addr, _)| CpuFault::ExecFault { addr })?;
+        let bytes = self.code_bytes(self.pc).map_err(|(addr, _)| CpuFault::ExecFault { addr })?;
         decode(bytes).map_err(CpuFault::IllegalInstruction)
+    }
+
+    /// The executable bytes an instruction fetch at `pc` sees — the one
+    /// read behind both [`Machine::fetch_decode`] and the blocks the uop
+    /// tier decodes out of this machine's memory.
+    pub(crate) fn code_bytes(&self, pc: u64) -> MemResult<&[u8]> {
+        self.memory.fetch(pc, MAX_INSTR_LEN)
     }
 
     /// Implements the "instruction skip" fault: advances PC over the
@@ -260,8 +264,10 @@ impl Machine {
     /// contract as [`Machine::step`], but without fetching or decoding —
     /// the pre-decoded block-body path of [`Machine::run_uops`]. The caller
     /// guarantees `(insn, len)` is what [`Machine::fetch_decode`] would
-    /// return at the current PC (the block cache enforces this with its
-    /// exec-dirty fallback and per-instruction PC checks).
+    /// return at the current PC: `run_uops` skips cached blocks that
+    /// overlap exec-dirty code, decodes its own blocks from this
+    /// machine's current bytes (dropping them when the exec-dirty epoch
+    /// moves), and PC-checks every instruction.
     ///
     /// # Errors
     ///

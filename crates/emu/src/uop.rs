@@ -29,15 +29,18 @@
 //! `OnceLock` across threads) and stays compiled. Compiled bodies live
 //! alongside the decoded ones in [`BlockCache`], inheriting the decoded
 //! path's safety rails verbatim: per-instruction pc-expectation checks,
-//! exec-dirty ranges forcing precise interpretation of faulted code,
-//! mid-block fence tails, and cache invalidation dropping compiled
-//! bodies together with decoded ones.
+//! exec-dirty ranges retiring cached blocks over faulted code, mid-block
+//! fence tails, and cache invalidation dropping compiled bodies together
+//! with decoded ones. Faulted code, and code no cached block covers, runs
+//! from local blocks the run decodes out of the machine's own memory;
+//! they tier through the same threshold and the same dispatch, and are
+//! dropped when the exec-dirty epoch moves.
 //!
 //! The result is bit-identical to the interpreter — pinned by the
 //! equivalence tests here, the emu proptests, and the engine/fault
 //! equivalence suites upstream.
 
-use crate::blockexec::{BlockCache, BlockStats, DecodedBlock};
+use crate::blockexec::{BlockCache, BlockStats, DecodedBlock, LocalBlocks};
 use crate::machine::{Machine, RunResult};
 use crate::outcome::{CpuFault, RunOutcome};
 use rr_isa::{AluOp, Cond, Flags, Instr, Reg, ShiftOp};
@@ -438,10 +441,14 @@ impl DecodedBlock {
 
 impl Machine {
     /// Runs like [`Machine::run`] but executes hot superblocks as
-    /// compiled micro-op traces, warm blocks as pre-decoded bodies, and
-    /// everything else through the interpreter. Bit-identical to
-    /// [`Machine::run`]: same outcome, same step count, same final
-    /// state — including NZCV at every exit.
+    /// compiled micro-op traces and warm blocks as pre-decoded bodies.
+    /// Blocks come from `cache`, or, where the cache has none for a pc or
+    /// its block overlaps code rewritten since the cache was built, are
+    /// decoded out of this machine's own memory for the rest of the call
+    /// (counted in [`BlockStats::blocks_redecoded`]). Only a pc whose
+    /// bytes do not fetch or decode steps through the interpreter, which
+    /// raises the crash. Bit-identical to [`Machine::run`]: same outcome,
+    /// same step count, same final state — including NZCV at every exit.
     ///
     /// # Example
     ///
@@ -494,36 +501,42 @@ impl Machine {
         mut trace: Option<&mut Vec<u64>>,
     ) -> RunResult {
         let mut steps = 0u64;
+        let mut local = LocalBlocks::default();
         while steps < max_steps {
             if let Some(outcome) = self.stopped() {
                 return RunResult { outcome, steps };
             }
-            match cache.lookup(self.pc()) {
+            let found = match cache.lookup(self.pc()) {
                 Some((block, entry))
                     if !self.memory().exec_dirty_intersects(block.start, block.end) =>
                 {
-                    match block.compiled(config, stats) {
-                        Some(body) => self.run_uop_body(
-                            block,
-                            &body.entries,
-                            entry,
-                            max_steps,
-                            &mut steps,
-                            stats,
-                            &mut trace,
-                        ),
-                        None => self.run_decoded_body(
-                            block, entry, max_steps, &mut steps, stats, &mut trace,
-                        ),
-                    }
+                    Some((block, entry))
                 }
-                _ => {
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(self.pc());
-                    }
-                    let _ = self.step();
-                    steps += 1;
-                    stats.interp_steps += 1;
+                _ => local.lookup_or_decode(self, stats),
+            };
+            let Some((block, entry)) = found else {
+                // The bytes at this pc do not fetch or decode: the
+                // interpreter raises the crash.
+                if let Some(trace) = trace.as_deref_mut() {
+                    trace.push(self.pc());
+                }
+                let _ = self.step();
+                steps += 1;
+                stats.interp_steps += 1;
+                continue;
+            };
+            match block.compiled(config, stats) {
+                Some(body) => self.run_uop_body(
+                    block,
+                    &body.entries,
+                    entry,
+                    max_steps,
+                    &mut steps,
+                    stats,
+                    &mut trace,
+                ),
+                None => {
+                    self.run_decoded_body(block, entry, max_steps, &mut steps, stats, &mut trace)
                 }
             }
         }
@@ -852,8 +865,8 @@ impl Machine {
             if now != epoch {
                 // A store landed in executable memory: the compiled
                 // body may be stale; re-entry through the outer lookup
-                // decides (and falls back to precise interpretation for
-                // this block if it was hit).
+                // decides (and decodes this block afresh from memory if
+                // it was hit).
                 epoch = now;
                 if self.memory().exec_dirty_intersects(block.start, block.end) {
                     break;
@@ -892,8 +905,9 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blockexec::tests::text_instrs;
     use rr_asm::assemble_and_link;
-    use rr_obj::Executable;
+    use rr_obj::{Executable, SectionKind};
 
     /// A small program with a loop, a call, branches, and output —
     /// exercises the fused cmp+jne idiom every iteration.
@@ -960,8 +974,28 @@ mod tests {
          buffer:\n\
              .space 8\n";
 
+    /// The entry block only: code it does not cover runs from blocks
+    /// decoded out of the machine's memory.
     fn cache_for(exe: &Executable) -> BlockCache {
         BlockCache::build(exe, [exe.entry]).expect("text decodes")
+    }
+
+    /// A cache over the program's real basic-block starts — the entry,
+    /// every direct branch or call target, and every instruction after a
+    /// block terminator — so a shared block serves every pc the program
+    /// reaches.
+    fn cfg_cache_for(exe: &Executable) -> BlockCache {
+        let mut leaders = vec![exe.entry];
+        for (pc, insn, len) in text_instrs(exe) {
+            let next = pc + len as u64;
+            if let Some(rel) = insn.rel_target() {
+                leaders.push(next.wrapping_add(rel as i64 as u64));
+            }
+            if insn.is_block_terminator() {
+                leaders.push(next);
+            }
+        }
+        BlockCache::build(exe, leaders).expect("text decodes")
     }
 
     fn assert_state_matches(label: &str, got: &Machine, want: &Machine) {
@@ -1048,18 +1082,23 @@ mod tests {
 
     #[test]
     fn fused_idioms_skip_flag_materialization() {
-        let exe = assemble_and_link(LOOPY).unwrap();
-        let cache = cache_for(&exe);
+        // FORWARDY's countdown is one self-looping superblock whose only
+        // flag consumer is its `cmp r2, 0` + `jne .loop` pair. With every
+        // block compiled, five loop iterations execute five fused pairs
+        // and never leave the body, so only the final block exit
+        // materializes, far below the count of flag-setting instructions
+        // executed.
+        let exe = assemble_and_link(FORWARDY).unwrap();
+        let cache = cfg_cache_for(&exe);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
-        // Five loop iterations execute five fused cmp+jne pairs; only
-        // block exits materialize, so materializations stay far below
-        // the count of flag-setting instructions executed.
+        let result = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
+        assert_eq!(stats.uop_steps, result.steps, "every step runs compiled: {stats:?}");
         assert!(
             stats.flag_materializations < stats.uop_steps / 4,
             "lazy flags should rarely materialize: {stats:?}"
         );
+        assert_eq!(stats.flag_materializations, 1, "only the loop's exit: {stats:?}");
     }
 
     #[test]
@@ -1114,10 +1153,14 @@ mod tests {
     #[test]
     fn compiled_bodies_are_shared_across_machines() {
         let exe = assemble_and_link(LOOPY).unwrap();
-        let cache = cache_for(&exe);
+        // Shared blocks cover every pc LOOPY reaches, and the first
+        // machine compiles each block it enters.
+        let cache = cfg_cache_for(&exe);
         let mut first_stats = BlockStats::default();
-        Machine::new(&exe, &[]).run_uops(&cache, UopConfig::default(), 10_000, &mut first_stats);
+        let eager = UopConfig { hot_threshold: 0 };
+        Machine::new(&exe, &[]).run_uops(&cache, eager, 10_000, &mut first_stats);
         assert!(first_stats.blocks_compiled > 0);
+        assert_eq!(first_stats.blocks_redecoded, 0, "{first_stats:?}");
         // A second machine over the same cache reuses every compiled
         // body: no compiles, no promotions, and no decoded warm-up.
         let mut second_stats = BlockStats::default();
@@ -1126,7 +1169,7 @@ mod tests {
         assert_eq!(second_stats.blocks_compiled, 0, "{second_stats:?}");
         assert_eq!(second_stats.tier_promotions, 0, "{second_stats:?}");
         assert_eq!(second_stats.block_steps, 0, "{second_stats:?}");
-        assert_eq!(second_stats.uop_steps + second_stats.interp_steps, result.steps);
+        assert_eq!(second_stats.uop_steps, result.steps, "{second_stats:?}");
     }
 
     #[test]
@@ -1175,27 +1218,90 @@ mod tests {
     }
 
     #[test]
-    fn poked_code_falls_back_to_the_interpreter() {
+    fn poked_compiled_code_runs_from_redecoded_blocks() {
         let exe = assemble_and_link(LOOPY).unwrap();
-        let cache = cache_for(&exe);
-        // Warm the cache so the corrupted block is already compiled.
+        let cache = cfg_cache_for(&exe);
+        // Warm the cache so the corrupted blocks are already compiled.
         let mut warm = BlockStats::default();
         Machine::new(&exe, &[]).run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut warm);
         assert!(warm.blocks_compiled > 0);
 
-        let mut reference = Machine::new(&exe, &[]);
-        let mut m = Machine::new(&exe, &[]);
-        let target = exe.entry;
-        for machine in [&mut reference, &mut m] {
-            let byte = machine.peek_bytes(target, 1).unwrap()[0];
-            assert!(machine.poke_bytes(target, &[byte ^ 0x40]));
+        let (sub, ..) = text_instrs(&exe)
+            .into_iter()
+            .find(|&(_, insn, _)| matches!(insn, Instr::AluRI { op: AluOp::Sub, .. }))
+            .expect("LOOPY decrements its counter");
+        // Flipping bit 6 of the entry `mov`'s opcode leaves bytes that do
+        // not decode: the one interpreted step is the crash. Flipping
+        // bit 2 of `sub r2, 1`'s immediate leaves `sub r2, 5`, which
+        // decodes: nothing is interpreted, and the compiled loop's
+        // rewritten copy is decoded out of memory and compiled afresh
+        // (every shared block already has its body).
+        for (target, flip, interp_steps, redecoded) in
+            [(exe.entry, 0x40, 1, false), (sub + 2, 0x04, 0, true)]
+        {
+            let mut reference = Machine::new(&exe, &[]);
+            let mut m = Machine::new(&exe, &[]);
+            for machine in [&mut reference, &mut m] {
+                let byte = machine.peek_bytes(target, 1).unwrap()[0];
+                assert!(machine.poke_bytes(target, &[byte ^ flip]));
+            }
+            let want = reference.run(10_000);
+            let mut stats = BlockStats::default();
+            let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
+            let label = format!("poke {target:#x} ^ {flip:#x}");
+            assert_eq!(got, want, "{label}");
+            assert_state_matches(&label, &m, &reference);
+            assert_eq!(stats.interp_steps, interp_steps, "{label}: {stats:?}");
+            assert_eq!(stats.blocks_redecoded > 0, redecoded, "{label}: {stats:?}");
+            assert_eq!(stats.blocks_compiled > 0, redecoded, "{label}: {stats:?}");
+            assert_eq!(stats.total(), got.steps, "{label}");
         }
+    }
+
+    #[test]
+    fn code_rewritten_mid_run_matches_the_interpreter() {
+        // Each iteration stores the next letter into the immediate of the
+        // `mov r1, 0` it is about to execute, inside the block it is
+        // executing, and prints it.
+        let src = "    .global _start\n\
+             _start:\n\
+                 mov r3, 'a'\n\
+                 mov r4, patch\n\
+             .loop:\n\
+                 storeb [r4+2], r3\n\
+             patch:\n\
+                 mov r1, 0\n\
+                 svc 1\n\
+                 add r3, 1\n\
+                 cmp r3, 'g'\n\
+                 jne .loop\n\
+                 mov r1, 0\n\
+                 svc 0\n";
+        let mut exe = assemble_and_link(src).unwrap();
+        for seg in exe.segments.iter_mut().filter(|seg| seg.section == SectionKind::Text) {
+            seg.perms.write = true;
+        }
+        let mut reference = Machine::new(&exe, &[]);
         let want = reference.run(10_000);
-        let mut stats = BlockStats::default();
-        let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
-        assert_eq!(got, want);
-        assert_eq!(m.take_output(), reference.take_output());
-        assert!(stats.interp_steps > 0, "dirty block must interpret: {stats:?}");
+        assert_eq!(want.outcome, RunOutcome::Exited { code: 0 });
+        assert_eq!(reference.output(), b"abcdef");
+
+        let text = exe.text_range();
+        let entry_only: Vec<u64> = vec![exe.entry];
+        let every_offset: Vec<u64> = (text.start..text.end).collect();
+        for (leaders, label) in [(entry_only, "entry leader"), (every_offset, "every offset")] {
+            for hot_threshold in [u32::MAX, 0, 2] {
+                let cache = BlockCache::build(&exe, leaders.iter().copied()).unwrap();
+                let mut m = Machine::new(&exe, &[]);
+                let mut stats = BlockStats::default();
+                let got = m.run_uops(&cache, UopConfig { hot_threshold }, 10_000, &mut stats);
+                let label = format!("{label} hot={hot_threshold}");
+                assert_eq!(got, want, "{label}");
+                assert_state_matches(&label, &m, &reference);
+                assert_eq!(stats.interp_steps, 0, "{label}: {stats:?}");
+                assert!(stats.blocks_redecoded > 0, "{label}: {stats:?}");
+            }
+        }
     }
 
     #[test]

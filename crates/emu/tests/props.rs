@@ -109,7 +109,12 @@ proptest! {
     }
 
     /// Random single-byte corruption of the code never breaks the *host*:
-    /// the machine either runs to some outcome or crashes cleanly.
+    /// the machine either runs to some outcome or crashes cleanly. The uop
+    /// tier runs the same corrupted machine bit-identically at every
+    /// tiering threshold, from a cache built from the entry leader alone,
+    /// so the rewritten code (length-changing corruptions included) and
+    /// every pc the entry block does not cover run from blocks decoded
+    /// out of the machine's own bytes.
     #[test]
     fn corrupted_binaries_cannot_harm_the_host(
         lines in proptest::collection::vec(safe_line(), 1..16),
@@ -123,9 +128,26 @@ proptest! {
         let addr = text.start + offset.index(len) as u64;
         let byte = m.peek_bytes(addr, 1).expect("text is mapped")[0];
         m.poke_bytes(addr, &[byte ^ flip]);
+        let poked = m.clone();
         let result = m.run(50_000);
-        // Any outcome is fine; the property is that we got one.
-        let _ = result.outcome;
+        let output = m.take_output();
+
+        let cache = BlockCache::build(&exe, [exe.entry]).expect("the entry decodes");
+        for hot_threshold in [u32::MAX, 0, 2] {
+            let mut uops = poked.clone();
+            let mut stats = BlockStats::default();
+            let got = uops.run_uops(&cache, UopConfig { hot_threshold }, 50_000, &mut stats);
+            let ctx = |what: &str| format!("{what} threshold {hot_threshold}");
+            prop_assert_eq!(result.outcome, got.outcome, "{}", ctx("outcome"));
+            prop_assert_eq!(result.steps, got.steps, "{}", ctx("steps"));
+            prop_assert_eq!(m.pc(), uops.pc(), "{}", ctx("pc"));
+            prop_assert_eq!(m.flags(), uops.flags(), "{}", ctx("flags"));
+            for i in 0..16u8 {
+                let reg = rr_isa::Reg::from_index(i);
+                prop_assert_eq!(m.reg(reg), uops.reg(reg), "{}", ctx("reg"));
+            }
+            prop_assert_eq!(&output, &uops.take_output(), "{}", ctx("output"));
+        }
     }
 
     /// Block-cached execution — every block on its pre-decoded body

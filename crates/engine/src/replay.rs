@@ -28,8 +28,8 @@ pub enum ExecMode {
     /// The uop tier ([`rr_emu::Machine::run_uops`]): cold blocks run as
     /// pre-decoded bodies, blocks crossing
     /// [`rr_emu::UopConfig::hot_threshold`] compile once to micro-op
-    /// traces with lazy NZCV, and modified code falls back to the
-    /// interpreter.
+    /// traces with lazy NZCV, and modified code runs from blocks decoded
+    /// out of the machine's own memory, which tier the same way.
     #[default]
     Uops,
 }
@@ -420,8 +420,8 @@ fn run_recorded(
     result
 }
 
-/// Batches a run's per-tier step counts (and the uop tier's compile and
-/// lazy-flag events) into the telemetry handle.
+/// Batches a run's per-tier step counts (and the uop tier's compile,
+/// re-decode and lazy-flag events) into the telemetry handle.
 pub fn flush_block_stats(telemetry: &Telemetry, stats: BlockStats) {
     if stats.block_steps > 0 {
         telemetry.count(Counter::BlockSteps, stats.block_steps);
@@ -440,6 +440,9 @@ pub fn flush_block_stats(telemetry: &Telemetry, stats: BlockStats) {
     }
     if stats.tier_promotions > 0 {
         telemetry.count(Counter::TierPromotions, stats.tier_promotions);
+    }
+    if stats.blocks_redecoded > 0 {
+        telemetry.count(Counter::BlocksRedecoded, stats.blocks_redecoded);
     }
 }
 

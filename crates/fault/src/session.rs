@@ -690,8 +690,8 @@ impl CampaignSession {
     /// Runs a faulted continuation for up to `max_steps`, block-cached
     /// when the session has a cache. Injections that rewrote code bytes
     /// ([`FaultEffect::FlipInstructionBit`]) marked those ranges
-    /// exec-dirty, so the block executor falls back to precise
-    /// interpretation over exactly the corrupted code.
+    /// exec-dirty, so the block executor runs exactly the corrupted code
+    /// from blocks it decodes out of the faulted machine's own bytes.
     fn faulted_run(&self, machine: &mut Machine, max_steps: u64) -> RunResult {
         match self.replay.block_cache() {
             Some(cache) => self.run_accelerated(machine, cache, max_steps),

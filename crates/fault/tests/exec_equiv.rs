@@ -8,9 +8,10 @@
 //! This is the bit-identity contract the acceleration rests on: the
 //! decoded bodies run the *same* decoded instructions over the *same*
 //! bytes (compiled bodies additionally pre-lower them and defer NZCV
-//! materialization, but never past an observable point), fall back to
-//! interpretation over any code the session modified (injections mark
-//! their ranges exec-dirty), and stop at exactly the same step for
+//! materialization, but never past an observable point), run code the
+//! session modified from blocks decoded out of the faulted machine's own
+//! bytes (injections mark their ranges exec-dirty, which retires the
+//! shared blocks over them), and stop at exactly the same step for
 //! fences, budgets, crashes, and exits. Any divergence here is a bug in
 //! the block cache (stale decode, missed self-modification), the uop
 //! compiler (wrong lowering, flags materialized too lazily), or the
@@ -62,7 +63,8 @@ fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
     for w in rr_workloads::all_workloads() {
         // Keep the grid affordable: skip is exhaustive on every
         // workload, and strided bit flips cover the code-corrupting
-        // effect that forces interpreter fallback.
+        // effect whose continuations run from blocks decoded out of the
+        // faulted machine's memory.
         for (engine, threads) in [
             (CampaignEngine::Checkpointed, 1),
             (CampaignEngine::Checkpointed, 4),
@@ -102,7 +104,8 @@ fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
 
 /// Multi-fault plans inject at several timed points of one continuation;
 /// decoded and compiled bodies must honour every intermediate fence
-/// exactly.
+/// exactly, and a second code poke in one continuation must retire the
+/// blocks decoded after the first.
 #[test]
 fn accelerated_tiers_match_interp_for_double_fault_plans() {
     let w = rr_workloads::pincheck();
@@ -115,15 +118,19 @@ fn accelerated_tiers_match_interp_for_double_fault_plans() {
         },
         ..CampaignConfig::default()
     };
+    let models: [&dyn FaultModel; 2] = [&InstructionSkip, &SingleBitFlip];
     let interp = session(&w, CampaignConfig { exec: ExecMode::Interp, ..base.clone() });
-    let interp_report = run_one(&interp, &InstructionSkip);
-    for uop in ACCEL_CONFIGS {
-        let fast = session(&w, CampaignConfig { exec: ExecMode::Uops, uop, ..base.clone() });
-        assert_reports_equal(
-            &interp_report,
-            &run_one(&fast, &InstructionSkip),
-            &format!("pincheck order-2 skip hot={}", uop.hot_threshold),
-        );
+    for model in models {
+        let interp_report = run_one(&interp, model);
+        assert!(!interp_report.results.is_empty(), "{}: no order-2 plans", model.name());
+        for uop in ACCEL_CONFIGS {
+            let fast = session(&w, CampaignConfig { exec: ExecMode::Uops, uop, ..base.clone() });
+            assert_reports_equal(
+                &interp_report,
+                &run_one(&fast, model),
+                &format!("pincheck order-2 {} hot={}", model.name(), uop.hot_threshold),
+            );
+        }
     }
 }
 

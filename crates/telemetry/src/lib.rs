@@ -162,7 +162,8 @@ pub enum Counter {
     /// blocks not yet past the hot threshold).
     BlockSteps,
     /// Instructions executed by the plain interpreter while a block
-    /// cache was available (fallback: cache miss, dirty code, fences).
+    /// cache was available: only pcs whose bytes do not fetch or decode,
+    /// so each one is a crashing step.
     InterpSteps,
     /// Cached blocks invalidated by a rewrite's listing delta.
     BlockInvalidations,
@@ -178,6 +179,11 @@ pub enum Counter {
     /// Blocks promoted from decoded to compiled execution by crossing
     /// the hot threshold.
     TierPromotions,
+    /// Blocks the uop tier decoded out of a machine's own memory for pcs
+    /// the shared block cache could not serve: code a bit flip or a
+    /// store rewrote, and code no block leader covers. They run, tier
+    /// and count their steps like cached blocks.
+    BlocksRedecoded,
     /// Always 0: nothing increments it. Kept only because the committed
     /// end-to-end benchmark reads it; it goes with the next benchmark
     /// revision.
@@ -193,7 +199,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 22;
+    pub const COUNT: usize = 23;
     /// Every counter, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::PlansExecuted,
@@ -215,6 +221,7 @@ impl Counter {
         Counter::UopSteps,
         Counter::FlagMaterializations,
         Counter::TierPromotions,
+        Counter::BlocksRedecoded,
         Counter::BlocksOptimized,
         Counter::PlansPrunedStatic,
         Counter::AuditFailures,
@@ -242,6 +249,7 @@ impl Counter {
             Counter::UopSteps => "uop_steps",
             Counter::FlagMaterializations => "flag_materializations",
             Counter::TierPromotions => "tier_promotions",
+            Counter::BlocksRedecoded => "blocks_redecoded",
             Counter::BlocksOptimized => "blocks_optimized",
             Counter::PlansPrunedStatic => "plans_pruned_static",
             Counter::AuditFailures => "audit_failures",
