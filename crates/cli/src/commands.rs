@@ -3,9 +3,9 @@
 
 use crate::Args;
 use rr_fault::{
-    CampaignConfig, CampaignEngine, CampaignSession, CampaignSessionBuilder, Collect,
-    CrashTriageOracle, ExecMode, FaultModel, FlagFlip, InstructionSkip, OutputPrefixOracle,
-    PairPolicy, PlanConfig, SingleBitFlip, Stream,
+    CampaignConfig, CampaignEngine, CampaignError, CampaignSession, CampaignSessionBuilder,
+    Collect, CrashTriageOracle, ExecMode, FaultModel, FlagFlip, InstructionSkip,
+    OutputPrefixOracle, PairPolicy, PlanConfig, SingleBitFlip, Stream,
 };
 use rr_obj::Executable;
 use rr_telemetry::{Counter, JsonlRecorder, ProgressRecorder, Recorder, Telemetry};
@@ -215,6 +215,15 @@ fn plan_config_from(args: &Args) -> Result<PlanConfig, String> {
     Ok(plan)
 }
 
+/// Renders a campaign setup error, naming the option to change when
+/// there is one.
+fn campaign_error(e: CampaignError) -> String {
+    match e {
+        CampaignError::PlanSpaceOverflow { .. } => format!("--order: {e}; lower the order"),
+        other => other.to_string(),
+    }
+}
+
 /// The report-header line describing a multi-fault plan space.
 fn plan_header(plan: &PlanConfig) -> String {
     let window = match plan.policy {
@@ -290,8 +299,9 @@ pub fn fault(raw: &[String]) -> Result<String, String> {
         .config(config)
         .telemetry(tel.telemetry.clone());
     let builder = apply_oracle(builder, args.value("oracle").unwrap_or("golden"), &args)?;
-    let session = builder.build().map_err(|e| e.to_string())?;
+    let session = builder.build().map_err(campaign_error)?;
     let refs: Vec<&dyn FaultModel> = models.iter().map(Box::as_ref).collect();
+    session.check_plan_space(&refs).map_err(campaign_error)?;
     let mut out = String::new();
     if plan.order >= 2 {
         let _ = writeln!(out, "{}", plan_header(&plan));
@@ -418,7 +428,12 @@ pub fn harden(raw: &[String]) -> Result<String, String> {
     config.sample_seed = plan.seed;
     let outcome = rr_patch::FaulterPatcher::new(config.clone())
         .harden(&exe, &good, &bad, model.as_ref())
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| match e {
+            rr_patch::HardenError::Campaign(e @ CampaignError::PlanSpaceOverflow { .. }) => {
+                campaign_error(e)
+            }
+            other => other.to_string(),
+        })?;
     let mut out = String::new();
     if plan.order >= 2 {
         let _ = writeln!(out, "{}", plan_header(&plan));
@@ -769,6 +784,19 @@ mod tests {
             vec![&exe_path[..], "--good", "7391", "--bad", "7291", "--plan-budget", "x"],
         ] {
             assert!(fault(&sv(&bad_args)).is_err(), "{bad_args:?}");
+        }
+        // Orders whose plan space overflows a 128-bit count are errors
+        // naming the option, for skips at session build and for bit
+        // flips (8 × len faults per site) before the run.
+        for (order, model) in [("48", "skip"), ("148", "skip"), ("20", "bitflip")] {
+            let args = [&exe_path[..], "--good", "7391", "--bad", "7291", "--order", order];
+            let err = fault(&sv(&[&args[..], &["--plan-budget", "10", "--model", model]].concat()))
+                .unwrap_err();
+            assert!(err.starts_with("--order: ") && err.contains("plan space"), "{err}");
+            let hardened = tmp("overflow.hardened.rfx");
+            let err = harden(&sv(&[&args[..], &["--model", model, "-o", &hardened]].concat()))
+                .unwrap_err();
+            assert!(err.starts_with("--order: "), "{err}");
         }
         // The harden loop accepts the same flags and reports per-order
         // residuals.

@@ -190,7 +190,7 @@ impl<'a> Parser<'a> {
 
 const SPAN_KINDS: [&str; 6] =
     ["record", "snapshot", "restore", "inject", "classify", "bucket_sweep"];
-const COUNTERS: [&str; 23] = [
+const COUNTERS: [&str; 25] = [
     "plans_executed",
     "cache_hits",
     "cache_misses",
@@ -214,6 +214,8 @@ const COUNTERS: [&str; 23] = [
     "blocks_optimized",
     "plans_pruned_static",
     "audit_failures",
+    "plans_converged",
+    "steps_converged",
 ];
 const GAUGES: [&str; 3] = ["plans_total", "retained_snapshot_bytes", "checkpoints"];
 

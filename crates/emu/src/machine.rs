@@ -131,6 +131,25 @@ impl Machine {
         snapshot.0.clone()
     }
 
+    /// Whether this machine's complete architectural state equals the
+    /// state `snapshot` captured, so that both run on identically from
+    /// here. Compares cheapest first: pc, registers, NZCV, stop state,
+    /// input cursor and stream, output, then memory contents
+    /// ([`Memory::same_contents`]: shared pages compare without a read,
+    /// and exec-dirty bookkeeping is ignored).
+    pub fn same_state(&self, snapshot: &Snapshot) -> bool {
+        let other = &snapshot.0;
+        self.pc == other.pc
+            && self.regs == other.regs
+            && self.flags == other.flags
+            && self.stopped == other.stopped
+            && self.input_pos == other.input_pos
+            && (Arc::ptr_eq(&self.input, &other.input) || self.input == other.input)
+            && self.output.len() == other.output.len()
+            && self.output == other.output
+            && self.memory.same_contents(&other.memory)
+    }
+
     /// Current program counter.
     pub fn pc(&self) -> u64 {
         self.pc
@@ -911,6 +930,88 @@ mod tests {
         m.restore(&snap);
         m.run(10);
         assert_eq!(m.output(), b"Y");
+    }
+
+    /// Reads an input byte and discards it, prints 'A', pushes a word
+    /// and sets Z; nine steps reach the final `svc 0`.
+    const STATE_SRC: &str = "    .global _start\n\
+                             _start:\n\
+                                 svc 2\n\
+                                 mov r0, 0\n\
+                                 mov r1, 'A'\n\
+                                 svc 1\n\
+                                 mov r1, 0\n\
+                                 mov r2, 0x55\n\
+                                 push r2\n\
+                                 cmp r2, 0x55\n\
+                                 mov r5, 7\n\
+                                 svc 0\n";
+
+    /// A machine for [`STATE_SRC`] on input `XY`, stepped `steps` times.
+    fn state_machine(steps: usize) -> Machine {
+        let exe = assemble_and_link(STATE_SRC).unwrap();
+        let mut m = Machine::new(&exe, b"XY");
+        for _ in 0..steps {
+            m.step().unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn same_state_compares_contents_not_page_copies() {
+        let golden = state_machine(9).snapshot();
+        // An independent run allocates its own stack page, yet holds the
+        // same state.
+        let mut same = state_machine(9);
+        assert!(same.dirtied_since(&golden).pages > 0, "pages must be separate copies");
+        assert!(same.same_state(&golden));
+        // A zero page materialized back to zeros, and code rewritten to
+        // its original bytes (exec-dirty bookkeeping), are still equal.
+        let zero_addr = STACK_TOP - 0x8000;
+        assert!(same.poke_bytes(zero_addr, &[1]) && same.poke_bytes(zero_addr, &[0]));
+        let code = same.peek_bytes(golden.pc(), 1).unwrap()[0];
+        assert!(same.poke_bytes(golden.pc(), &[code ^ 4]));
+        assert!(same.poke_bytes(golden.pc(), &[code]));
+        assert!(same.same_state(&golden));
+    }
+
+    #[test]
+    fn same_state_sees_every_kind_of_difference() {
+        let golden = state_machine(9).snapshot();
+
+        let mut stack = state_machine(9);
+        let top = stack.reg(Reg::SP);
+        let byte = stack.peek_bytes(top, 1).unwrap()[0];
+        stack.poke_bytes(top, &[byte ^ 1]);
+        assert!(!stack.same_state(&golden), "stack byte");
+
+        // Print 'B' instead of 'A'; r1 is overwritten right after.
+        let mut output = state_machine(3);
+        output.set_reg(Reg::R1, u64::from(b'B'));
+        for _ in 0..6 {
+            output.step().unwrap();
+        }
+        assert_eq!(output.output(), b"B");
+        assert!(!output.same_state(&golden), "output byte");
+
+        // Skip the input read; r0 is zeroed either way.
+        let mut cursor = state_machine(0);
+        cursor.skip_instruction().unwrap();
+        for _ in 0..8 {
+            cursor.step().unwrap();
+        }
+        assert_eq!((cursor.pc(), cursor.reg(Reg::R0)), (golden.pc(), 0));
+        assert!(!cursor.same_state(&golden), "input cursor");
+
+        let mut flag = state_machine(9);
+        let mut flags = flag.flags();
+        flags.c = !flags.c;
+        flag.set_flags(flags);
+        assert!(!flag.same_state(&golden), "flag");
+
+        let mut reg = state_machine(9);
+        reg.set_reg(Reg::R5, 7 ^ 1);
+        assert!(!reg.same_state(&golden), "register");
     }
 
     #[test]

@@ -514,6 +514,22 @@ impl Memory {
         chunks.len() as u64 * page_size as u64
     }
 
+    /// Whether this memory holds exactly the bytes of `other`, region by
+    /// region. Pages sharing a backing are equal without a read; only
+    /// pages whose backings differ are compared byte by byte. The
+    /// exec-dirty list is bookkeeping, not contents, and is ignored:
+    /// equal bytes execute identically.
+    pub fn same_contents(&self, other: &Memory) -> bool {
+        self.regions.len() == other.regions.len()
+            && self.regions.iter().zip(&other.regions).all(|(a, b)| {
+                (a.start, a.len, a.perms) == (b.start, b.len, b.perms)
+                    && a.pages.iter().zip(&b.pages).all(|(pa, pb)| {
+                        pa.same_backing(pb)
+                            || pa.as_slice()[..PAGE_SIZE] == pb.as_slice()[..PAGE_SIZE]
+                    })
+            })
+    }
+
     /// Page-identity divergence from `baseline` (see [`MemoryDelta`]).
     /// Both memories must come from the same executable.
     pub fn delta(&self, baseline: &Memory) -> MemoryDelta {

@@ -162,14 +162,28 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
+/// One retained checkpoint of a recording: the golden machine's state
+/// about to execute trace step [`Checkpoint::step`].
 #[derive(Debug)]
-struct Checkpoint {
+pub struct Checkpoint {
     step: u64,
     snapshot: Snapshot,
     /// Pages this checkpoint no longer shares with the *previous retained*
     /// checkpoint — its incremental retained footprint. Zero for the
     /// initial checkpoint (accounted via resident bytes instead).
     delta: MemoryDelta,
+}
+
+impl Checkpoint {
+    /// The trace step the captured machine is about to execute.
+    pub fn step(&self) -> u64 {
+        self.step
+    }
+
+    /// The captured machine state.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.snapshot
+    }
 }
 
 /// Aggregate memory footprint of a recording's retained checkpoints.
@@ -632,6 +646,17 @@ impl ReplayEngine {
         self.checkpoints[index].step
     }
 
+    /// The retained checkpoints at or after trace step `step`, in step
+    /// order: golden states a faulted run may rejoin. A recording
+    /// without periodic snapshots ([`ReplayConfig::record_snapshots`]
+    /// off) exposes none, not even its initial state.
+    pub fn checkpoints_from(&self, step: u64) -> &[Checkpoint] {
+        if !self.snapshots {
+            return &[];
+        }
+        &self.checkpoints[self.checkpoints.partition_point(|c| c.step < step)..]
+    }
+
     /// Produces a machine *about to execute* trace step `step` (so
     /// `machine.pc() == trace()[step]` for in-trace steps; `step ==
     /// trace().len()` yields the final state).
@@ -956,6 +981,32 @@ mod tests {
             &ReplayConfig { record_snapshots: false, ..ReplayConfig::default() },
         );
         assert_eq!(naive.checkpoint_step_before(total / 2), 0);
+    }
+
+    #[test]
+    fn checkpoints_from_lists_the_rejoinable_golden_states() {
+        let exe = looping_exe(100);
+        let engine = ReplayEngine::record(
+            &exe,
+            &[],
+            &ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() },
+        );
+        let from = engine.checkpoints_from(17);
+        assert_eq!(from.first().map(Checkpoint::step), Some(32));
+        assert_eq!(from.len(), engine.checkpoint_count() - 2, "steps 0 and 16 precede 17");
+        assert_eq!(engine.checkpoints_from(16)[0].step(), 16, "at or after");
+        for checkpoint in from {
+            let replayed = engine.machine_at(checkpoint.step()).unwrap();
+            assert!(replayed.same_state(checkpoint.snapshot()), "step {}", checkpoint.step());
+        }
+        assert!(engine.checkpoints_from(engine.trace().len() as u64).is_empty());
+        // A snapshot-less recording offers nothing to rejoin.
+        let naive = ReplayEngine::record(
+            &exe,
+            &[],
+            &ReplayConfig { record_snapshots: false, ..ReplayConfig::default() },
+        );
+        assert!(naive.checkpoints_from(0).is_empty());
     }
 
     #[test]

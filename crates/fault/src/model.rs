@@ -202,6 +202,11 @@ pub struct PlanSet {
 /// exhaustive count exceeds `config.budget`, that many plans are drawn
 /// uniformly without replacement using a generator seeded from
 /// `config.seed` — the same seed always selects the same plans.
+///
+/// # Panics
+///
+/// When the space's count overflows `u128`, which a campaign session
+/// rejects up front ([`crate::CampaignError::PlanSpaceOverflow`]).
 pub fn enumerate_plans(
     model: &dyn FaultModel,
     sites: &[&FaultSite],
@@ -223,6 +228,10 @@ pub fn enumerate_plans(
 /// spent entirely on plans that could matter. The removed counts per
 /// order are reported in [`PlanSet::pruned_by_order`]. With
 /// `analysis == None` this is exactly [`enumerate_plans`].
+///
+/// # Panics
+///
+/// Like [`enumerate_plans`], when the space's count overflows `u128`.
 pub fn enumerate_plans_pruned(
     model: &dyn FaultModel,
     sites: &[&FaultSite],
@@ -249,7 +258,7 @@ pub fn enumerate_plans_pruned(
     let mut sampled = false;
     if config.order >= 2 {
         let benign = benign_mask(&faults, analysis);
-        let space = PlanSpace::new(sites, faults, benign, config.policy, config.order);
+        let space = counted(sites, faults, benign, config);
         sampled = append_higher_orders(
             &space,
             config,
@@ -310,7 +319,7 @@ pub(crate) fn higher_order_plans(
     let benign = benign_mask(&faults, analysis);
     let mut plans = Vec::new();
     if config.order >= 2 {
-        let space = PlanSpace::new(sites, faults, benign, config.policy, config.order);
+        let space = counted(sites, faults, benign, config);
         append_higher_orders(&space, config, &mut plans, &mut Vec::new(), &mut Vec::new());
     }
     plans
@@ -327,7 +336,33 @@ pub(crate) fn plan_space(
 ) -> PlanSpace {
     let faults = model_faults(model, sites);
     let benign = benign_mask(&faults, analysis);
-    PlanSpace::new(sites, faults, benign, config.policy, config.order)
+    counted(sites, faults, benign, config)
+}
+
+/// Whether `model`'s plan space over `sites`, every order up to
+/// `config.order` and all of them together, counts in `u128` — the
+/// precondition of every enumeration and count above. Order 1 always
+/// fits.
+pub(crate) fn plan_space_fits(
+    model: &dyn FaultModel,
+    sites: &[&FaultSite],
+    config: &PlanConfig,
+) -> bool {
+    let faults = model_faults(model, sites);
+    let benign = benign_mask(&faults, None);
+    PlanSpace::new(sites, faults, benign, config.policy, config.order).is_some()
+}
+
+/// Counts a plan space whose fit [`plan_space_fits`] established.
+fn counted(
+    sites: &[&FaultSite],
+    faults: Vec<Vec<Fault>>,
+    benign: Vec<Vec<bool>>,
+    config: &PlanConfig,
+) -> PlanSpace {
+    PlanSpace::new(sites, faults, benign, config.policy, config.order).unwrap_or_else(|| {
+        panic!("the order-{} plan space overflows a 128-bit count", config.order)
+    })
 }
 
 /// Each site's full fault list, aligned to `sites`.
@@ -415,23 +450,27 @@ pub(crate) struct PlanSpace {
     benign_suffix: Vec<Vec<u128>>,
 }
 
-/// Suffix sums of `row`, one slot longer (`out[i] = Σ_{j ≥ i} row[j]`).
-fn suffix_sums(row: &[u128]) -> Vec<u128> {
+/// Suffix sums of `row`, one slot longer (`out[i] = Σ_{j ≥ i} row[j]`);
+/// `None` when a sum overflows `u128`.
+fn suffix_sums(row: &[u128]) -> Option<Vec<u128>> {
     let mut out = vec![0u128; row.len() + 1];
     for i in (0..row.len()).rev() {
-        out[i] = out[i + 1] + row[i];
+        out[i] = out[i + 1].checked_add(row[i])?;
     }
-    out
+    Some(out)
 }
 
 impl PlanSpace {
+    /// Counts the space; `None` when any order's count, or the count of
+    /// all orders together, overflows `u128` (every total and sum the
+    /// space reports then fits).
     fn new(
         sites: &[&FaultSite],
         faults: Vec<Vec<Fault>>,
         benign: Vec<Vec<bool>>,
         policy: PairPolicy,
         max_order: usize,
-    ) -> PlanSpace {
+    ) -> Option<PlanSpace> {
         let steps: Vec<u64> = sites.iter().map(|s| s.step).collect();
         let mut space = PlanSpace {
             counts: vec![faults.iter().map(|f| f.len() as u128).collect()],
@@ -452,20 +491,22 @@ impl PlanSpace {
             // (i, successor_end(i)], so its continuation count is a
             // suffix-sum difference — for the full DP and the
             // benign-only DP alike.
-            let all = suffix_sums(space.counts.last().expect("order-1 counts seed the DP"));
-            let ben = suffix_sums(space.benign_counts.last().expect("benign DP seeded too"));
+            let all = suffix_sums(space.counts.last().expect("order-1 counts seed the DP"))?;
+            let ben = suffix_sums(space.benign_counts.last().expect("benign DP seeded too"))?;
             let (mut next_all, mut next_ben) = (Vec::with_capacity(n), Vec::with_capacity(n));
             for i in 0..n {
                 let end = space.successor_end(i) + 1;
-                next_all.push(space.counts[0][i] * (all[i + 1] - all[end]));
+                next_all.push(space.counts[0][i].checked_mul(all[i + 1] - all[end])?);
                 next_ben.push(space.benign_counts[0][i] * (ben[i + 1] - ben[end]));
             }
             space.counts.push(next_all);
             space.benign_counts.push(next_ben);
         }
-        space.suffix = space.counts.iter().map(|row| suffix_sums(row)).collect();
-        space.benign_suffix = space.benign_counts.iter().map(|row| suffix_sums(row)).collect();
-        space
+        space.suffix = space.counts.iter().map(|row| suffix_sums(row)).collect::<Option<_>>()?;
+        space.suffix.iter().try_fold(0u128, |sum, row| sum.checked_add(row[0]))?;
+        space.benign_suffix =
+            space.benign_counts.iter().map(|row| suffix_sums(row)).collect::<Option<_>>()?;
+        Some(space)
     }
 
     /// Index of the last site a chain at site `i` may continue to.

@@ -27,7 +27,8 @@ use crate::analysis::{fault_verdict, plan_is_benign, Analysis, StaticVerdict};
 use crate::cache::{self, CampaignSeed, ClassificationCache, ReuseStats};
 use crate::config::{CampaignConfig, CampaignEngine};
 use crate::model::{
-    enumerate_plans_pruned, higher_order_plans, plan_counts_by_order, plan_space, FaultModel,
+    enumerate_plans_pruned, higher_order_plans, plan_counts_by_order, plan_space, plan_space_fits,
+    FaultModel, InstructionSkip,
 };
 use crate::oracle::{Behavior, GoldenPairOracle, Oracle};
 use crate::report::{CampaignReport, FaultResult, ModelSummary, Summary};
@@ -59,6 +60,12 @@ pub enum CampaignError {
     /// Good and bad inputs behave identically — there is no attacker goal
     /// to reach and no vulnerability to measure.
     IndistinguishableBehaviors,
+    /// The plan space up to this order has more plans than a 128-bit
+    /// count holds, so it can be neither enumerated nor sampled.
+    PlanSpaceOverflow {
+        /// The configured maximum plan order.
+        order: usize,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -74,6 +81,9 @@ impl fmt::Display for CampaignError {
             CampaignError::GoldenBadFailed(o) => write!(f, "golden bad-input run failed: {o}"),
             CampaignError::IndistinguishableBehaviors => {
                 write!(f, "good and bad inputs produce identical behaviour")
+            }
+            CampaignError::PlanSpaceOverflow { order } => {
+                write!(f, "the order-{order} plan space has more plans than a 128-bit count holds")
             }
         }
     }
@@ -196,7 +206,13 @@ impl CampaignSessionBuilder {
     ///
     /// See [`CampaignError`]: missing inputs, failed golden runs, and —
     /// for the default oracle — indistinguishable golden behaviours are
-    /// all reported as typed errors.
+    /// all reported as typed errors, as is a plan order whose space of
+    /// one fault per site ([`InstructionSkip`]'s) overflows a 128-bit
+    /// count over the full trace. Sampled sites are a subset of the
+    /// trace, so that check covers every stride
+    /// [`CampaignSession::sample_sites`] can pick; models with more
+    /// faults per site are checked by
+    /// [`CampaignSession::check_plan_space`].
     pub fn build(self) -> Result<CampaignSession, CampaignError> {
         let bad_input = self.bad_input.ok_or(CampaignError::MissingBadInput)?;
         let config = self.config;
@@ -317,7 +333,7 @@ impl CampaignSessionBuilder {
             }
         }
 
-        let sites = replay
+        let sites: Vec<FaultSite> = replay
             .trace()
             .iter()
             .enumerate()
@@ -327,6 +343,12 @@ impl CampaignSessionBuilder {
                 Some(FaultSite { step: step as u64, pc, insn, len })
             })
             .collect();
+        if config.plan.order >= 2 {
+            let all_sites: Vec<&FaultSite> = sites.iter().collect();
+            if !plan_space_fits(&InstructionSkip, &all_sites, &config.plan) {
+                return Err(CampaignError::PlanSpaceOverflow { order: config.plan.order });
+            }
+        }
 
         // The static fault-effect analysis backing pruning and auditing.
         // A binary whose CFG cannot be recovered falls back to no
@@ -545,10 +567,42 @@ impl CampaignSession {
     /// The engine and thread count come from the session's
     /// [`CampaignConfig`]. Classifications are identical across engines,
     /// sinks, and thread counts — the emulator is deterministic, and the
-    /// equivalence test suite enforces it.
+    /// equivalence test suite enforces it. A checkpointed session
+    /// finishes a faulted run early once its state rejoins the golden
+    /// bad run at a retained checkpoint, with the exact behaviour
+    /// executing would have produced (counted by the `plans_converged`
+    /// and `steps_converged` telemetry counters).
+    ///
+    /// # Panics
+    ///
+    /// When a model's plan space overflows a 128-bit count, which
+    /// [`CampaignSession::check_plan_space`] reports as an error instead.
     pub fn run<S: Sink>(&self, models: &[&dyn FaultModel], sink: S) -> S::Output {
         let _ = sink;
         S::drive(self, models)
+    }
+
+    /// Checks that every model's plan space over the sampled sites, up to
+    /// the configured order, counts in 128 bits — what
+    /// [`CampaignSession::run`] needs to enumerate or sample it.
+    /// [`CampaignSessionBuilder::build`] already checked one fault per
+    /// site; models with more faults per site can overflow at a lower
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::PlanSpaceOverflow`] for the first model that
+    /// does not fit.
+    pub fn check_plan_space(&self, models: &[&dyn FaultModel]) -> Result<(), CampaignError> {
+        if self.config.plan.order < 2 {
+            return Ok(());
+        }
+        let sampled = self.sampled_sites();
+        if models.iter().all(|model| plan_space_fits(*model, &sampled, &self.config.plan)) {
+            Ok(())
+        } else {
+            Err(CampaignError::PlanSpaceOverflow { order: self.config.plan.order })
+        }
     }
 
     /// The static fault-effect analysis backing pruning and auditing —
@@ -635,6 +689,12 @@ impl CampaignSession {
     /// arrives is classified as-is: the attacker's second glitch fired
     /// into a finished program. The total faulted continuation shares one
     /// step budget, exactly like the single-fault case.
+    ///
+    /// After the last injection, a checkpointed session may finish the
+    /// run early: [`CampaignSession::run_continuation`] stops it when its
+    /// state rejoins the golden bad run at a retained checkpoint and
+    /// takes the rest of the behaviour from the golden run, which is
+    /// exactly what executing it would have produced.
     fn inject_and_classify(&self, mut machine: Machine, plan: &FaultPlan) -> FaultClass {
         let inject_span = self.telemetry.span(SpanKind::Inject);
         let first = plan.first();
@@ -677,14 +737,85 @@ impl CampaignSession {
                 return class;
             }
         }
-        let result = self.faulted_run(&mut machine, budget - used);
-        let faulted = Behavior {
+        let faulted = self.run_continuation(&mut machine, plan, budget, used);
+        drop(inject_span);
+        self.classify(&faulted)
+    }
+
+    /// Runs the continuation after the plan's last injection, `used` of
+    /// the `budget` steps already spent, and returns the run's behaviour.
+    ///
+    /// The run goes in fence-to-fence segments that end on the golden bad
+    /// run's retained checkpoints — the 1st, 2nd, 4th, 8th … at or after
+    /// the plan's golden-aligned step — and compares the machine's
+    /// complete state with each checkpoint's snapshot
+    /// ([`Machine::same_state`]). The aligned step is the first
+    /// injection's step, plus the steps executed since, plus one per
+    /// skip (a skip consumes a trace step without executing one). On a
+    /// match the rest of the run is the golden run's, so the behaviour is
+    /// the golden bad outcome and output, with the exact step count
+    /// executing would have reached: executed + (golden steps −
+    /// checkpoint step). Every oracle therefore classifies identically,
+    /// one that reads `steps` included. A total beyond the budget keeps
+    /// running, to time out as before.
+    ///
+    /// Plans that flip code bits never check: their rewritten code page
+    /// never matches golden memory. A naive session records no
+    /// checkpoints to rejoin, so it always runs to the end — the
+    /// reference oracle stays unshortened.
+    fn run_continuation(
+        &self,
+        machine: &mut Machine,
+        plan: &FaultPlan,
+        budget: u64,
+        mut used: u64,
+    ) -> Behavior {
+        let rewrites_code =
+            plan.iter().any(|f| matches!(f.effect, FaultEffect::FlipInstructionBit { .. }));
+        if !rewrites_code {
+            let skips =
+                plan.iter().filter(|f| f.effect == FaultEffect::SkipInstruction).count() as u64;
+            let mut aligned = plan.first().step + used + skips;
+            let checkpoints = self.replay.checkpoints_from(aligned);
+            let mut nth = 1;
+            while let Some(checkpoint) = checkpoints.get(nth - 1) {
+                let gap = checkpoint.step() - aligned;
+                if gap > budget - used {
+                    break;
+                }
+                let result = self.faulted_run(machine, gap);
+                used += result.steps;
+                if result.outcome != RunOutcome::TimedOut {
+                    // Stopped before reaching the checkpoint.
+                    return Behavior {
+                        outcome: result.outcome,
+                        output: machine.take_output(),
+                        steps: used,
+                    };
+                }
+                aligned = checkpoint.step();
+                if machine.same_state(checkpoint.snapshot()) {
+                    let remainder = self.golden_bad.steps - aligned;
+                    if used + remainder > budget {
+                        break;
+                    }
+                    self.telemetry.count(Counter::PlansConverged, 1);
+                    self.telemetry.count(Counter::StepsConverged, remainder);
+                    return Behavior {
+                        outcome: self.golden_bad.outcome,
+                        output: self.golden_bad.output.clone(),
+                        steps: used + remainder,
+                    };
+                }
+                nth *= 2;
+            }
+        }
+        let result = self.faulted_run(machine, budget - used);
+        Behavior {
             outcome: result.outcome,
             output: machine.take_output(),
             steps: used + result.steps,
-        };
-        drop(inject_span);
-        self.classify(&faulted)
+        }
     }
 
     /// Runs a faulted continuation for up to `max_steps`, block-cached
@@ -999,11 +1130,11 @@ impl Sink for Stream {
         let (mut total, mut pruned) = (0u128, 0u128);
         for model in models {
             for (order, kept, dropped) in plan_counts_by_order(*model, &sampled, plan, pruning) {
-                total += match plan.budget {
+                total = total.saturating_add(match plan.budget {
                     Some(budget) if order >= 2 => kept.min(budget as u128),
                     _ => kept,
-                };
-                pruned += dropped;
+                });
+                pruned = pruned.saturating_add(dropped);
             }
         }
         if pruned > 0 {
@@ -1330,6 +1461,38 @@ mod tests {
             let collected = run_one(&pincheck_session_with(config), &InstructionSkip);
             assert_eq!(executed, collected.results.len() as u64, "order {}", plan.order);
         }
+    }
+
+    #[test]
+    fn orders_whose_plan_space_overflows_are_rejected() {
+        use crate::model::PlanConfig;
+        let plan = |order| PlanConfig { order, budget: Some(10), ..PlanConfig::default() };
+        // pincheck's 147 sites hold more than 2^128 skip chains from
+        // order 46 on; building such a session is a typed error,
+        // returned without counting past the overflow.
+        for order in [48, 148] {
+            let started = std::time::Instant::now();
+            let w = pincheck();
+            let err = CampaignSession::builder(w.build().unwrap())
+                .good_input(&w.good_input[..])
+                .bad_input(&w.bad_input[..])
+                .config(CampaignConfig { plan: plan(order), ..CampaignConfig::default() })
+                .build()
+                .unwrap_err();
+            assert_eq!(err, CampaignError::PlanSpaceOverflow { order });
+            assert!(err.to_string().contains(&format!("order-{order}")), "{err}");
+            assert!(started.elapsed() < std::time::Duration::from_secs(10), "order {order}");
+        }
+        // At order 20 one fault per site fits, 8 × len bit flips per
+        // site do not: the session builds, and the model check reports
+        // the overflow `run` would panic on.
+        let session =
+            pincheck_session_with(CampaignConfig { plan: plan(20), ..CampaignConfig::default() });
+        assert_eq!(session.check_plan_space(&[&InstructionSkip, &FlagFlip]), Ok(()));
+        assert_eq!(
+            session.check_plan_space(&[&InstructionSkip, &SingleBitFlip]),
+            Err(CampaignError::PlanSpaceOverflow { order: 20 })
+        );
     }
 
     #[test]

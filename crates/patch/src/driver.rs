@@ -306,6 +306,7 @@ impl FaulterPatcher {
             }
         }
         let session = builder.build()?;
+        session.check_plan_space(&[model])?;
         seed.campaigns += 1;
         if !session.reused_golden_good() {
             seed.golden_good_runs += 1;

@@ -195,11 +195,18 @@ pub enum Counter {
     /// `Benign` under `--audit-analysis` — analysis soundness
     /// violations (zero for a sound analysis).
     AuditFailures,
+    /// Faulted plans whose state rejoined the golden bad run at a
+    /// retained checkpoint, so their run was finished from the golden
+    /// outcome instead of executed.
+    PlansConverged,
+    /// Golden-remainder steps those plans did not execute: adding them
+    /// to the executed steps gives the work without the shortcut.
+    StepsConverged,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 25;
     /// Every counter, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::PlansExecuted,
@@ -225,6 +232,8 @@ impl Counter {
         Counter::BlocksOptimized,
         Counter::PlansPrunedStatic,
         Counter::AuditFailures,
+        Counter::PlansConverged,
+        Counter::StepsConverged,
     ];
 
     /// Stable wire name (used as JSON key).
@@ -253,6 +262,8 @@ impl Counter {
             Counter::BlocksOptimized => "blocks_optimized",
             Counter::PlansPrunedStatic => "plans_pruned_static",
             Counter::AuditFailures => "audit_failures",
+            Counter::PlansConverged => "plans_converged",
+            Counter::StepsConverged => "steps_converged",
         }
     }
 
