@@ -10,10 +10,13 @@
 //! states from one expensive setup):
 //!
 //! * [`ReplayEngine`] records one pass over the golden run, capturing a
-//!   [`rr_emu::Snapshot`] every `k` steps (default `k ≈ √T`). Restoring a
-//!   machine at an arbitrary trace step then costs O(regions) for the
-//!   snapshot plus at most `k` single steps — O(T·√T) for a whole
-//!   exhaustive campaign instead of O(T²).
+//!   [`rr_emu::Snapshot`] every `k` steps on one adaptive schedule that
+//!   lands `k` near √T without knowing T in advance. Restoring a machine
+//!   at an arbitrary trace step then costs O(pages) for the snapshot
+//!   plus at most `k` forward steps — O(T·√T) for a whole exhaustive
+//!   campaign instead of O(T²). [`ReplayEngine::run`] executes those
+//!   steps, and any continuation a consumer runs from a restored
+//!   machine, on the tier the recording ran on.
 //! * [`shard`] provides the parallel scheduler, [`shard::run_bucketed`]:
 //!   work items grouped by the checkpoint they restore from, so each
 //!   group pays one restore, dealt to OS threads by work stealing and
@@ -25,12 +28,12 @@
 //! its interval actually dirtied — a stack-writing interval retains the
 //! few stack pages it touched, not the whole 1 MiB region — and worker
 //! threads restore from the same snapshots concurrently without
-//! copying. Retention is budgeted in those terms:
-//! [`ReplayConfig::max_retained_bytes`] bounds the summed dirtied-page
-//! deltas between consecutive checkpoints (widening the interval when
-//! exceeded), [`ReplayEngine::footprint`] reports them, and
-//! [`ReplayConfig::record_snapshots`] lets naive-only consumers skip
-//! snapshot capture entirely.
+//! copying. Retention is budgeted in those terms, and that budget is the
+//! only retention setting: [`ReplayConfig::max_retained_bytes`] bounds
+//! the summed dirtied-page deltas between consecutive checkpoints
+//! (widening the interval when exceeded), [`ReplayEngine::footprint`]
+//! reports them, and [`ReplayConfig::record_snapshots`] lets naive-only
+//! consumers skip snapshot capture entirely.
 //!
 //! The campaign-level integration lives in `rr-fault`
 //! (`CampaignSession`); this crate stays independent of fault models so
@@ -61,10 +64,7 @@ mod replay;
 pub mod shard;
 
 pub use blockcache::{build_block_cache, rebuild_block_cache};
-pub use replay::{
-    auto_interval, flush_block_stats, Checkpoint, ExecMode, ReplayConfig, ReplayEngine,
-    ReplayError, ReplayFootprint,
-};
+pub use replay::{Checkpoint, ExecMode, ReplayConfig, ReplayEngine, ReplayError, ReplayFootprint};
 
 // The uop tiering knob is part of [`ReplayConfig`]; re-exported so
 // replay consumers don't need an rr-emu dependency to set it.

@@ -67,23 +67,12 @@ impl FromStr for ExecMode {
 pub struct ReplayConfig {
     /// Step budget for the recording run.
     pub max_steps: u64,
-    /// Capture a checkpoint every this many steps; `0` = adaptive
-    /// (tracks ≈ √T as the run grows, the total-work optimum when
-    /// replays are uniformly distributed over the trace — no probe run
-    /// needed).
-    pub checkpoint_interval: u64,
-    /// Ceiling on the number of retained checkpoints; `0` = unlimited.
-    /// With page-granular COW memory the per-checkpoint cost is bytes
-    /// dirtied, so [`ReplayConfig::max_retained_bytes`] is the
-    /// meaningful memory bound — this count cap remains as a secondary
-    /// guard on per-checkpoint fixed overhead.
-    pub max_checkpoints: usize,
     /// *Byte* budget for retained checkpoint state, measured as the
     /// page-granular dirtied bytes between consecutive checkpoints
     /// ([`rr_emu::Snapshot::dirtied_since`]). When the recording would
     /// exceed it, the interval doubles and the recorded checkpoints are
-    /// thinned — same mechanism as the count cap, but bounding what
-    /// actually matters: resident memory. `0` = unlimited.
+    /// thinned, bounding what actually matters: resident memory. `0` =
+    /// unlimited.
     pub max_retained_bytes: u64,
     /// When `false`, only the initial state is captured: the trace and
     /// behaviour are still recorded, but [`ReplayEngine::machine_at`]
@@ -97,8 +86,8 @@ pub struct ReplayConfig {
     pub telemetry: Telemetry,
     /// Pre-decoded superblocks over the executable's text (see
     /// [`crate::build_block_cache`]). When set, the recording run and
-    /// [`ReplayEngine::machine_at`] forward-stepping execute through the
-    /// uop tier ([`rr_emu::Machine::run_uops`]) — bit-identical to the
+    /// every [`ReplayEngine::run`] execute through the uop tier
+    /// ([`rr_emu::Machine::run_uops`]) — bit-identical to the
     /// interpreter, but without per-step fetch/decode outside injection
     /// and capture fences. `None` runs the plain interpreter.
     pub block_cache: Option<Arc<BlockCache>>,
@@ -111,8 +100,6 @@ impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
             max_steps: 1_000_000,
-            checkpoint_interval: 0,
-            max_checkpoints: 1024,
             max_retained_bytes: 256 << 20,
             record_snapshots: true,
             telemetry: Telemetry::default(),
@@ -122,11 +109,12 @@ impl Default for ReplayConfig {
     }
 }
 
-/// The checkpoint interval minimizing recorded-state + replay work for a
-/// `steps`-long trace: √T, clamped to at least 1.
-pub fn auto_interval(steps: u64) -> u64 {
-    ((steps as f64).sqrt().ceil() as u64).max(1)
-}
+/// Ceiling on the number of retained checkpoints. With page-granular COW
+/// memory the per-checkpoint cost is bytes dirtied, which
+/// [`ReplayConfig::max_retained_bytes`] budgets; this cap bounds the
+/// fixed per-checkpoint overhead on traces longer than about a million
+/// steps, where √T would exceed it.
+const MAX_CHECKPOINTS: u64 = 1024;
 
 /// Why a replay request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,86 +227,33 @@ pub struct ReplayEngine {
     /// Whether periodic snapshots were captured (engine hint; `false`
     /// means only the initial state exists and replay is from step 0).
     snapshots: bool,
-    /// Block cache the recording ran under; [`ReplayEngine::machine_at`]
-    /// forward-steps through it (in the uop tier) when present, keeping
-    /// the compiled bodies accumulated in the shared cache warm.
+    /// Block cache the recording ran under; [`ReplayEngine::run`]
+    /// executes through it (in the uop tier) when present, keeping the
+    /// compiled bodies accumulated in the shared cache warm.
     block_cache: Option<Arc<BlockCache>>,
     uop: UopConfig,
     telemetry: Telemetry,
 }
 
-/// The checkpoint-capture schedule shared by [`ReplayEngine::record`]
-/// and [`ReplayEngine::replay_range`], factored out so the interpreter
-/// and block-cached drivers follow the identical policy: the interpreter
-/// asks [`Recorder::should_capture`] before every step, the block driver
-/// asks [`Recorder::next_fence`] for the step it must stop at.
+/// The adaptive checkpoint-capture schedule of [`ReplayEngine::record`],
+/// factored out so the interpreter and block-cached drivers follow the
+/// identical policy: the interpreter asks [`Recorder::should_capture`]
+/// before every step, the block driver asks [`Recorder::next_fence`] for
+/// the step it must stop at.
 struct Recorder<'a> {
     config: &'a ReplayConfig,
-    /// First step eligible for periodic capture; `0` for a full
-    /// recording, the last interval boundary at or before the window for
-    /// a region-scoped one.
-    aligned_start: u64,
-    /// Last step eligible for capture; `u64::MAX` for a full recording.
-    window_end: u64,
-    /// Whether the interval still chases √T as the run grows (adaptive
-    /// full recordings); pinned or windowed schedules widen only when a
-    /// retention cap demands it.
-    adaptive: bool,
-    /// Whether periodic captures happen at all.
-    enabled: bool,
     interval: u64,
-    count_cap: u64,
     byte_cap: u64,
     retained_bytes: u64,
     checkpoints: Vec<Checkpoint>,
 }
 
 impl<'a> Recorder<'a> {
-    /// Schedule for a full recording ([`ReplayEngine::record`]).
-    fn full(machine: &Machine, config: &'a ReplayConfig) -> Recorder<'a> {
-        let fixed = config.checkpoint_interval > 0;
-        let interval = if fixed { config.checkpoint_interval } else { 1 };
-        Recorder::new(machine, config, interval, !fixed, 0, u64::MAX, config.record_snapshots)
-    }
-
-    /// Schedule for a region-scoped recording
-    /// ([`ReplayEngine::replay_range`]).
-    fn windowed(
-        machine: &Machine,
-        config: &'a ReplayConfig,
-        window: &std::ops::Range<u64>,
-    ) -> Recorder<'a> {
-        let interval = if config.checkpoint_interval > 0 {
-            config.checkpoint_interval
-        } else {
-            auto_interval(window.end.saturating_sub(window.start))
-        };
-        let aligned_start = window.start - window.start % interval;
-        let enabled = config.record_snapshots && !window.is_empty();
-        Recorder::new(machine, config, interval, false, aligned_start, window.end, enabled)
-    }
-
-    fn new(
-        machine: &Machine,
-        config: &'a ReplayConfig,
-        interval: u64,
-        adaptive: bool,
-        aligned_start: u64,
-        window_end: u64,
-        enabled: bool,
-    ) -> Recorder<'a> {
+    /// A schedule at interval 1 holding only the initial state.
+    fn new(machine: &Machine, config: &'a ReplayConfig) -> Recorder<'a> {
         Recorder {
             config,
-            aligned_start,
-            window_end,
-            adaptive,
-            enabled,
-            interval,
-            count_cap: if config.max_checkpoints > 0 {
-                config.max_checkpoints as u64
-            } else {
-                u64::MAX
-            },
+            interval: 1,
             byte_cap: if config.max_retained_bytes > 0 {
                 config.max_retained_bytes
             } else {
@@ -336,11 +271,7 @@ impl<'a> Recorder<'a> {
     /// Whether a checkpoint is due with the machine about to execute
     /// trace step `step`.
     fn should_capture(&self, step: u64) -> bool {
-        self.enabled
-            && step > 0
-            && step >= self.aligned_start
-            && step <= self.window_end
-            && (step - self.aligned_start).is_multiple_of(self.interval)
+        self.config.record_snapshots && step > 0 && step.is_multiple_of(self.interval)
     }
 
     /// The next step strictly after `step` at which
@@ -348,21 +279,14 @@ impl<'a> Recorder<'a> {
     /// driver must fence. Recomputed per segment because thinning can
     /// widen the interval mid-run.
     fn next_fence(&self, step: u64) -> Option<u64> {
-        if !self.enabled {
-            return None;
-        }
-        let fence = if step < self.aligned_start {
-            self.aligned_start
-        } else {
-            self.aligned_start + ((step - self.aligned_start) / self.interval + 1) * self.interval
-        };
-        (fence <= self.window_end).then_some(fence)
+        self.config.record_snapshots.then(|| (step / self.interval + 1) * self.interval)
     }
 
-    /// Captures a checkpoint, then thins the schedule while a retention
-    /// cap is exceeded. Adaptive mode additionally chases count ≈
-    /// interval (≈ √T); the byte budget may need several doublings, so
-    /// this loops — step 0 is always retained, so the thinning
+    /// Captures a checkpoint, then doubles the interval and thins the
+    /// recorded checkpoints to the widened grid while the count
+    /// overtakes twice the interval (the √T chase), [`MAX_CHECKPOINTS`],
+    /// or the byte budget. The byte budget may need several doublings,
+    /// so this loops — step 0 is always retained, so the thinning
     /// terminates.
     fn capture(&mut self, machine: &Machine, step: u64) {
         let capture_span = self.config.telemetry.span(SpanKind::Snapshot);
@@ -373,23 +297,15 @@ impl<'a> Recorder<'a> {
         self.retained_bytes += delta.bytes;
         self.checkpoints.push(Checkpoint { step, snapshot, delta });
         loop {
-            let grow_at = if self.adaptive {
-                (2 * self.interval).min(self.count_cap)
-            } else {
-                self.count_cap
-            };
+            let grow_at = (2 * self.interval).min(MAX_CHECKPOINTS);
             let over =
                 self.checkpoints.len() as u64 > grow_at || self.retained_bytes > self.byte_cap;
             if !over || self.checkpoints.len() <= 1 {
                 break;
             }
             self.interval *= 2;
-            // Widening keeps the schedule's alignment: aligned_start
-            // stays on an interval boundary when the interval doubles.
-            let (start, interval) = (self.aligned_start, self.interval);
-            self.checkpoints.retain(|c| {
-                c.step == 0 || (c.step >= start && (c.step - start).is_multiple_of(interval))
-            });
+            let interval = self.interval;
+            self.checkpoints.retain(|c| c.step.is_multiple_of(interval));
             self.retained_bytes = recompute_deltas(&mut self.checkpoints);
         }
     }
@@ -402,10 +318,10 @@ impl<'a> Recorder<'a> {
 /// segment instead of once per instruction.
 fn run_recorded(
     machine: &mut Machine,
-    config: &ReplayConfig,
     recorder: &mut Recorder<'_>,
     trace: &mut Vec<u64>,
 ) -> RunResult {
+    let config = recorder.config;
     let Some(cache) = config.block_cache.as_deref() else {
         return machine.run_with(config.max_steps, |m| {
             let step = trace.len() as u64;
@@ -436,7 +352,7 @@ fn run_recorded(
 
 /// Batches a run's per-tier step counts (and the uop tier's compile,
 /// re-decode and lazy-flag events) into the telemetry handle.
-pub fn flush_block_stats(telemetry: &Telemetry, stats: BlockStats) {
+fn flush_block_stats(telemetry: &Telemetry, stats: BlockStats) {
     if stats.block_steps > 0 {
         telemetry.count(Counter::BlockSteps, stats.block_steps);
     }
@@ -462,77 +378,32 @@ pub fn flush_block_stats(telemetry: &Telemetry, stats: BlockStats) {
 
 impl ReplayEngine {
     /// Runs `exe` on `input`, recording the program counter of every
-    /// executed instruction and a state checkpoint every
-    /// `config.checkpoint_interval` steps (plus the initial state).
+    /// executed instruction and, with [`ReplayConfig::record_snapshots`],
+    /// state checkpoints on one adaptive schedule (plus the initial
+    /// state).
     ///
-    /// With `checkpoint_interval = 0` the interval adapts while the run
+    /// The interval starts at one step and adapts while the run
     /// executes: whenever the checkpoint count overtakes twice the
-    /// current interval (or `max_checkpoints`), the interval doubles and
-    /// every odd checkpoint is dropped. Interval and count chase each
-    /// other, so both end within a factor of two of √T — the optimum —
-    /// after a single pass, with no probe run to discover T first, while
-    /// the count stays bounded by `max_checkpoints` on very long traces.
+    /// current interval, the interval doubles and every checkpoint off
+    /// the widened grid is dropped. Interval and count chase each other,
+    /// so both end within a factor of two of √T — the total-work optimum
+    /// when replays are uniformly distributed over the trace — after a
+    /// single pass, with no probe run to discover T first. A fixed cap of
+    /// 1024 checkpoints widens the interval the same way on traces long
+    /// enough for √T to exceed it.
     ///
     /// Retained state is additionally bounded by
     /// `config.max_retained_bytes`: every new checkpoint's dirtied-page
     /// delta against its predecessor is accounted, and the interval
     /// widens (thinning recorded checkpoints) whenever the running total
-    /// would exceed the byte budget.
+    /// would exceed the byte budget. Retained checkpoints therefore
+    /// always sit at the multiples of [`ReplayEngine::interval`].
     pub fn record(exe: &Executable, input: &[u8], config: &ReplayConfig) -> ReplayEngine {
         let record_span = config.telemetry.span(SpanKind::Record);
         let mut machine = Machine::new(exe, input);
-        let mut recorder = Recorder::full(&machine, config);
+        let mut recorder = Recorder::new(&machine, config);
         let mut trace = Vec::new();
-        let result = run_recorded(&mut machine, config, &mut recorder, &mut trace);
-        let execution = Execution {
-            outcome: result.outcome,
-            output: machine.take_output(),
-            steps: result.steps,
-        };
-        drop(record_span);
-        let engine = ReplayEngine {
-            checkpoints: recorder.checkpoints,
-            trace,
-            execution,
-            interval: recorder.interval,
-            snapshots: config.record_snapshots,
-            block_cache: config.block_cache.clone(),
-            uop: config.uop,
-            telemetry: config.telemetry.clone(),
-        };
-        engine.publish_footprint();
-        engine
-    }
-
-    /// Region-scoped recording: like [`ReplayEngine::record`], but state
-    /// checkpoints are captured only for the trace-step `window` —
-    /// everything before and after is traced without snapshots.
-    ///
-    /// This is the incremental re-campaign primitive: when a binary
-    /// rewrite invalidates only a window of the prior campaign's
-    /// classifications, re-recording the bad-input trace needs random
-    /// access (and therefore snapshots) only inside that window. The
-    /// capture schedule is aligned *down* to the checkpoint interval, so
-    /// the first retained checkpoint is the last one preceding the
-    /// window's first step; the initial state is always retained, keeping
-    /// [`ReplayEngine::machine_at`] correct (merely slower) for steps
-    /// outside the window.
-    ///
-    /// The interval is `config.checkpoint_interval` when pinned, else
-    /// ≈ √(window length) — the optimum for replays confined to the
-    /// window. `config.max_checkpoints` and `config.max_retained_bytes`
-    /// still bound retained state by widening the interval.
-    pub fn replay_range(
-        exe: &Executable,
-        input: &[u8],
-        config: &ReplayConfig,
-        window: std::ops::Range<u64>,
-    ) -> ReplayEngine {
-        let record_span = config.telemetry.span(SpanKind::Record);
-        let mut machine = Machine::new(exe, input);
-        let mut recorder = Recorder::windowed(&machine, config, &window);
-        let mut trace = Vec::new();
-        let result = run_recorded(&mut machine, config, &mut recorder, &mut trace);
+        let result = run_recorded(&mut machine, &mut recorder, &mut trace);
         let execution = Execution {
             outcome: result.outcome,
             output: machine.take_output(),
@@ -685,44 +556,44 @@ impl ReplayEngine {
         let index = self.checkpoints.partition_point(|c| c.step <= step) - 1;
         let checkpoint = &self.checkpoints[index];
         let mut machine = Machine::from_snapshot(&checkpoint.snapshot);
-        match &self.block_cache {
-            Some(cache) => {
-                let mut stats = BlockStats::default();
-                let budget = step - checkpoint.step;
-                let result = machine.run_uops(cache, self.uop, budget, &mut stats);
-                flush_block_stats(&self.telemetry, stats);
-                if let RunOutcome::Crashed { .. } = result.outcome {
-                    // The last of `result.steps` executed instructions
-                    // crashed; a crash with no step executed means the
-                    // restored state itself was already stopped.
-                    let at = checkpoint.step + result.steps.saturating_sub(1);
-                    return Err(ReplayError::Diverged { step: at });
-                }
-                // Exited or TimedOut: either the budget was consumed (we
-                // are at `step`) or the machine stopped normally, where
-                // the interpreter loop would no-op the remaining steps.
-            }
-            None => {
-                for at in checkpoint.step..step {
-                    if machine.step().is_err() {
-                        return Err(ReplayError::Diverged { step: at });
-                    }
-                }
-            }
+        let result = self.run(&mut machine, step - checkpoint.step);
+        if let RunOutcome::Crashed { .. } = result.outcome {
+            // The last of `result.steps` executed instructions crashed; a
+            // crash with no step executed means the restored state itself
+            // was already stopped.
+            let at = checkpoint.step + result.steps.saturating_sub(1);
+            return Err(ReplayError::Diverged { step: at });
         }
+        // Exited or TimedOut: either the budget was consumed (we are at
+        // `step`) or the machine stopped normally, where further steps
+        // would be no-ops.
         Ok(machine)
     }
 
-    /// The block cache the recording ran under, if any — sessions share
-    /// it across replays and post-injection continuations, which then
-    /// run in the uop tier so the compiled bodies in it stay warm.
-    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
-        self.block_cache.as_ref()
+    /// Runs `machine` for up to `max_steps` on the recording's tier: the
+    /// uop tier over the recording's block cache when it ran under one,
+    /// the interpreter otherwise — bit-identical either way. Code the
+    /// caller rewrote in `machine` (a fault injection) runs from blocks
+    /// decoded out of the machine's own bytes. Per-tier step counts and
+    /// compile events go to the recording's telemetry.
+    /// [`ReplayEngine::machine_at`] steps forward through it, and
+    /// campaign sessions run their cursor walks and faulted
+    /// continuations through it, so every run after the recording shares
+    /// the compiled bodies in the cache.
+    pub fn run(&self, machine: &mut Machine, max_steps: u64) -> RunResult {
+        let Some(cache) = &self.block_cache else {
+            return machine.run(max_steps);
+        };
+        let mut stats = BlockStats::default();
+        let result = machine.run_uops(cache, self.uop, max_steps, &mut stats);
+        flush_block_stats(&self.telemetry, stats);
+        result
     }
 
-    /// The uop tiering knob the recording ran under.
-    pub fn uop_config(&self) -> UopConfig {
-        self.uop
+    /// The block cache the recording ran under, if any — a campaign
+    /// seed carries it to the next session of an incremental loop.
+    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
+        self.block_cache.as_ref()
     }
 }
 
@@ -774,21 +645,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_interval_is_roughly_sqrt() {
-        assert_eq!(auto_interval(0), 1);
-        assert_eq!(auto_interval(1), 1);
-        assert_eq!(auto_interval(100), 10);
-        assert_eq!(auto_interval(10_000), 100);
-        assert!(auto_interval(1 << 40) >= 1 << 20);
-    }
-
-    #[test]
     fn adaptive_interval_tracks_sqrt_of_the_trace() {
         for iterations in [10u32, 200, 2000] {
             let exe = looping_exe(iterations);
             let engine = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
             let steps = engine.execution().steps;
-            let sqrt = auto_interval(steps);
+            let sqrt = ((steps as f64).sqrt().ceil() as u64).max(1);
             assert!(
                 engine.interval() >= sqrt / 2 && engine.interval() <= sqrt * 4,
                 "T={steps}: interval {} not within 2x of sqrt {sqrt}",
@@ -810,27 +672,29 @@ mod tests {
 
     #[test]
     fn max_checkpoints_caps_retained_state() {
-        let exe = looping_exe(2000);
-        let capped = ReplayEngine::record(
-            &exe,
-            &[],
-            &ReplayConfig { max_checkpoints: 8, ..ReplayConfig::default() },
-        );
-        assert!(capped.checkpoint_count() <= 8, "{} checkpoints", capped.checkpoint_count());
-        // Replay still works, just with longer forward stepping.
+        // About 1.2M steps: past the ~1.05M where √T chasing alone would
+        // hold more than MAX_CHECKPOINTS, before the ~2.1M where it would
+        // widen the interval by itself. The loop dirties no memory, so
+        // the byte budget never binds.
+        let exe = looping_exe(300_000);
+        let config = ReplayConfig { max_steps: 2_000_000, ..ReplayConfig::default() };
+        let capped = ReplayEngine::record(&exe, &[], &config);
         let steps = capped.execution().steps;
+        assert!(capped.execution().outcome.is_exit());
+        assert!(
+            capped.checkpoint_count() as u64 <= MAX_CHECKPOINTS,
+            "{} checkpoints",
+            capped.checkpoint_count()
+        );
+        // The √T chase keeps interval² ≤ 2T; only the cap widens past it.
+        let interval = capped.interval();
+        assert!(interval * interval > 2 * steps, "interval {interval} for T={steps}: cap unused");
+        for c in &capped.checkpoints {
+            assert!(c.step.is_multiple_of(interval), "checkpoint {} off the grid", c.step);
+        }
+        // Replay still works, just with longer forward stepping.
         let m = capped.machine_at(steps / 2).unwrap();
         assert_eq!(m.pc(), capped.trace()[(steps / 2) as usize]);
-        // A pinned interval is widened rather than blowing past the cap.
-        let pinned = ReplayEngine::record(
-            &exe,
-            &[],
-            &ReplayConfig { checkpoint_interval: 1, max_checkpoints: 8, ..ReplayConfig::default() },
-        );
-        assert!(pinned.checkpoint_count() <= 8, "{} checkpoints", pinned.checkpoint_count());
-        assert!(pinned.interval() > 1, "interval must widen under the cap");
-        let m = pinned.machine_at(steps / 3).unwrap();
-        assert_eq!(m.pc(), pinned.trace()[(steps / 3) as usize]);
     }
 
     /// A loop that pushes/pops every iteration, dirtying the top stack
@@ -924,13 +788,11 @@ mod tests {
     #[test]
     fn machine_at_agrees_with_replay_from_scratch() {
         let exe = looping_exe(40);
-        let engine = ReplayEngine::record(
-            &exe,
-            &[],
-            &ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() },
-        );
+        let engine = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
         let total = engine.trace().len() as u64;
-        for step in [0, 1, 15, 16, 17, 100, total - 1, total] {
+        let interval = engine.interval();
+        assert!(interval > 1 && 2 * interval < total, "interval {interval} for T={total}");
+        for step in [0, 1, interval - 1, interval, interval + 1, 100, total - 1, total] {
             let via_engine = engine.machine_at(step).unwrap();
             let mut scratch = Machine::new(&exe, &[]);
             for _ in 0..step {
@@ -954,13 +816,12 @@ mod tests {
     #[test]
     fn checkpoint_step_before_names_the_restore_point() {
         let exe = looping_exe(100);
-        let engine = ReplayEngine::record(
-            &exe,
-            &[],
-            &ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() },
-        );
+        let engine = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
         let total = engine.trace().len() as u64;
-        for step in [0, 1, 15, 16, 17, 100, total - 1, total, total + 50] {
+        let interval = engine.interval();
+        assert!(interval > 1 && 2 * interval < total, "interval {interval} for T={total}");
+        for step in [0, 1, interval - 1, interval, interval + 1, 100, total - 1, total, total + 50]
+        {
             let restore = engine.checkpoint_step_before(step);
             assert!(restore <= step, "restore point must not overshoot step {step}");
             assert!(
@@ -969,7 +830,7 @@ mod tests {
             );
             if step <= total {
                 assert!(
-                    step - restore < 16 || restore == engine.checkpoints.last().unwrap().step,
+                    step - restore < interval || restore == engine.checkpoints.last().unwrap().step,
                     "step {step}: restore {restore} further than one interval"
                 );
             }
@@ -986,15 +847,13 @@ mod tests {
     #[test]
     fn checkpoints_from_lists_the_rejoinable_golden_states() {
         let exe = looping_exe(100);
-        let engine = ReplayEngine::record(
-            &exe,
-            &[],
-            &ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() },
-        );
-        let from = engine.checkpoints_from(17);
-        assert_eq!(from.first().map(Checkpoint::step), Some(32));
-        assert_eq!(from.len(), engine.checkpoint_count() - 2, "steps 0 and 16 precede 17");
-        assert_eq!(engine.checkpoints_from(16)[0].step(), 16, "at or after");
+        let engine = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
+        let interval = engine.interval();
+        assert!(engine.checkpoint_count() > 3, "{} checkpoints", engine.checkpoint_count());
+        let from = engine.checkpoints_from(interval + 1);
+        assert_eq!(from.first().map(Checkpoint::step), Some(2 * interval));
+        assert_eq!(from.len(), engine.checkpoint_count() - 2, "steps 0 and one interval precede");
+        assert_eq!(engine.checkpoints_from(interval)[0].step(), interval, "at or after");
         for checkpoint in from {
             let replayed = engine.machine_at(checkpoint.step()).unwrap();
             assert!(replayed.same_state(checkpoint.snapshot()), "step {}", checkpoint.step());
@@ -1039,98 +898,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_range_snapshots_only_the_window() {
-        let exe = looping_exe(400);
-        let full = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
-        let steps = full.execution().steps;
-        let window = (steps / 2)..(steps / 2 + steps / 8);
-        let config = ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() };
-        let scoped = ReplayEngine::replay_range(&exe, &[], &config, window.clone());
-
-        // Trace and behaviour match a full recording exactly.
-        assert_eq!(scoped.execution(), full.execution());
-        assert_eq!(scoped.trace(), full.trace());
-
-        // Checkpoints: the initial state, then only interval-aligned steps
-        // from the last boundary preceding the window through its end.
-        let aligned_start = window.start - window.start % 16;
-        assert!(scoped.checkpoint_count() > 1, "window must be snapshotted");
-        for c in &scoped.checkpoints[1..] {
-            assert!(
-                c.step >= aligned_start && c.step <= window.end,
-                "checkpoint at {} outside window {window:?} (aligned start {aligned_start})",
-                c.step
-            );
-        }
-        assert_eq!(scoped.checkpoints[1].step, aligned_start.max(16));
-        assert!(
-            scoped.checkpoint_count() < full.checkpoint_count()
-                || full.interval() > scoped.interval(),
-            "region scoping must retain less than a full recording"
-        );
-
-        // Random access is exact inside the window, and still correct
-        // (replay-from-0) before it.
-        for step in [0, window.start / 2, window.start, window.start + 7, window.end - 1] {
-            let m = scoped.machine_at(step).unwrap();
-            assert_eq!(m.pc(), full.trace()[step as usize], "step {step}");
-        }
-    }
-
-    #[test]
-    fn replay_range_degenerate_windows() {
-        let exe = looping_exe(100);
-        let steps = ReplayEngine::record(&exe, &[], &ReplayConfig::default()).execution().steps;
-        // An empty window records the trace but no periodic snapshots.
-        let empty = ReplayEngine::replay_range(&exe, &[], &ReplayConfig::default(), 40..40);
-        assert_eq!(empty.checkpoint_count(), 1, "initial state only");
-        assert_eq!(empty.retained_bytes(), 0);
-        assert_eq!(empty.execution().steps, steps);
-        // A window past the end of the trace captures nothing.
-        let beyond =
-            ReplayEngine::replay_range(&exe, &[], &ReplayConfig::default(), steps * 2..steps * 3);
-        assert_eq!(beyond.checkpoint_count(), 1);
-        // A whole-trace window behaves like a full recording with an
-        // auto-selected ≈√T interval.
-        let whole = ReplayEngine::replay_range(&exe, &[], &ReplayConfig::default(), 0..steps);
-        assert!(whole.checkpoint_count() > 1);
-        let m = whole.machine_at(steps / 2).unwrap();
-        assert_eq!(m.pc(), whole.trace()[(steps / 2) as usize]);
-    }
-
-    #[test]
-    fn replay_range_respects_the_byte_budget_guard() {
-        let exe = stack_churn_exe(600);
-        let steps = ReplayEngine::record(&exe, &[], &ReplayConfig::default()).execution().steps;
-        let free = ReplayEngine::replay_range(
-            &exe,
-            &[],
-            &ReplayConfig { checkpoint_interval: 8, ..ReplayConfig::default() },
-            0..steps,
-        );
-        assert!(free.retained_bytes() > 0);
-        let budget = free.retained_bytes() / 4;
-        let capped = ReplayEngine::replay_range(
-            &exe,
-            &[],
-            &ReplayConfig {
-                checkpoint_interval: 8,
-                max_retained_bytes: budget,
-                ..ReplayConfig::default()
-            },
-            0..steps,
-        );
-        assert!(
-            capped.retained_bytes() <= budget,
-            "retained {} over budget {budget}",
-            capped.retained_bytes()
-        );
-        assert!(capped.interval() > 8, "interval must widen under the cap");
-        let m = capped.machine_at(steps / 3).unwrap();
-        assert_eq!(m.pc(), capped.trace()[(steps / 3) as usize]);
-    }
-
     /// Accelerated configs for an executable: the same `ReplayConfig`
     /// with a cache built from the recovered CFG and the given tiering.
     fn accel(config: &ReplayConfig, exe: &Executable, uop: UopConfig) -> ReplayConfig {
@@ -1155,8 +922,6 @@ mod tests {
         for uop in ACCEL_MODES {
             for base in [
                 ReplayConfig::default(),
-                ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() },
-                ReplayConfig { max_checkpoints: 8, ..ReplayConfig::default() },
                 ReplayConfig { record_snapshots: false, ..ReplayConfig::default() },
             ] {
                 let interp = ReplayEngine::record(&exe, &[], &base);
@@ -1175,13 +940,13 @@ mod tests {
     #[test]
     fn accelerated_machine_at_matches_the_interpreter() {
         let exe = looping_exe(80);
-        let base = ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() };
+        let base = ReplayConfig::default();
         let interp = ReplayEngine::record(&exe, &[], &base);
+        let interval = interp.interval();
         for uop in ACCEL_MODES {
             let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, uop));
-            assert_eq!(fast.uop_config(), uop);
             let total = interp.trace().len() as u64;
-            for step in [0, 1, 15, 16, 17, 100, total - 1, total] {
+            for step in [0, 1, interval - 1, interval, interval + 1, 100, total - 1, total] {
                 let a = interp.machine_at(step).unwrap();
                 let b = fast.machine_at(step).unwrap();
                 assert_eq!(a.pc(), b.pc(), "{uop:?}: pc at step {step}");
@@ -1195,25 +960,30 @@ mod tests {
     }
 
     #[test]
-    fn accelerated_replay_range_matches_the_interpreter() {
-        let exe = looping_exe(400);
-        let steps = ReplayEngine::record(&exe, &[], &ReplayConfig::default()).execution().steps;
-        let window = (steps / 3)..(steps / 2);
-        let base = ReplayConfig { checkpoint_interval: 16, ..ReplayConfig::default() };
-        let interp = ReplayEngine::replay_range(&exe, &[], &base, window.clone());
-        for uop in ACCEL_MODES {
-            let fast =
-                ReplayEngine::replay_range(&exe, &[], &accel(&base, &exe, uop), window.clone());
-            assert_eq!(interp.execution(), fast.execution(), "{uop:?}");
-            assert_eq!(interp.trace(), fast.trace(), "{uop:?}");
-            let steps_a: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
-            let steps_b: Vec<u64> = fast.checkpoints.iter().map(|c| c.step).collect();
-            assert_eq!(steps_a, steps_b, "{uop:?}: windowed capture schedule must not drift");
-            for step in [0, window.start, window.start + 5, window.end - 1] {
-                let a = interp.machine_at(step).unwrap();
-                let b = fast.machine_at(step).unwrap();
-                assert_eq!(a.pc(), b.pc(), "{uop:?}: step {step}");
-            }
+    fn run_continues_on_the_recording_tier() {
+        let exe = looping_exe(80);
+        for uop in [None, Some(UopConfig { hot_threshold: 1 })] {
+            let telemetry = Telemetry::counters();
+            let base = ReplayConfig { telemetry: telemetry.clone(), ..ReplayConfig::default() };
+            let config = uop.map_or(base.clone(), |uop| accel(&base, &exe, uop));
+            let engine = ReplayEngine::record(&exe, &[], &config);
+            let tier_steps = || {
+                let m = telemetry.metrics().unwrap();
+                [Counter::UopSteps, Counter::BlockSteps, Counter::InterpSteps]
+                    .into_iter()
+                    .map(|c| m.counter(c))
+                    .sum::<u64>()
+            };
+            let recorded = tier_steps();
+            let mut machine = engine.machine_at(0).unwrap();
+            let result = engine.run(&mut machine, 1_000_000);
+            assert_eq!(result.outcome, engine.execution().outcome, "{uop:?}");
+            assert_eq!(result.steps, engine.execution().steps, "{uop:?}");
+            assert_eq!(machine.output(), engine.execution().output.as_slice(), "{uop:?}");
+            // Only the uop tier reports per-tier steps, and it reports all
+            // of them.
+            let expected = if uop.is_some() { result.steps } else { 0 };
+            assert_eq!(tier_steps() - recorded, expected, "{uop:?}");
         }
     }
 
@@ -1249,23 +1019,5 @@ mod tests {
         assert_eq!(ExecMode::Uops.to_string(), "uops");
         assert!(!ExecMode::Interp.uses_block_cache());
         assert!(ExecMode::Uops.uses_block_cache());
-    }
-
-    #[test]
-    fn explicit_interval_controls_checkpoint_density() {
-        let exe = looping_exe(100);
-        let fine = ReplayEngine::record(
-            &exe,
-            &[],
-            &ReplayConfig { checkpoint_interval: 8, ..ReplayConfig::default() },
-        );
-        let coarse = ReplayEngine::record(
-            &exe,
-            &[],
-            &ReplayConfig { checkpoint_interval: 128, ..ReplayConfig::default() },
-        );
-        assert!(fine.checkpoint_count() > coarse.checkpoint_count());
-        assert_eq!(fine.interval(), 8);
-        assert_eq!(coarse.interval(), 128);
     }
 }

@@ -20,9 +20,9 @@
 //!   relocation correspondence (equal up to the delta's address remap).
 //!
 //! Reused sites answer from the [`ClassificationCache`] without
-//! executing anything; invalidated sites are re-run, and the plan's
-//! `snapshot_window` tells the session which trace region actually needs
-//! checkpoints (`rr_engine::ReplayEngine::replay_range`).
+//! executing anything; invalidated sites are re-run from the session's
+//! own checkpoints, which an unseeded session would record identically.
+//! Seeding changes only the cache, never the recording.
 //!
 //! The cache key is (fault model, the *whole injection plan* remapped
 //! through the delta — one (step, effect) per injection), and the whole
@@ -46,7 +46,6 @@ use rr_disasm::ListingDelta;
 use rr_telemetry::{Counter, Telemetry};
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 
 /// Trace-step guard radius around code the delta touched: sites closer
 /// than this to a dirty step are re-executed instead of reused. The
@@ -183,29 +182,11 @@ impl fmt::Display for ReuseStats {
     }
 }
 
-/// The outcome of aligning a seed against a freshly recorded trace.
-#[derive(Debug, Default)]
-pub(crate) struct SeedPlan {
-    /// Classifications proven still valid, rekeyed to new trace steps.
-    pub cache: ClassificationCache,
-    /// The new-trace step range containing every invalidated site —
-    /// the only region whose faults will be executed, and therefore the
-    /// only region worth snapshotting. `None` when every site of every
-    /// seeded model is reusable.
-    pub snapshot_window: Option<Range<u64>>,
-}
-
-impl SeedPlan {
-    /// A plan that reuses nothing and snapshots everything.
-    fn full(trace_len: u64) -> SeedPlan {
-        SeedPlan { cache: ClassificationCache::default(), snapshot_window: Some(0..trace_len) }
-    }
-}
-
-/// Aligns the seed's trace with `new_trace` through `delta` and builds
-/// the reuse plan. `new_fingerprint` is the new session's oracle
-/// fingerprint; `new_budget` its faulted-run step budget. Per-guard
-/// invalidation reasons are reported through `telemetry`
+/// Aligns the seed's trace with `new_trace` through `delta` and returns
+/// the classifications that stay valid, rekeyed to new trace steps.
+/// `new_fingerprint` is the new session's oracle fingerprint;
+/// `new_budget` its faulted-run step budget. Per-guard invalidation
+/// reasons are reported through `telemetry`
 /// ([`Counter::InvalidatedFingerprint`], [`Counter::InvalidatedBudget`],
 /// [`Counter::InvalidatedLayout`], [`Counter::InvalidatedDirty`] — one
 /// count per seed result dropped).
@@ -216,17 +197,17 @@ pub(crate) fn plan(
     new_fingerprint: Option<u64>,
     new_budget: u64,
     telemetry: &Telemetry,
-) -> SeedPlan {
+) -> ClassificationCache {
     let trace_len = new_trace.len() as u64;
     let seed_results = || seed.reports.iter().map(|r| r.results.len() as u64).sum::<u64>();
     // A changed (or absent) oracle judgment invalidates everything.
     let (Some(old_print), Some(new_print)) = (seed.oracle_fingerprint, new_fingerprint) else {
         telemetry.count(Counter::InvalidatedFingerprint, seed_results());
-        return SeedPlan::full(trace_len);
+        return ClassificationCache::default();
     };
     if old_print != new_print {
         telemetry.count(Counter::InvalidatedFingerprint, seed_results());
-        return SeedPlan::full(trace_len);
+        return ClassificationCache::default();
     }
 
     // Walk both traces in lockstep. Old steps whose instruction the delta
@@ -281,20 +262,6 @@ pub(crate) fn plan(
     let budget_changed = seed.faulted_budget != new_budget;
     let noop_delta = delta.is_noop();
     let mut cache = ClassificationCache::default();
-    let mut invalid: Option<Range<u64>> = None;
-    let grow = |range: Range<u64>, invalid: &mut Option<Range<u64>>| {
-        *invalid = Some(match invalid.take() {
-            None => range,
-            Some(r) => r.start.min(range.start)..r.end.max(range.end),
-        });
-    };
-    // Every un-aligned or guarded new step must be re-executable — it is
-    // where plans the seed cannot answer will restore and replay.
-    for j in 0..trace_len {
-        if !reusable(j) {
-            grow(j..j + 1, &mut invalid);
-        }
-    }
     // Carry prior classifications whose *whole plan* survives: every
     // injection must remap onto a reusable new step, and every effect
     // must pass its reuse guard — conjunctively, since one invalidated
@@ -314,9 +281,7 @@ pub(crate) fn plan(
                 })
                 .collect();
             let Some(remapped) = remapped else {
-                // Some injection fell on dirty or vanished code; its new
-                // step (if any) is already inside the snapshot window via
-                // the per-step pass above.
+                // Some injection fell on dirty or vanished code.
                 telemetry.count(Counter::InvalidatedDirty, 1);
                 continue;
             };
@@ -347,17 +312,12 @@ pub(crate) fn plan(
                     },
                     1,
                 );
-                // Re-run this plan: it restores at its earliest remapped
-                // injection, so that region needs snapshots.
-                let earliest = remapped[0].0;
-                grow(earliest..earliest + 1, &mut invalid);
                 continue;
             }
             cache.entries.insert((report.model, PlanKey::from_steps(remapped)), result.class);
         }
     }
-
-    SeedPlan { cache, snapshot_window: invalid }
+    cache
 }
 
 #[cfg(test)]
@@ -393,15 +353,14 @@ mod tests {
             .map(|(step, &pc)| FaultResult::single(skip_at(step as u64, pc), FaultClass::Benign))
             .collect();
         let seed = seed_with(trace.clone(), results);
-        let plan =
+        let cache =
             plan(&seed, &ListingDelta::identity(), &trace, Some(7), 10_000, &Telemetry::default());
-        assert_eq!(plan.cache.len(), 200);
-        assert_eq!(plan.snapshot_window, None);
+        assert_eq!(cache.len(), 200);
         assert_eq!(
-            plan.cache.lookup("instruction-skip", &skip_plan(3, trace[3])),
+            cache.lookup("instruction-skip", &skip_plan(3, trace[3])),
             Some(FaultClass::Benign)
         );
-        assert_eq!(plan.cache.lookup("single-bit-flip", &skip_plan(3, trace[3])), None);
+        assert_eq!(cache.lookup("single-bit-flip", &skip_plan(3, trace[3])), None);
     }
 
     #[test]
@@ -413,25 +372,24 @@ mod tests {
             FaultResult::single(skip_at(10, trace[10]), FaultClass::Benign),
         ];
         let seed = seed_with(trace.clone(), results);
-        let plan =
+        let cache =
             plan(&seed, &ListingDelta::identity(), &trace, Some(7), 10_000, &Telemetry::default());
-        assert_eq!(plan.cache.len(), 2);
-        assert_eq!(plan.snapshot_window, None);
+        assert_eq!(cache.len(), 2);
         // The pair answers as a pair; its singleton prefix answers as a
         // singleton; a different pairing misses.
-        assert_eq!(plan.cache.lookup("instruction-skip", &pair), Some(FaultClass::Success));
+        assert_eq!(cache.lookup("instruction-skip", &pair), Some(FaultClass::Success));
         assert_eq!(
-            plan.cache.lookup("instruction-skip", &skip_plan(10, trace[10])),
+            cache.lookup("instruction-skip", &skip_plan(10, trace[10])),
             Some(FaultClass::Benign)
         );
         assert_eq!(
-            plan.cache.lookup(
+            cache.lookup(
                 "instruction-skip",
                 &FaultPlan::new([skip_at(10, trace[10]), skip_at(21, trace[21])])
             ),
             None
         );
-        assert_eq!(plan.cache.lookup("instruction-skip", &skip_plan(20, trace[20])), None);
+        assert_eq!(cache.lookup("instruction-skip", &skip_plan(20, trace[20])), None);
     }
 
     #[test]
@@ -440,7 +398,7 @@ mod tests {
         let results = vec![FaultResult::single(skip_at(0, 0x1000), FaultClass::Success)];
         let seed = seed_with(trace.clone(), results);
         for new_print in [Some(8), None] {
-            let plan = plan(
+            let cache = plan(
                 &seed,
                 &ListingDelta::identity(),
                 &trace,
@@ -448,8 +406,7 @@ mod tests {
                 10_000,
                 &Telemetry::default(),
             );
-            assert!(plan.cache.is_empty());
-            assert_eq!(plan.snapshot_window, Some(0..50));
+            assert!(cache.is_empty());
         }
     }
 
@@ -463,17 +420,15 @@ mod tests {
         let seed = seed_with(trace.clone(), results);
         let unchanged =
             plan(&seed, &ListingDelta::identity(), &trace, Some(7), 10_000, &Telemetry::default());
-        assert_eq!(unchanged.cache.len(), 2);
-        assert_eq!(unchanged.snapshot_window, None);
+        assert_eq!(unchanged.len(), 2);
 
         let moved =
             plan(&seed, &ListingDelta::identity(), &trace, Some(7), 20_000, &Telemetry::default());
         assert_eq!(
-            moved.cache.lookup("instruction-skip", &skip_plan(10, trace[10])),
+            moved.lookup("instruction-skip", &skip_plan(10, trace[10])),
             Some(FaultClass::Benign)
         );
-        assert_eq!(moved.cache.lookup("instruction-skip", &skip_plan(200, trace[200])), None);
-        assert_eq!(moved.snapshot_window, Some(200..201));
+        assert_eq!(moved.lookup("instruction-skip", &skip_plan(200, trace[200])), None);
     }
 
     #[test]
@@ -531,21 +486,17 @@ mod tests {
             faulted_budget: 10_000,
             block_cache: None,
         };
-        let plan = plan(&seed, &delta, &new_trace, Some(7), 10_000, &Telemetry::default());
+        let cache = plan(&seed, &delta, &new_trace, Some(7), 10_000, &Telemetry::default());
 
         // Path-selection effects carry over; value-corruption effects do
         // not (they're layout-sensitive and the delta shifts addresses).
         let lookup = |effect| {
-            plan.cache
-                .lookup("mixed", &FaultPlan::single(Fault { step: 0, pc: new_trace[0], effect }))
+            cache.lookup("mixed", &FaultPlan::single(Fault { step: 0, pc: new_trace[0], effect }))
         };
         assert_eq!(lookup(FaultEffect::SkipInstruction), Some(FaultClass::Benign));
         assert_eq!(lookup(FaultEffect::FlipFlags { mask: 1 }), Some(FaultClass::Benign));
         assert_eq!(lookup(FaultEffect::FlipRegisterBit { reg: Reg::R1, bit: 6 }), None);
         assert_eq!(lookup(FaultEffect::FlipInstructionBit { byte: 0, bit: 3 }), None);
-        // …and the dropped entries force their step into the re-run
-        // window.
-        assert_eq!(plan.snapshot_window.clone().map(|w| w.start), Some(0));
 
         // A pair mixing a reusable and a layout-sensitive effect is
         // invalidated conjunctively: one bad injection poisons the plan.
@@ -567,15 +518,15 @@ mod tests {
             faulted_budget: 10_000,
             block_cache: None,
         };
-        let pair_plan =
-            super::plan(&pair_seed, &delta, &new_trace, Some(7), 10_000, &Telemetry::default());
-        assert!(pair_plan.cache.is_empty(), "a layout-sensitive leg poisons the whole pair");
+        let pair_cache =
+            plan(&pair_seed, &delta, &new_trace, Some(7), 10_000, &Telemetry::default());
+        assert!(pair_cache.is_empty(), "a layout-sensitive leg poisons the whole pair");
 
         // Under an identity delta everything is reusable.
         let identity = plan2_identity(&seed, &old_trace);
         for effect in effects {
             assert_eq!(
-                identity.cache.lookup(
+                identity.lookup(
                     "mixed",
                     &FaultPlan::single(Fault { step: 0, pc: old_trace[0], effect })
                 ),
@@ -583,10 +534,9 @@ mod tests {
                 "{effect:?}"
             );
         }
-        assert_eq!(identity.snapshot_window, None);
     }
 
-    fn plan2_identity(seed: &CampaignSeed, trace: &[u64]) -> SeedPlan {
+    fn plan2_identity(seed: &CampaignSeed, trace: &[u64]) -> ClassificationCache {
         plan(seed, &ListingDelta::identity(), trace, Some(7), 10_000, &Telemetry::default())
     }
 
@@ -636,14 +586,14 @@ mod tests {
         let t = Telemetry::counters();
         let seed = seed_with(trace.clone(), results.clone());
         let fp = plan(&seed, &ListingDelta::identity(), &trace, Some(8), 10_000, &t);
-        assert!(fp.cache.is_empty());
+        assert!(fp.is_empty());
         assert_eq!(t.metrics().unwrap().counter(Counter::InvalidatedFingerprint), 2);
 
         // A changed faulted budget drops only the TimedOut entry.
         let t = Telemetry::counters();
         let seed = seed_with(trace.clone(), results.clone());
         let budget = plan(&seed, &ListingDelta::identity(), &trace, Some(7), 20_000, &t);
-        assert_eq!(budget.cache.len(), 1);
+        assert_eq!(budget.len(), 1);
         let m = t.metrics().unwrap();
         assert_eq!(m.counter(Counter::InvalidatedBudget), 1);
         assert_eq!(m.counter(Counter::InvalidatedFingerprint), 0);
@@ -653,7 +603,7 @@ mod tests {
         let seed = seed_with(trace.clone(), results);
         let moved =
             plan(&seed, &ListingDelta::identity(), &[0x2000, 0x2004, 0x2008], Some(7), 10_000, &t);
-        assert!(moved.cache.is_empty());
+        assert!(moved.is_empty());
         assert_eq!(t.metrics().unwrap().counter(Counter::InvalidatedDirty), 2);
     }
 }

@@ -63,22 +63,25 @@ pub struct CampaignConfig {
     /// Faulted runs get `golden_bad_steps × this` extra steps…
     pub faulted_step_multiplier: u64,
     /// …but never less than this floor (faults can lengthen runs a lot).
+    /// Building a session with both this and the multiplier at `0` is
+    /// an error: a zero budget would time out every plan.
     pub faulted_min_steps: u64,
     /// Worker threads for the campaign scheduler
     /// ([`rr_engine::shard::run_bucketed`]); `0` means "all available
     /// cores".
     pub threads: usize,
-    /// Evaluate only every `site_stride`-th trace site (≥ 1). Statistical
+    /// Evaluate only every `site_stride`-th trace site. Statistical
     /// fault injection (Leveugle et al., cited by the paper) for long
-    /// traces; `1` = exhaustive.
+    /// traces; `1` = exhaustive. Building a session with `0` is an
+    /// error.
     pub site_stride: usize,
-    /// Checkpoint spacing for the checkpointed engine, in trace steps;
-    /// `0` = automatic (≈ √T, the total-work optimum).
-    pub checkpoint_interval: u64,
     /// Byte budget for the state retained by the recorded checkpoints,
     /// measured as page-granular dirtied bytes
     /// ([`rr_engine::ReplayConfig::max_retained_bytes`]); exceeding it
-    /// widens the checkpoint interval. `0` = unlimited.
+    /// widens the checkpoint interval. `0` = unlimited. The only
+    /// retention setting: checkpoints otherwise follow the adaptive
+    /// ≈ √T schedule of [`rr_engine::ReplayEngine::record`], the
+    /// total-work optimum.
     pub max_retained_bytes: u64,
     /// Which engine this session evaluates faults with. Decides at
     /// construction whether the golden pass records snapshots — see
@@ -118,7 +121,6 @@ impl Default for CampaignConfig {
             faulted_min_steps: 10_000,
             threads: 0,
             site_stride: 1,
-            checkpoint_interval: 0,
             max_retained_bytes: ReplayConfig::default().max_retained_bytes,
             engine: CampaignEngine::default(),
             plan: PlanConfig::default(),

@@ -53,9 +53,9 @@
 //! [`CampaignSessionBuilder::seed_from`]. Sites the rewrite provably
 //! left alone reuse the prior [`FaultClass`] from a
 //! [`ClassificationCache`] without executing anything (guarded by the
-//! [`Oracle::fingerprint`]), and snapshots are re-recorded only for the
-//! invalidated trace region. [`CampaignSession::reuse_stats`] reports
-//! the reused/replayed split.
+//! [`Oracle::fingerprint`]); the session still records its golden run
+//! once, exactly as an unseeded one would. [`CampaignSession::reuse_stats`]
+//! reports the reused/replayed split.
 //!
 //! Fault models provided:
 //!

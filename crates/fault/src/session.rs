@@ -34,7 +34,7 @@ use crate::oracle::{Behavior, GoldenPairOracle, Oracle};
 use crate::report::{CampaignReport, FaultResult, ModelSummary, Summary};
 use crate::site::{Fault, FaultClass, FaultEffect, FaultPlan, FaultSite};
 use rr_disasm::ListingDelta;
-use rr_emu::{execute, BlockStats, Execution, Machine, RunOutcome, RunResult};
+use rr_emu::{execute, Execution, Machine, RunOutcome};
 use rr_engine::shard::run_bucketed;
 use rr_engine::{ReplayConfig, ReplayEngine, ReplayFootprint};
 use rr_isa::{decode, Flags, MAX_INSTR_LEN};
@@ -66,6 +66,15 @@ pub enum CampaignError {
         /// The configured maximum plan order.
         order: usize,
     },
+    /// A [`CampaignConfig`] field holds a value that would silently
+    /// change results instead of failing: a zero `site_stride`, or a
+    /// zero faulted step budget, which times out every plan.
+    InvalidConfig {
+        /// The offending field, as named in [`CampaignConfig`].
+        field: &'static str,
+        /// What the field needs.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -84,6 +93,9 @@ impl fmt::Display for CampaignError {
             }
             CampaignError::PlanSpaceOverflow { order } => {
                 write!(f, "the order-{order} plan space has more plans than a 128-bit count holds")
+            }
+            CampaignError::InvalidConfig { field, reason } => {
+                write!(f, "invalid campaign config: `{field}` {reason}")
             }
         }
     }
@@ -168,14 +180,14 @@ impl CampaignSessionBuilder {
     /// At build time the new golden bad-input trace is aligned with the
     /// seed's through the delta: sites whose injection point and nearby
     /// downstream trace window the rewrite left untouched adopt the prior
-    /// [`FaultClass`] without executing anything, and (for checkpointed
-    /// sessions) snapshots are recorded only for the trace region that
-    /// actually needs re-execution
-    /// ([`rr_engine::ReplayEngine::replay_range`]). Reuse is guarded by
-    /// the oracle fingerprint: a seed whose oracle judged differently —
-    /// or one without a fingerprint — is ignored wholesale. Either way
-    /// classifications are identical to an unseeded session; only the
-    /// work changes. [`CampaignSession::reuse_stats`] reports the split.
+    /// [`FaultClass`] without executing anything. Seeding changes the
+    /// classification cache, not the recording: the golden run is
+    /// recorded once, with the same checkpoints an unseeded session
+    /// records. Reuse is guarded by the oracle fingerprint: a seed whose
+    /// oracle judged differently — or one without a fingerprint — is
+    /// ignored wholesale. Either way classifications are identical to an
+    /// unseeded session; only the work changes.
+    /// [`CampaignSession::reuse_stats`] reports the split.
     #[must_use]
     pub fn seed_from(mut self, prior: CampaignSeed, delta: &ListingDelta) -> Self {
         self.seed = Some((prior, delta.clone()));
@@ -198,24 +210,39 @@ impl CampaignSessionBuilder {
     ///
     /// One pass over the bad-input run yields the golden behaviour, the
     /// trace, *and* — for [`CampaignEngine::Checkpointed`] sessions —
-    /// the replay checkpoints (adaptive √T interval unless the config
-    /// pins one). [`CampaignEngine::Naive`] sessions skip snapshot
-    /// capture and its memory cost entirely.
+    /// the replay checkpoints, on the adaptive √T schedule thinned by
+    /// [`CampaignConfig::max_retained_bytes`]. [`CampaignEngine::Naive`]
+    /// sessions skip snapshot capture and its memory cost entirely. A
+    /// seeded session ([`CampaignSessionBuilder::seed_from`]) records the
+    /// same pass, then aligns the seed against its trace.
     ///
     /// # Errors
     ///
-    /// See [`CampaignError`]: missing inputs, failed golden runs, and —
-    /// for the default oracle — indistinguishable golden behaviours are
-    /// all reported as typed errors, as is a plan order whose space of
-    /// one fault per site ([`InstructionSkip`]'s) overflows a 128-bit
-    /// count over the full trace. Sampled sites are a subset of the
-    /// trace, so that check covers every stride
-    /// [`CampaignSession::sample_sites`] can pick; models with more
-    /// faults per site are checked by
+    /// See [`CampaignError`]: a zero `site_stride` or faulted step
+    /// budget, missing inputs, failed golden runs, and — for the default
+    /// oracle — indistinguishable golden behaviours are all reported as
+    /// typed errors, as is a plan order whose space of one fault per
+    /// site ([`InstructionSkip`]'s) overflows a 128-bit count over the
+    /// full trace. Sampled sites are a subset of the trace, so that
+    /// check covers every stride [`CampaignSession::sample_sites`] can
+    /// pick; models with more faults per site are checked by
     /// [`CampaignSession::check_plan_space`].
     pub fn build(self) -> Result<CampaignSession, CampaignError> {
-        let bad_input = self.bad_input.ok_or(CampaignError::MissingBadInput)?;
         let config = self.config;
+        if config.site_stride == 0 {
+            return Err(CampaignError::InvalidConfig {
+                field: "site_stride",
+                reason: "must be at least 1 (1 evaluates every trace site)",
+            });
+        }
+        if config.faulted_step_multiplier == 0 && config.faulted_min_steps == 0 {
+            return Err(CampaignError::InvalidConfig {
+                field: "faulted_min_steps",
+                reason: "must be nonzero when `faulted_step_multiplier` is 0: a zero faulted \
+                         step budget times out every plan",
+            });
+        }
+        let bad_input = self.bad_input.ok_or(CampaignError::MissingBadInput)?;
 
         // Resolve the golden good-input behaviour if the oracle needs it.
         let needs_golden_good = self.oracle.is_none();
@@ -256,27 +283,16 @@ impl CampaignSessionBuilder {
         } else {
             None
         };
-        let replay_config = ReplayConfig {
-            max_steps: config.golden_max_steps,
-            checkpoint_interval: config.checkpoint_interval,
-            max_retained_bytes: config.max_retained_bytes,
-            record_snapshots: config.engine == CampaignEngine::Checkpointed,
-            telemetry: self.telemetry.clone(),
-            block_cache,
-            uop: config.uop,
-            ..ReplayConfig::default()
-        };
-        // A seeded checkpointed session defers snapshot capture: the
-        // region worth checkpointing is only known once the fresh trace
-        // has been aligned with the seed's, so the first pass records the
-        // trace and behaviour alone.
-        let defer_snapshots = self.seed.is_some() && config.engine == CampaignEngine::Checkpointed;
-        let mut replay = ReplayEngine::record(
+        let replay = ReplayEngine::record(
             &self.exe,
             &bad_input,
             &ReplayConfig {
-                record_snapshots: replay_config.record_snapshots && !defer_snapshots,
-                ..replay_config.clone()
+                max_steps: config.golden_max_steps,
+                max_retained_bytes: config.max_retained_bytes,
+                record_snapshots: config.engine == CampaignEngine::Checkpointed,
+                telemetry: self.telemetry.clone(),
+                block_cache,
+                uop: config.uop,
             },
         );
         let golden_bad = replay.execution().clone();
@@ -295,43 +311,26 @@ impl CampaignSessionBuilder {
             }
         };
 
-        // Align the seed (if any) against the fresh trace: carried-over
-        // classifications go to the cache; the invalidated region — if
-        // anything needs re-execution at all — is re-recorded with
-        // region-scoped snapshots.
-        let faulted_budget =
-            (golden_bad.steps * config.faulted_step_multiplier).max(config.faulted_min_steps);
-        let mut cache = ClassificationCache::default();
-        if let Some((seed, delta)) = &self.seed {
-            let plan = cache::plan(
+        // An exit takes at least one step, and the checks above leave a
+        // nonzero multiplier or floor, so the budget is at least 1.
+        let faulted_budget = golden_bad
+            .steps
+            .saturating_mul(config.faulted_step_multiplier)
+            .max(config.faulted_min_steps);
+        // Align the seed (if any) against the recorded trace: the
+        // classifications the rewrite provably left valid go to the
+        // cache.
+        let cache = match &self.seed {
+            Some((seed, delta)) => cache::plan(
                 seed,
                 delta,
                 replay.trace(),
                 oracle.fingerprint(),
                 faulted_budget,
                 &self.telemetry,
-            );
-            cache = plan.cache;
-            if config.engine == CampaignEngine::Checkpointed {
-                // Re-record with snapshots: scoped to the invalidated
-                // window when one exists, full-trace otherwise. The
-                // no-window case could skip snapshots entirely for the
-                // *seeded* models (everything answers from the cache),
-                // but a model absent from the seed would then silently
-                // replay every fault from step 0 — the exact
-                // checkpointed-in-name-only degradation the session API
-                // exists to make unrepresentable. One golden-pass of
-                // recording buys that guarantee back.
-                let scoped = match plan.snapshot_window {
-                    Some(window) => {
-                        ReplayEngine::replay_range(&self.exe, &bad_input, &replay_config, window)
-                    }
-                    None => ReplayEngine::record(&self.exe, &bad_input, &replay_config),
-                };
-                debug_assert_eq!(scoped.trace(), replay.trace(), "deterministic re-recording");
-                replay = scoped;
-            }
-        }
+            ),
+            None => ClassificationCache::default(),
+        };
 
         let sites: Vec<FaultSite> = replay
             .trace()
@@ -366,6 +365,7 @@ impl CampaignSessionBuilder {
             bad_input,
             golden_good,
             golden_bad,
+            faulted_budget,
             sites,
             config,
             oracle,
@@ -393,6 +393,10 @@ pub struct CampaignSession {
     bad_input: Arc<[u8]>,
     golden_good: Option<Execution>,
     golden_bad: Execution,
+    /// The step budget faulted continuations run under: the golden bad
+    /// run's steps × [`CampaignConfig::faulted_step_multiplier`], at
+    /// least [`CampaignConfig::faulted_min_steps`].
+    faulted_budget: u64,
     sites: Vec<FaultSite>,
     config: CampaignConfig,
     oracle: Arc<dyn Oracle>,
@@ -507,8 +511,7 @@ impl CampaignSession {
             trace: self.replay.trace().to_vec(),
             reports: reports.to_vec(),
             oracle_fingerprint: self.oracle.fingerprint(),
-            faulted_budget: (self.golden_bad.steps * self.config.faulted_step_multiplier)
-                .max(self.config.faulted_min_steps),
+            faulted_budget: self.faulted_budget,
             block_cache: self.replay.block_cache().cloned(),
         }
     }
@@ -626,13 +629,7 @@ impl CampaignSession {
 
     /// The sites `run` evaluates: every `site_stride`-th trace site.
     fn sampled_sites(&self) -> Vec<&FaultSite> {
-        self.sites.iter().step_by(self.config.site_stride.max(1)).collect()
-    }
-
-    /// The step budget faulted continuations run under.
-    fn faulted_budget(&self) -> u64 {
-        (self.golden_bad.steps * self.config.faulted_step_multiplier)
-            .max(self.config.faulted_min_steps)
+        self.sites.iter().step_by(self.config.site_stride).collect()
     }
 
     /// Classifies one plan of `model`: served from the carried-over
@@ -708,7 +705,7 @@ impl CampaignSession {
         if let Err(class) = apply_effect(&mut machine, first) {
             return class;
         }
-        let budget = self.faulted_budget();
+        let budget = self.faulted_budget;
         let mut used = 0u64;
         let mut prev_step = first.step;
         for fault in plan.iter().skip(1) {
@@ -716,7 +713,7 @@ impl CampaignSession {
             prev_step = fault.step;
             if gap > 0 {
                 let allowed = gap.min(budget - used);
-                let result = self.faulted_run(&mut machine, allowed);
+                let result = self.replay.run(&mut machine, allowed);
                 used += result.steps;
                 if result.outcome != RunOutcome::TimedOut || allowed < gap {
                     // The run ended before this injection's time arrived
@@ -783,7 +780,7 @@ impl CampaignSession {
                 if gap > budget - used {
                     break;
                 }
-                let result = self.faulted_run(machine, gap);
+                let result = self.replay.run(machine, gap);
                 used += result.steps;
                 if result.outcome != RunOutcome::TimedOut {
                     // Stopped before reaching the checkpoint.
@@ -810,38 +807,12 @@ impl CampaignSession {
                 nth *= 2;
             }
         }
-        let result = self.faulted_run(machine, budget - used);
+        let result = self.replay.run(machine, budget - used);
         Behavior {
             outcome: result.outcome,
             output: machine.take_output(),
             steps: used + result.steps,
         }
-    }
-
-    /// Runs a faulted continuation for up to `max_steps`, block-cached
-    /// when the session has a cache. Injections that rewrote code bytes
-    /// ([`FaultEffect::FlipInstructionBit`]) marked those ranges
-    /// exec-dirty, so the block executor runs exactly the corrupted code
-    /// from blocks it decodes out of the faulted machine's own bytes.
-    fn faulted_run(&self, machine: &mut Machine, max_steps: u64) -> RunResult {
-        match self.replay.block_cache() {
-            Some(cache) => self.run_accelerated(machine, cache, max_steps),
-            None => machine.run(max_steps),
-        }
-    }
-
-    /// Runs `max_steps` through the uop tier, flushing per-run execution
-    /// stats to telemetry.
-    fn run_accelerated(
-        &self,
-        machine: &mut Machine,
-        cache: &rr_emu::BlockCache,
-        max_steps: u64,
-    ) -> RunResult {
-        let mut stats = BlockStats::default();
-        let result = machine.run_uops(cache, self.replay.uop_config(), max_steps, &mut stats);
-        rr_engine::flush_block_stats(&self.telemetry, stats);
-        result
     }
 
     /// Consults the oracle under a [`SpanKind::Classify`] span.
@@ -938,33 +909,14 @@ impl CampaignSession {
             let position_span = self.telemetry.span(SpanKind::Restore);
             if let Some((machine, at)) = cursor.as_mut() {
                 let target = plan.earliest_step();
-                match self.replay.block_cache() {
-                    Some(cache) if !diverged && *at < target => {
-                        let result = self.run_accelerated(machine, cache, target - *at);
-                        match result.outcome {
-                            RunOutcome::Crashed { .. } => {
-                                // The crashing step counts, mirroring the
-                                // interpreter loop below (its `step()`
-                                // error still advances `*at`).
-                                *at += result.steps.max(1);
-                                diverged = true;
-                            }
-                            // Exited before the target: the interpreter
-                            // loop would no-op the remaining stopped
-                            // steps to the target, so fast-forward.
-                            // TimedOut is the budget fence — the walk
-                            // arrived exactly at the target.
-                            _ => *at = target,
-                        }
-                    }
-                    _ => {
-                        while !diverged && *at < target {
-                            if machine.step().is_err() {
-                                diverged = true;
-                            }
-                            *at += 1;
-                        }
-                    }
+                if !diverged && *at < target {
+                    // A crash leaves the golden trace. Any other outcome
+                    // is at the target: TimedOut is the budget fence, and
+                    // a run that exited before it stays stopped there, as
+                    // further steps would leave it.
+                    let result = self.replay.run(machine, target - *at);
+                    diverged = matches!(result.outcome, RunOutcome::Crashed { .. });
+                    *at = target;
                 }
             }
             if diverged {
@@ -1245,13 +1197,16 @@ mod tests {
     }
 
     fn pincheck_session_with(config: CampaignConfig) -> CampaignSession {
+        pincheck_build(config).unwrap()
+    }
+
+    fn pincheck_build(config: CampaignConfig) -> Result<CampaignSession, CampaignError> {
         let w = pincheck();
         CampaignSession::builder(w.build().unwrap())
             .good_input(&w.good_input[..])
             .bad_input(&w.bad_input[..])
             .config(config)
             .build()
-            .unwrap()
     }
 
     fn run_one(session: &CampaignSession, model: &dyn FaultModel) -> CampaignReport {
@@ -1293,6 +1248,46 @@ mod tests {
         // Every variant renders.
         for err in [CampaignError::MissingBadInput, CampaignError::MissingGoodInput] {
             assert!(!err.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn zero_site_stride_is_rejected() {
+        // Stride 0 names no sampling; running it as stride 1 would hide
+        // the mistake.
+        let err = pincheck_build(CampaignConfig { site_stride: 0, ..CampaignConfig::default() })
+            .unwrap_err();
+        assert!(
+            matches!(err, CampaignError::InvalidConfig { field: "site_stride", .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("`site_stride`"), "{err}");
+    }
+
+    #[test]
+    fn zero_faulted_budget_is_rejected() {
+        // A zero budget would time out every plan: all 147 of pincheck's
+        // skip plans would read TimedOut, hiding its successes.
+        let zero = CampaignConfig {
+            faulted_step_multiplier: 0,
+            faulted_min_steps: 0,
+            ..CampaignConfig::default()
+        };
+        let err = pincheck_build(zero).unwrap_err();
+        assert!(
+            matches!(err, CampaignError::InvalidConfig { field: "faulted_min_steps", .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("faulted_step_multiplier"), "{err}");
+        // Either half alone still budgets the faulted runs.
+        let reference = run_one(&pincheck_session(), &InstructionSkip);
+        assert!(reference.summary().success > 0);
+        for config in [
+            CampaignConfig { faulted_step_multiplier: 0, ..CampaignConfig::default() },
+            CampaignConfig { faulted_min_steps: 0, ..CampaignConfig::default() },
+        ] {
+            let report = run_one(&pincheck_session_with(config), &InstructionSkip);
+            assert_eq!(report.results, reference.results);
         }
     }
 
@@ -1669,6 +1664,10 @@ mod tests {
         let stats = seeded.reuse_stats();
         assert!(stats.sites_reused > 0, "{stats}");
         assert!(stats.sites_replayed > 0, "the nop executes, its region must replay: {stats}");
+        // Seeding changes the cache, not the recording: the same
+        // checkpoints, interval and retained footprint.
+        assert_eq!(seeded.replay_footprint(), scratch.replay_footprint());
+        assert!(seeded.replay_footprint().checkpoints > 1);
     }
 
     #[test]

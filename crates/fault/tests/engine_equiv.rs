@@ -185,17 +185,6 @@ fn byte_budgets_and_engine_choice_do_not_change_results() {
 }
 
 #[test]
-fn explicit_checkpoint_intervals_do_not_change_results() {
-    let w = rr_workloads::otp_check();
-    let baseline = run_one(&session(&w, CampaignConfig::default()), &InstructionSkip);
-    for interval in [1, 2, 16, 1024, u64::MAX / 2] {
-        let config = CampaignConfig { checkpoint_interval: interval, ..CampaignConfig::default() };
-        let report = run_one(&session(&w, config), &InstructionSkip);
-        assert_eq!(report.results, baseline.results, "interval={interval}");
-    }
-}
-
-#[test]
 fn one_pass_multi_model_runs_match_independent_runs() {
     // All models handed to one `run` call share a single scheduling pass;
     // the reports must still equal independently evaluated ones, engine

@@ -33,8 +33,8 @@ pub struct HardenConfig {
     /// next campaign session with the prior classifications
     /// ([`rr_fault::CampaignSessionBuilder::seed_from`]). Sites the patch
     /// provably left alone reuse their prior [`rr_fault::FaultClass`]
-    /// without executing anything; only the touched trace region is
-    /// re-run (and re-snapshotted). Classifications are bit-identical to
+    /// without executing anything; only plans near the touched code are
+    /// re-run. Classifications are bit-identical to
     /// full re-campaigning — the invariance test suite pins it across
     /// every workload × fault model — and [`LoopOutcome::sites_reused`]
     /// reports the work saved. Disable (`rr harden --no-incremental`)

@@ -222,3 +222,28 @@ fn incremental_reuse_saves_most_of_the_final_verification() {
     // The loop still found and fixed everything the full loop does.
     assert_eq!(outcome.residual_vulnerabilities, 0);
 }
+
+#[test]
+fn seeding_changes_the_cache_not_the_recording() {
+    // Every session of an incremental loop, seeded or not, records its
+    // golden bad-input run exactly once.
+    use rr_telemetry::{SpanKind, Telemetry};
+    let w = rr_workloads::pincheck();
+    let exe = w.build().unwrap();
+    for (fault_order, pair_window) in [(1, None), (2, Some(10))] {
+        let telemetry = Telemetry::timed();
+        let config = HardenConfig {
+            fault_order,
+            pair_window,
+            telemetry: telemetry.clone(),
+            ..HardenConfig::default()
+        };
+        let outcome = FaulterPatcher::new(config)
+            .harden(&exe, &w.good_input, &w.bad_input, &InstructionSkip)
+            .unwrap();
+        assert!(outcome.campaigns >= 2, "order {fault_order}: seeded sessions must run");
+        assert!(outcome.sites_reused > 0, "order {fault_order}");
+        let records = telemetry.metrics().unwrap().span(SpanKind::Record).count;
+        assert_eq!(records, outcome.campaigns as u64, "order {fault_order}");
+    }
+}
