@@ -3,21 +3,19 @@
 //!
 //! Both sessions share everything except how they execute: the same
 //! long-trace workload, the same checkpointed replay engine, the same
-//! uniform skip campaign. The block-cached session runs the uop tier at
-//! a hot threshold no block reaches, so it pre-decodes the text into
-//! superblocks once at construction and fast-forwards every
-//! un-instrumented stretch — golden recording between fences, replay
-//! positioning after a restore, and post-injection continuations —
-//! through pre-decoded bodies instead of per-step fetch/decode. The
-//! interpreter session is the reference. Reports are asserted
+//! uniform skip campaign. The block-cached session runs the default uop
+//! tier, so it decodes the text into micro-op superblocks once at
+//! construction and fast-forwards every un-instrumented stretch — golden
+//! recording between fences, replay positioning after a restore, and
+//! post-injection continuations — through those bodies instead of
+//! per-step fetch/decode. The interpreter session is the reference. Reports are asserted
 //! bit-identical before any timing is trusted, the wall-clock ratio is
 //! gated at ≥2×, and a `BENCH_blockexec.json` record lands in the bench
 //! results directory with the campaign's plans/sec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rr_fault::{
-    CampaignConfig, CampaignReport, CampaignSession, Collect, ExecMode, FaultModel,
-    InstructionSkip, UopConfig,
+    CampaignConfig, CampaignReport, CampaignSession, Collect, ExecMode, FaultModel, InstructionSkip,
 };
 use rr_obj::Executable;
 use rr_telemetry::{Counter, Telemetry};
@@ -57,10 +55,6 @@ fn long_trace_workload() -> (Executable, Vec<u8>, Vec<u8>) {
     (exe, b"G".to_vec(), b"B".to_vec())
 }
 
-/// The uop tier held on its pre-decoded bodies: no block is ever hot
-/// enough to compile.
-const DECODED: UopConfig = UopConfig { hot_threshold: u32::MAX };
-
 fn session(
     exe: &Executable,
     good: &[u8],
@@ -72,7 +66,6 @@ fn session(
         golden_max_steps: 10_000_000,
         site_stride: 59,
         exec,
-        uop: DECODED,
         ..CampaignConfig::default()
     };
     CampaignSession::builder(exe.clone())
@@ -106,14 +99,14 @@ fn bench_blockexec(c: &mut Criterion) {
     let faults = interp_report.results.len() as u64;
 
     // The cache actually carried the campaign: decoded blocks exist and
-    // block-executed steps dominate interpreted ones.
+    // uop steps dominate interpreted ones.
     let metrics = telemetry.metrics().expect("counters telemetry is enabled");
     assert!(metrics.counter(Counter::BlocksDecoded) > 0, "no blocks decoded");
-    let block_steps = metrics.counter(Counter::BlockSteps);
+    let uop_steps = metrics.counter(Counter::UopSteps);
     let interp_steps = metrics.counter(Counter::InterpSteps);
     assert!(
-        block_steps > 9 * interp_steps,
-        "block execution must dominate: {block_steps} block vs {interp_steps} interpreted steps"
+        uop_steps > 9 * interp_steps,
+        "block execution must dominate: {uop_steps} uop vs {interp_steps} interpreted steps"
     );
 
     let mut group = c.benchmark_group("blockexec");
@@ -162,7 +155,7 @@ fn bench_blockexec(c: &mut Criterion) {
             ("passed", (speedup >= GATE).into()),
             ("trace_steps", (trace_len as f64).into()),
             ("faults", (faults as f64).into()),
-            ("block_steps", (block_steps as f64).into()),
+            ("uop_steps", (uop_steps as f64).into()),
             ("interp_steps", (interp_steps as f64).into()),
             ("plans_per_sec", plans_per_sec.round().into()),
         ],

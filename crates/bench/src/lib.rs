@@ -17,7 +17,7 @@
 //!
 //! Criterion benches (`cargo bench -p rr-bench`): `emulator`, `campaign`,
 //! `rewriting`, `pipelines`, plus the CI-gated `engine`, `memory`,
-//! `incremental`, `blockexec`, `uop`, and `analysis` benches — each of
+//! `incremental`, `blockexec`, and `analysis` benches — each of
 //! which also emits a machine-readable `BENCH_<name>.json` record
 //! ([`write_bench_json`]) into `target/bench-results/` so the perf
 //! trajectory is tracked across commits.

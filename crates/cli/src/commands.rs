@@ -577,6 +577,29 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// Pincheck with segment 0's `mem_size` (file bytes 24..32) set to
+    /// 2^46, and with the segment count (bytes 12..16) set to
+    /// `0x8000_0003`: `rr run` reports a typed error naming the problem
+    /// instead of aborting on the allocation either would size.
+    #[test]
+    fn crafted_executables_fail_with_a_typed_error() {
+        let path = tmp("crafted-pincheck.rfx");
+        workload(&sv(&["pincheck", "-o", &path])).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let cases: [(&str, usize, &[u8], &str); 2] = [
+            ("crafted-mem-size.rfx", 24, &(1u64 << 46).to_le_bytes(), "segment 0 at 0x1000"),
+            ("crafted-nsegs.rfx", 12, &0x8000_0003u32.to_le_bytes(), "2147483651 segment entries"),
+        ];
+        for (name, offset, patch, problem) in cases {
+            let mut crafted = bytes.clone();
+            crafted[offset..offset + patch.len()].copy_from_slice(patch);
+            let path = tmp(name);
+            fs::write(&path, &crafted).unwrap();
+            let err = run(&sv(&[&path])).unwrap_err();
+            assert!(err.contains("is not a valid executable") && err.contains(problem), "{err}");
+        }
+    }
+
     #[test]
     fn full_cli_workflow() {
         // workload → run → fault → harden → fault (clean) → disasm.

@@ -91,8 +91,8 @@ pub fn usage() -> &'static str {
      \n\
      BYTES arguments are literal ASCII (e.g. --good 7391). Campaign\n\
      sessions use the checkpointed replay engine unless --engine naive is\n\
-     given, and the uop tier (pre-decoded blocks, hot blocks compiled to\n\
-     micro-ops) unless --exec interp is given (bit-identical results\n\
+     given, and the uop tier (blocks decoded once into micro-ops)\n\
+     unless --exec interp is given (bit-identical results\n\
      either way). Every command rejects an option it does not declare.\n\
      All --model entries share one scheduling pass; --streaming\n\
      folds results into per-model summaries, holding only the sampled\n\

@@ -1,20 +1,20 @@
-//! Block-cached execution: basic blocks pre-decoded once, executed
-//! without per-step fetch/decode.
+//! Block-cached execution: superblocks decoded once into micro-op
+//! bodies, executed without per-step fetch/decode.
 //!
 //! [`Machine::step`] pays a code fetch against the COW page tables and a
 //! decode on every instruction, even though replay campaigns execute the
 //! same (unchanging) text millions of times. A [`BlockCache`] decodes
-//! the executable's text into straight-line superblocks *once*; the uop
-//! tier ([`Machine::run_uops`]) then executes whole cached block bodies
-//! via the pre-decoded instructions, touching memory only for data,
-//! until a block turns hot enough to compile to micro-ops.
+//! the executable's text into straight-line superblocks *once*, lowering
+//! each instruction to its micro-op as it decodes it; the uop tier
+//! ([`Machine::run_uops`]) then executes whole cached block bodies,
+//! touching memory only for data.
 //!
 //! Soundness is by construction, not by trust:
 //!
-//! * cached instructions come from the **same bytes and the same
-//!   decoder** ([`rr_isa::decode`] over the executable's text) the
-//!   interpreter would use, through the one decode loop
-//!   (`DecodedBlock::decode`) every block is built by;
+//! * cached micro-ops come from the **same bytes and the same decoder**
+//!   ([`rr_isa::decode`] over the executable's text) the interpreter
+//!   would use, through the one decode loop (`DecodedBlock::decode`)
+//!   every block is built by;
 //! * after every cached instruction the machine's PC is compared against
 //!   the block's recorded next address — *any* control transfer (taken
 //!   branch, call, fault, mid-block `svc` exit) leaves the block body
@@ -39,38 +39,27 @@
 
 use crate::machine::Machine;
 use crate::memory::PAGE_SIZE;
-use crate::uop::CompiledBlock;
-use rr_isa::{decode, Instr};
+use crate::uop::{push_lowered, UopEntry};
+use rr_isa::decode;
 use rr_obj::Executable;
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
 
-/// How a [`Machine::run_uops`] call split its work between the
-/// interpreter, pre-decoded block bodies, and compiled micro-op bodies,
-/// and what it decoded and compiled on the way.
+/// How a [`Machine::run_uops`] call split its work between micro-op
+/// bodies and the interpreter, and what it decoded on the way.
 /// Accumulate across calls and feed the totals to telemetry in one
 /// batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
-    /// Instructions executed from pre-decoded block bodies (blocks not
-    /// yet past [`UopConfig::hot_threshold`](crate::UopConfig::hot_threshold)).
-    pub block_steps: u64,
     /// Instructions executed by the plain interpreter: only pcs whose
     /// bytes do not fetch or decode, so each one is a crashing step.
     pub interp_steps: u64,
-    /// Instructions executed from compiled micro-op bodies.
+    /// Instructions executed from micro-op block bodies.
     pub uop_steps: u64,
-    /// Superblocks lowered to micro-op bodies by this call.
-    pub blocks_compiled: u64,
     /// Blocks decoded out of the machine's own memory for pcs the shared
     /// [`BlockCache`] could not serve: rewritten code (a bit flip or a
     /// store into executable memory) and code no leader covers.
     pub blocks_redecoded: u64,
-    /// Blocks whose execution count crossed the hot threshold here,
-    /// promoting them to the uop tier.
-    pub tier_promotions: u64,
     /// Times the uop tier materialized the NZCV flags from a deferred
     /// flag-setting operation (consumer reads and block exits).
     pub flag_materializations: u64,
@@ -79,92 +68,62 @@ pub struct BlockStats {
 impl BlockStats {
     /// Total instructions executed under this accounting.
     pub fn total(&self) -> u64 {
-        self.block_steps + self.interp_steps + self.uop_steps
+        self.interp_steps + self.uop_steps
     }
 }
 
-/// One pre-decoded straight-line run of instructions.
-#[derive(Debug)]
+/// One straight-line run of instructions, decoded into its micro-op
+/// body: one slot per instruction, in address order.
+#[derive(Debug, Clone)]
 pub(crate) struct DecodedBlock {
     /// Address of the first instruction.
     pub(crate) start: u64,
     /// One past the last encoded byte (the exec-dirty probe range).
     pub(crate) end: u64,
-    /// Instruction addresses, parallel to `body`.
-    pub(crate) pcs: Vec<u64>,
-    /// Pre-decoded instructions with their encoded lengths.
-    pub(crate) body: Vec<(Instr, u8)>,
-    /// Executions of this block observed by the uop tier, driving hot
-    /// promotion (`UopConfig::hot_threshold`; a `u32::MAX` threshold
-    /// never promotes and counts nothing). Atomic so worker threads
-    /// sharing the cache behind an `Arc` can tier concurrently.
-    pub(crate) heat: AtomicU32,
-    /// The compiled micro-op body, produced once on crossing the hot
-    /// threshold and shared by every subsequent execution.
-    pub(crate) compiled: OnceLock<CompiledBlock>,
-}
-
-impl Clone for DecodedBlock {
-    fn clone(&self) -> DecodedBlock {
-        DecodedBlock {
-            start: self.start,
-            end: self.end,
-            pcs: self.pcs.clone(),
-            body: self.body.clone(),
-            heat: AtomicU32::new(self.heat.load(Ordering::Relaxed)),
-            compiled: self.compiled.clone(),
-        }
-    }
+    /// The micro-op body.
+    pub(crate) uops: Vec<UopEntry>,
 }
 
 impl DecodedBlock {
-    /// Decodes the straight-line run starting at `leader`: it ends after
-    /// the first block terminator, at `limit`, or before the first pc
-    /// whose bytes (`bytes_at(pc)`, `None` when nothing can be fetched
-    /// there) do not decode. Returns `None` when not even the leader
-    /// decodes. The one decode loop behind both [`BlockCache::build`]
-    /// (over the executable's text) and [`LocalBlocks`] (over the
-    /// machine's own memory).
+    /// Decodes the straight-line run starting at `leader`, lowering each
+    /// instruction to its micro-op as it goes: it ends after the first
+    /// block terminator, at `limit`, or before the first pc whose bytes
+    /// (`bytes_at(pc)`, `None` when nothing can be fetched there) do not
+    /// decode. Returns `None` when not even the leader decodes. The one
+    /// decode loop behind both [`BlockCache::build`] (over the
+    /// executable's text) and [`LocalBlocks`] (over the machine's own
+    /// memory).
     pub(crate) fn decode<'a>(
         leader: u64,
         limit: u64,
         mut bytes_at: impl FnMut(u64) -> Option<&'a [u8]>,
     ) -> Option<DecodedBlock> {
         let mut pc = leader;
-        let mut pcs = Vec::new();
-        let mut body = Vec::new();
+        let mut uops = Vec::new();
         while pc < limit {
             let Some(Ok((insn, len))) = bytes_at(pc).map(decode) else { break };
-            pcs.push(pc);
-            body.push((insn, len as u8));
+            push_lowered(&mut uops, pc, insn, len);
             pc += len as u64;
             if insn.is_block_terminator() {
                 break;
             }
         }
-        if body.is_empty() {
+        if uops.is_empty() {
             return None;
         }
-        Some(DecodedBlock {
-            start: leader,
-            end: pc,
-            pcs,
-            body,
-            heat: AtomicU32::new(0),
-            compiled: OnceLock::new(),
-        })
+        Some(DecodedBlock { start: leader, end: pc, uops })
     }
 }
 
-/// Pre-decoded superblocks over an executable's text, built once per
-/// session and shared (behind an `Arc`) by every replay that executes
-/// the same binary.
+/// Superblocks decoded into micro-op bodies over an executable's text,
+/// built once per session and shared (behind an `Arc`) by every replay
+/// that executes the same binary.
 ///
 /// # Example
 ///
 /// ```
 /// use rr_asm::assemble_and_link;
-/// use rr_emu::{BlockCache, BlockStats, Machine, RunOutcome, UopConfig};
+/// use rr_emu::{BlockCache, BlockStats, Machine, RunOutcome};
 ///
 /// let exe = assemble_and_link(
 ///     "    .global _start\n_start:\n    mov r1, 41\n    add r1, 1\n    svc 0\n",
@@ -172,11 +131,9 @@ impl DecodedBlock {
 /// let cache = BlockCache::build(&exe, [exe.entry]).expect("text decodes");
 /// let mut m = Machine::new(&exe, &[]);
 /// let mut stats = BlockStats::default();
-/// // A threshold no block reaches keeps every block on its decoded body.
-/// let decoded = UopConfig { hot_threshold: u32::MAX };
-/// let result = m.run_uops(&cache, decoded, 1_000, &mut stats);
+/// let result = m.run_uops(&cache, 1_000, &mut stats);
 /// assert_eq!(result.outcome, RunOutcome::Exited { code: 42 });
-/// assert_eq!(stats.block_steps, 3);
+/// assert_eq!(stats.uop_steps, 3);
 /// assert_eq!(stats.interp_steps, 0);
 /// # Ok::<(), rr_asm::BuildError>(())
 /// ```
@@ -223,9 +180,9 @@ impl BlockCache {
             let limit = iter.peek().map_or(text_end, |&&next| next);
             let Some(block) = DecodedBlock::decode(leader, limit, text_at) else { continue };
             let index = u32::try_from(blocks.len()).ok()?;
-            for (i, &ipc) in block.pcs.iter().enumerate() {
-                block_of[(ipc - text_start) as usize] = index;
-                instr_of[(ipc - text_start) as usize] = i as u32;
+            for (i, uop) in block.uops.iter().enumerate() {
+                block_of[(uop.pc - text_start) as usize] = index;
+                instr_of[(uop.pc - text_start) as usize] = i as u32;
             }
             blocks.push(block);
         }
@@ -240,9 +197,9 @@ impl BlockCache {
         self.blocks.len()
     }
 
-    /// Total pre-decoded instructions across all blocks.
+    /// Total decoded instructions across all blocks.
     pub fn decoded_instrs(&self) -> u64 {
-        self.blocks.iter().map(|b| b.body.len() as u64).sum()
+        self.blocks.iter().map(|b| b.uops.len() as u64).sum()
     }
 
     /// Start address of the decoded text.
@@ -276,8 +233,8 @@ impl BlockCache {
 /// The blocks one [`Machine::run_uops`] call decodes out of the
 /// machine's own memory, for pcs the shared [`BlockCache`] cannot serve:
 /// code a fault injection or a store rewrote (its shared block overlaps
-/// an exec-dirty range), and code no leader covers. They tier and run
-/// exactly like shared blocks. Every one of them is dropped when the
+/// an exec-dirty range), and code no leader covers. They run exactly
+/// like shared blocks. Every one of them is dropped when the
 /// exec-dirty epoch moves, since a new write may have made any of them
 /// stale.
 #[derive(Debug, Default)]
@@ -308,7 +265,7 @@ impl LocalBlocks {
             if pc < block.start || pc >= block.end {
                 return None;
             }
-            Some((i, block.pcs.binary_search(&pc).ok()?))
+            Some((i, block.uops.binary_search_by_key(&pc, |uop| uop.pc).ok()?))
         });
         let (index, entry) = match held {
             Some(found) => found,
@@ -328,66 +285,14 @@ impl LocalBlocks {
     }
 }
 
-impl Machine {
-    /// Executes one pre-decoded block body precisely, starting at
-    /// instruction `entry`, until a fault, stop, fence, exec-dirty write
-    /// into the block, or control transfer out of it — the uop tier's
-    /// path for blocks that have not yet crossed the hot threshold.
-    pub(crate) fn run_decoded_body(
-        &mut self,
-        block: &DecodedBlock,
-        entry: usize,
-        max_steps: u64,
-        steps: &mut u64,
-        stats: &mut BlockStats,
-        trace: &mut Option<&mut Vec<u64>>,
-    ) {
-        let mut index = entry;
-        let mut epoch = self.memory().exec_dirty_epoch();
-        loop {
-            let (insn, len) = block.body[index];
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.push(self.pc());
-            }
-            let result = self.step_decoded(insn, len as usize);
-            *steps += 1;
-            stats.block_steps += 1;
-            if result.is_err() || self.stopped().is_some() || *steps >= max_steps {
-                break;
-            }
-            let now = self.memory().exec_dirty_epoch();
-            if now != epoch {
-                // A store landed in executable memory: the cached
-                // decodes may be stale; if the write hit elsewhere,
-                // re-entry through the outer lookup resumes block
-                // execution.
-                epoch = now;
-                if self.memory().exec_dirty_intersects(block.start, block.end) {
-                    break;
-                }
-            }
-            index += 1;
-            if index >= block.body.len() || self.pc() != block.pcs[index] {
-                // Fell off the block or control transferred (branch,
-                // call, ret, corrupted pc) — resume through the cache
-                // lookup.
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::machine::RunResult;
-    use crate::{RunOutcome, UopConfig};
+    use crate::RunOutcome;
     use rr_asm::assemble_and_link;
+    use rr_isa::Instr;
     use rr_obj::SectionKind;
-
-    /// A threshold no block reaches: every cached block runs its
-    /// pre-decoded body.
-    const DECODED: UopConfig = UopConfig { hot_threshold: u32::MAX };
 
     /// A small program with a loop, a call, branches, and output.
     const LOOPY: &str = "    .global _start\n\
@@ -442,48 +347,14 @@ pub(crate) mod tests {
         let cache = cache_for(&exe);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        let result = m.run_uops(&cache, DECODED, 10_000, &mut stats);
+        let result = m.run_uops(&cache, 10_000, &mut stats);
 
         assert_eq!(result, reference);
         assert_eq!(m.pc(), ref_machine.pc());
         assert_eq!(m.flags(), ref_machine.flags());
         assert_eq!(m.take_output(), ref_machine.take_output());
         assert_eq!(m.memory_stats(), ref_machine.memory_stats());
-        assert_eq!(stats.total(), result.steps);
-        assert!(stats.block_steps > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn fences_landing_mid_block_are_precise() {
-        let exe = assemble_and_link(LOOPY).unwrap();
-        let total = interp_reference(&exe, &[], 10_000).0.steps;
-        let cache = cache_for(&exe);
-        for fence in 0..=total + 2 {
-            let (reference, ref_machine) = interp_reference(&exe, &[], fence);
-            let mut m = Machine::new(&exe, &[]);
-            let mut stats = BlockStats::default();
-            let result = m.run_uops(&cache, DECODED, fence, &mut stats);
-            assert_eq!(result, reference, "fence={fence}");
-            assert_eq!(m.pc(), ref_machine.pc(), "fence={fence}");
-            assert_eq!(m.output(), ref_machine.output(), "fence={fence}");
-            assert_eq!(stats.total(), result.steps, "fence={fence}");
-        }
-    }
-
-    #[test]
-    fn traced_block_run_matches_interpreter_trace() {
-        let exe = assemble_and_link(LOOPY).unwrap();
-        let mut ref_trace = Vec::new();
-        let mut ref_machine = Machine::new(&exe, &[]);
-        let reference = ref_machine.run_with(10_000, |m| ref_trace.push(m.pc()));
-
-        let cache = cache_for(&exe);
-        let mut m = Machine::new(&exe, &[]);
-        let mut stats = BlockStats::default();
-        let mut trace = Vec::new();
-        let result = m.run_uops_traced(&cache, DECODED, 10_000, &mut stats, &mut trace);
-        assert_eq!(result, reference);
-        assert_eq!(trace, ref_trace);
+        assert_eq!(stats.uop_steps, result.steps, "every step runs as a uop: {stats:?}");
     }
 
     #[test]
@@ -508,7 +379,7 @@ pub(crate) mod tests {
         }
         let want = reference.run(10_000);
         let mut stats = BlockStats::default();
-        let got = blocked.run_uops(&cache, DECODED, 10_000, &mut stats);
+        let got = blocked.run_uops(&cache, 10_000, &mut stats);
         assert_eq!(got, want);
         assert_eq!(blocked.pc(), reference.pc());
         assert_eq!(blocked.flags(), reference.flags());
@@ -537,7 +408,7 @@ pub(crate) mod tests {
         let (reference, _) = interp_reference(&exe, &[], 100);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        let result = m.run_uops(&cache, DECODED, 100, &mut stats);
+        let result = m.run_uops(&cache, 100, &mut stats);
         assert_eq!(result, reference);
         assert_eq!(stats.interp_steps, 1, "only the crashing fetch: {stats:?}");
     }
@@ -555,8 +426,8 @@ pub(crate) mod tests {
         assert_eq!(reference.outcome, RunOutcome::TimedOut);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        assert_eq!(m.run_uops(&cache, DECODED, 10_000, &mut stats), reference);
-        assert_eq!(stats.block_steps, 10_000, "{stats:?}");
+        assert_eq!(m.run_uops(&cache, 10_000, &mut stats), reference);
+        assert_eq!(stats.uop_steps, 10_000, "{stats:?}");
         assert!(stats.blocks_redecoded >= 10_000 / PAGE_SIZE as u64, "{stats:?}");
     }
 
@@ -571,7 +442,7 @@ pub(crate) mod tests {
         let (reference, _) = interp_reference(&exe, &[], 10_000);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        assert_eq!(m.run_uops(&cache, DECODED, 10_000, &mut stats), reference);
+        assert_eq!(m.run_uops(&cache, 10_000, &mut stats), reference);
         // Leaders entirely outside the text build nothing.
         assert!(BlockCache::build(&exe, [range.end + 0x1000]).is_none());
     }

@@ -22,16 +22,15 @@
 //! Two tiers share one observable behaviour. [`Machine::run`] is the
 //! instruction-at-a-time interpreter, kept as the reference oracle.
 //! [`Machine::run_uops`] is the accelerated tier: it executes superblocks
-//! from a [`BlockCache`], decoded once, as pre-decoded bodies — no
-//! fetch/decode on the hot path — and compiles blocks that cross
-//! [`UopConfig::hot_threshold`] into flat micro-op traces with
-//! pre-extracted operands and lazy NZCV materialization. Flags are
-//! recomputed only when a consumer or a block exit reads them, so
+//! from a [`BlockCache`], each decoded once straight into a flat micro-op
+//! body — pre-extracted operands, fused compare-and-branch pairs, lazy
+//! NZCV materialization — with no fetch/decode on the hot path. Flags
+//! are recomputed only when a consumer or a block exit reads them, so
 //! architectural state is exact at every observable point. Code the
 //! cache cannot serve (rewritten by a fault or a store, or not covered by
 //! a leader) runs from blocks the call decodes out of the machine's own
-//! memory. Both tiers are bit-identical; the uop tier is the default for
-//! replay campaigns.
+//! memory the same way. Both tiers are bit-identical; the uop tier is the
+//! default for replay campaigns.
 //!
 //! ## Program I/O
 //!
@@ -73,7 +72,6 @@ pub use memory::{
     AccessKind, MemResult, Memory, MemoryDelta, MemoryStats, PAGE_SIZE, STRADDLE_TAIL,
 };
 pub use outcome::{CpuFault, Execution, RunOutcome};
-pub use uop::UopConfig;
 
 use rr_obj::Executable;
 

@@ -279,35 +279,6 @@ impl Machine {
         }
     }
 
-    /// Executes one *pre-decoded* instruction with the same sticky-stop
-    /// contract as [`Machine::step`], but without fetching or decoding —
-    /// the pre-decoded block-body path of [`Machine::run_uops`]. The caller
-    /// guarantees `(insn, len)` is what [`Machine::fetch_decode`] would
-    /// return at the current PC: `run_uops` skips cached blocks that
-    /// overlap exec-dirty code, decodes its own blocks from this
-    /// machine's current bytes (dropping them when the exec-dirty epoch
-    /// moves), and PC-checks every instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`CpuFault`] that stopped the machine, exactly like
-    /// [`Machine::step`].
-    pub(crate) fn step_decoded(&mut self, insn: Instr, len: usize) -> Result<(), CpuFault> {
-        if let Some(RunOutcome::Crashed { fault, .. }) = self.stopped {
-            return Err(fault);
-        }
-        if self.stopped.is_some() {
-            return Ok(());
-        }
-        match self.exec_decoded(insn, len) {
-            Ok(()) => Ok(()),
-            Err(fault) => {
-                self.stopped = Some(RunOutcome::Crashed { fault, pc: self.pc });
-                Err(fault)
-            }
-        }
-    }
-
     pub(crate) fn mem_fault((addr, access): (u64, AccessKind)) -> CpuFault {
         CpuFault::MemoryFault { addr, access }
     }
@@ -330,8 +301,8 @@ impl Machine {
         self.exec_decoded(insn, len)
     }
 
-    /// Executes an already-decoded instruction (the shared back half of
-    /// [`Machine::step`] and the block-cached path).
+    /// Executes an already-decoded instruction (the back half of
+    /// [`Machine::step`]).
     fn exec_decoded(&mut self, insn: Instr, len: usize) -> Result<(), CpuFault> {
         let next_pc = self.pc + len as u64;
         self.pc = next_pc;

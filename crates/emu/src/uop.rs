@@ -1,15 +1,16 @@
-//! The micro-op execution tier: hot superblocks compiled once into
-//! pre-lowered uop traces, executed with lazy NZCV materialization.
+//! The micro-op execution tier: superblocks lowered once into flat
+//! micro-op bodies, executed with lazy NZCV materialization.
 //!
-//! Pre-decoded block bodies ([`Machine::run_decoded_body`]) already
-//! remove fetch/decode from the hot path, but every executed instruction
-//! still pays full operand extraction, the interpreter's opcode `match`,
-//! and an eager flags recomputation. This module removes those too, in
+//! The interpreter pays a fetch, a decode, full operand extraction, an
+//! opcode `match`, and an eager flags recomputation on every executed
+//! instruction. This module removes all of them from the hot path, in
 //! the only way a `#![forbid(unsafe_code)]` workspace can "compile" code
-//! — by lowering each decoded superblock **once** into a flat [`Uop`]
-//! trace:
+//! — by lowering each superblock **once**, as it is decoded
+//! (`DecodedBlock::decode`), into a flat [`Uop`] body; code is
+//! translated once and its translation reused, as in QEMU (Bellard,
+//! USENIX ATC 2005):
 //!
-//! * operands, immediates, and shift amounts are extracted at compile
+//! * operands, immediates, and shift amounts are extracted at decode
 //!   time (immediates pre-sign-extended to `u64`, shift counts
 //!   pre-masked, zero-count shifts lowered to `Nop`);
 //! * memory-op address expressions are pre-split into `base + disp`
@@ -23,18 +24,14 @@
 //!   snapshots, and injections always observe architecturally exact
 //!   state — laziness never escapes a block body.
 //!
-//! Tiering is driven by per-block execution counts: a block runs
-//! decoded ([`Machine::run_decoded_body`]) until it crosses
-//! [`UopConfig::hot_threshold`], then compiles once (shared via
-//! `OnceLock` across threads) and stays compiled. Compiled bodies live
-//! alongside the decoded ones in [`BlockCache`], inheriting the decoded
-//! path's safety rails verbatim: per-instruction pc-expectation checks,
-//! exec-dirty ranges retiring cached blocks over faulted code, mid-block
-//! fence tails, and cache invalidation dropping compiled bodies together
-//! with decoded ones. Faulted code, and code no cached block covers, runs
-//! from local blocks the run decodes out of the machine's own memory;
-//! they tier through the same threshold and the same dispatch, and are
-//! dropped when the exec-dirty epoch moves.
+//! Every block has this one body. Bodies live in the [`BlockCache`],
+//! shared by every machine that runs the same text, with per-instruction
+//! pc-expectation checks, exec-dirty ranges retiring cached blocks over
+//! faulted code, exact mid-block fences, and cache invalidation dropping
+//! a rewritten binary's blocks. Faulted code, and code no cached block
+//! covers, runs from local blocks the run decodes out of the machine's
+//! own memory through the same decode loop and the same dispatch; they
+//! are dropped when the exec-dirty epoch moves.
 //!
 //! The result is bit-identical to the interpreter — pinned by the
 //! equivalence tests here, the emu proptests, and the engine/fault
@@ -44,37 +41,6 @@ use crate::blockexec::{BlockCache, BlockStats, DecodedBlock, LocalBlocks};
 use crate::machine::{Machine, RunResult};
 use crate::outcome::{CpuFault, RunOutcome};
 use rr_isa::{AluOp, Cond, Flags, Instr, Reg, ShiftOp};
-use std::sync::atomic::Ordering;
-
-/// Tiering knob for the micro-op execution tier.
-///
-/// # Example
-///
-/// ```
-/// use rr_emu::UopConfig;
-///
-/// assert_eq!(UopConfig::default().hot_threshold, 2);
-/// // Compile on first entry:
-/// let eager = UopConfig { hot_threshold: 0 };
-/// // Never compile: every block runs as its pre-decoded body.
-/// let decoded = UopConfig { hot_threshold: u32::MAX };
-/// # let _ = (eager, decoded);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UopConfig {
-    /// How many times a block executes decoded before it is compiled to
-    /// micro-ops. `0` compiles eagerly on first entry; one-shot blocks
-    /// never pay compile cost under the default. `u32::MAX` never
-    /// promotes: blocks run as pre-decoded bodies, except those a run
-    /// with a lower threshold already compiled into a shared cache.
-    pub hot_threshold: u32,
-}
-
-impl Default for UopConfig {
-    fn default() -> UopConfig {
-        UopConfig { hot_threshold: 2 }
-    }
-}
 
 /// A pre-resolved right-hand operand: register read or immediate,
 /// already sign-extended to the machine word.
@@ -85,7 +51,7 @@ pub(crate) enum Operand {
 }
 
 /// One pre-lowered micro-op. Every field an instruction's execution
-/// needs is extracted at compile time; the dispatch loop only reads
+/// needs is extracted at decode time; the dispatch loop only reads
 /// registers, touches memory, and writes the pc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Uop {
@@ -208,20 +174,13 @@ pub(crate) enum Uop {
     },
 }
 
-/// One compiled slot: the instruction's address, its fallthrough
+/// One block-body slot: the instruction's address, its fallthrough
 /// successor, and the pre-lowered micro-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct UopEntry {
     pub(crate) pc: u64,
     pub(crate) next: u64,
     pub(crate) op: Uop,
-}
-
-/// A superblock's compiled micro-op body, parallel to the decoded one:
-/// one slot per instruction, bit-identical semantics at every step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CompiledBlock {
-    pub(crate) entries: Vec<UopEntry>,
 }
 
 /// The deferred flag-setting operation of the uop tier: the
@@ -324,36 +283,29 @@ fn cond_of_logic(cc: Cond, r: u64) -> bool {
     }
 }
 
-/// Lowers a decoded superblock into its micro-op trace. Pure: the same
-/// block always compiles to the same body.
-pub(crate) fn compile_block(block: &DecodedBlock) -> CompiledBlock {
-    let mut entries = Vec::with_capacity(block.body.len());
-    for (i, (&pc, &(insn, len))) in block.pcs.iter().zip(&block.body).enumerate() {
-        let next = pc.wrapping_add(u64::from(len));
-        let op = fuse(insn, next, block, i).unwrap_or_else(|| lower(insn, next));
-        entries.push(UopEntry { pc, next, op });
+/// Appends the micro-op of `insn`, decoded at `pc` with encoded length
+/// `len`, to the block body `uops` being decoded. A conditional branch
+/// right after a flag-setting `cmp`/`test` fuses into the compare's
+/// slot; the branch keeps its own plain slot for mid-block entry.
+pub(crate) fn push_lowered(uops: &mut Vec<UopEntry>, pc: u64, insn: Instr, len: usize) {
+    let next = pc.wrapping_add(len as u64);
+    let op = lower(insn, next);
+    if let (Uop::Jcc { cc, target }, Some(prev)) = (op, uops.last_mut()) {
+        debug_assert_eq!(prev.next, pc, "blocks decode consecutively");
+        if let Some(fused) = fuse(prev.op, cc, target, next) {
+            prev.op = fused;
+        }
     }
-    CompiledBlock { entries }
+    uops.push(UopEntry { pc, next, op });
 }
 
-/// Fuses a flag-setting compare/test with an immediately following
-/// conditional branch. The fused op replaces the compare's slot; the
-/// branch keeps its own plain slot for mid-block entry.
-fn fuse(insn: Instr, next: u64, block: &DecodedBlock, i: usize) -> Option<Uop> {
-    let (follower, jcc_len) = *block.body.get(i + 1)?;
-    let Instr::Jcc { cc, rel } = follower else { return None };
-    debug_assert_eq!(block.pcs[i + 1], next, "blocks decode consecutively");
-    let jcc_next = next.wrapping_add(u64::from(jcc_len));
-    let target = jcc_next.wrapping_add(rel as i64 as u64);
-    match insn {
-        Instr::CmpRR { rs1, rs2 } => {
-            Some(Uop::CmpJcc { rs1, rhs: Operand::Reg(rs2), cc, target, jcc_next })
-        }
-        Instr::CmpRI { rs1, imm } => {
-            Some(Uop::CmpJcc { rs1, rhs: Operand::Imm(imm as i64 as u64), cc, target, jcc_next })
-        }
-        Instr::TestRR { rs1, rs2 } => Some(Uop::TestJcc { rs1, rs2, cc, target, jcc_next }),
-        // CmpRM is deliberately not fused: its load can fault, and the
+/// The fused form of the flag-setting micro-op `op` followed by a
+/// `j<cc>` to `target` whose fallthrough is `jcc_next`, if it has one.
+fn fuse(op: Uop, cc: Cond, target: u64, jcc_next: u64) -> Option<Uop> {
+    match op {
+        Uop::Cmp { rs1, rhs } => Some(Uop::CmpJcc { rs1, rhs, cc, target, jcc_next }),
+        Uop::Test { rs1, rs2 } => Some(Uop::TestJcc { rs1, rs2, cc, target, jcc_next }),
+        // CmpM is deliberately not fused: its load can fault, and the
         // fault must be observed with the compare's pc semantics.
         _ => None,
     }
@@ -401,60 +353,22 @@ fn lower(insn: Instr, next: u64) -> Uop {
     }
 }
 
-impl DecodedBlock {
-    /// The block's compiled body, compiling it when this execution
-    /// crosses the hot threshold. Returns `None` while the block is
-    /// still cold (callers run the decoded body instead). Each call
-    /// counts one execution of the block.
-    pub(crate) fn compiled(
-        &self,
-        config: UopConfig,
-        stats: &mut BlockStats,
-    ) -> Option<&CompiledBlock> {
-        if let Some(body) = self.compiled.get() {
-            return Some(body);
-        }
-        if config.hot_threshold == u32::MAX {
-            // No count exceeds this threshold, so skip the heat counter:
-            // worker threads sharing the cache would otherwise contend on
-            // an atomic write per block entry.
-            return None;
-        }
-        let heat = self.heat.fetch_add(1, Ordering::Relaxed).saturating_add(1);
-        if heat <= config.hot_threshold {
-            return None;
-        }
-        if heat == config.hot_threshold.saturating_add(1) {
-            stats.tier_promotions += 1;
-        }
-        let mut fresh = false;
-        let body = self.compiled.get_or_init(|| {
-            fresh = true;
-            compile_block(self)
-        });
-        if fresh {
-            stats.blocks_compiled += 1;
-        }
-        Some(body)
-    }
-}
-
 impl Machine {
-    /// Runs like [`Machine::run`] but executes hot superblocks as
-    /// compiled micro-op traces and warm blocks as pre-decoded bodies.
-    /// Blocks come from `cache`, or, where the cache has none for a pc or
-    /// its block overlaps code rewritten since the cache was built, are
-    /// decoded out of this machine's own memory for the rest of the call
-    /// (counted in [`BlockStats::blocks_redecoded`]). Only a pc whose
-    /// bytes do not fetch or decode steps through the interpreter, which
-    /// raises the crash. Bit-identical to [`Machine::run`]: same outcome,
-    /// same step count, same final state — including NZCV at every exit.
+    /// Runs like [`Machine::run`] but executes superblocks as micro-op
+    /// bodies. Blocks come from `cache`, or, where the cache has none for
+    /// a pc or its block overlaps code rewritten since the cache was
+    /// built, are decoded out of this machine's own memory for the rest
+    /// of the call (counted in [`BlockStats::blocks_redecoded`]). Only a
+    /// pc whose bytes do not fetch or decode steps through the
+    /// interpreter, which raises the crash. Bit-identical to
+    /// [`Machine::run`]: same outcome, same step count, same final state
+    /// — including NZCV at every exit.
     ///
     /// # Example
     ///
     /// ```
     /// use rr_asm::assemble_and_link;
-    /// use rr_emu::{BlockCache, BlockStats, Machine, RunOutcome, UopConfig};
+    /// use rr_emu::{BlockCache, BlockStats, Machine, RunOutcome};
     ///
     /// let exe = assemble_and_link(
     ///     "    .global _start\n_start:\n    mov r1, 41\n    add r1, 1\n    svc 0\n",
@@ -462,21 +376,19 @@ impl Machine {
     /// let cache = BlockCache::build(&exe, [exe.entry]).expect("text decodes");
     /// let mut m = Machine::new(&exe, &[]);
     /// let mut stats = BlockStats::default();
-    /// let config = UopConfig { hot_threshold: 0 };
-    /// let result = m.run_uops(&cache, config, 1_000, &mut stats);
+    /// let result = m.run_uops(&cache, 1_000, &mut stats);
     /// assert_eq!(result.outcome, RunOutcome::Exited { code: 42 });
     /// assert_eq!(stats.uop_steps, 3);
-    /// assert_eq!(stats.blocks_compiled, 1);
+    /// assert_eq!(stats.blocks_redecoded, 0);
     /// # Ok::<(), rr_asm::BuildError>(())
     /// ```
     pub fn run_uops(
         &mut self,
         cache: &BlockCache,
-        config: UopConfig,
         max_steps: u64,
         stats: &mut BlockStats,
     ) -> RunResult {
-        self.run_uops_inner(cache, config, max_steps, stats, None)
+        self.run_uops_inner(cache, max_steps, stats, None)
     }
 
     /// [`Machine::run_uops`] recording the PC of every executed
@@ -484,18 +396,16 @@ impl Machine {
     pub fn run_uops_traced(
         &mut self,
         cache: &BlockCache,
-        config: UopConfig,
         max_steps: u64,
         stats: &mut BlockStats,
         trace: &mut Vec<u64>,
     ) -> RunResult {
-        self.run_uops_inner(cache, config, max_steps, stats, Some(trace))
+        self.run_uops_inner(cache, max_steps, stats, Some(trace))
     }
 
     fn run_uops_inner(
         &mut self,
         cache: &BlockCache,
-        config: UopConfig,
         max_steps: u64,
         stats: &mut BlockStats,
         mut trace: Option<&mut Vec<u64>>,
@@ -525,20 +435,7 @@ impl Machine {
                 stats.interp_steps += 1;
                 continue;
             };
-            match block.compiled(config, stats) {
-                Some(body) => self.run_uop_body(
-                    block,
-                    &body.entries,
-                    entry,
-                    max_steps,
-                    &mut steps,
-                    stats,
-                    &mut trace,
-                ),
-                None => {
-                    self.run_decoded_body(block, entry, max_steps, &mut steps, stats, &mut trace)
-                }
-            }
+            self.run_uop_body(block, entry, max_steps, &mut steps, stats, &mut trace);
         }
         match self.stopped() {
             Some(outcome) => RunResult { outcome, steps },
@@ -546,22 +443,21 @@ impl Machine {
         }
     }
 
-    /// The uop tier's dispatch loop: executes one compiled body from
-    /// slot `entry` until a fault, stop, fence, exec-dirty write into
-    /// the block, or control transfer out of it. Deferred flags never
-    /// escape — every exit path materializes them, so the machine state
-    /// is architecturally exact whenever this returns.
-    #[allow(clippy::too_many_arguments)]
+    /// The uop tier's dispatch loop: executes one block body from slot
+    /// `entry` until a fault, stop, fence, exec-dirty write into the
+    /// block, or control transfer out of it. Deferred flags never escape
+    /// — every exit path materializes them, so the machine state is
+    /// architecturally exact whenever this returns.
     fn run_uop_body(
         &mut self,
         block: &DecodedBlock,
-        entries: &[UopEntry],
         entry: usize,
         max_steps: u64,
         steps: &mut u64,
         stats: &mut BlockStats,
         trace: &mut Option<&mut Vec<u64>>,
     ) {
+        let entries = &block.uops;
         let mut index = entry;
         let mut epoch = self.memory().exec_dirty_epoch();
         let mut pending = Pending::Clean;
@@ -863,8 +759,8 @@ impl Machine {
             }
             let now = self.memory().exec_dirty_epoch();
             if now != epoch {
-                // A store landed in executable memory: the compiled
-                // body may be stale; re-entry through the outer lookup
+                // A store landed in executable memory: the block body
+                // may be stale; re-entry through the outer lookup
                 // decides (and decodes this block afresh from memory if
                 // it was hit).
                 epoch = now;
@@ -878,10 +774,10 @@ impl Machine {
             }
             if self.pc() == entries[0].pc {
                 // Back-edge to this block's own leader (a self-loop):
-                // stay in the compiled body instead of paying the cache
-                // lookup and tier bookkeeping once per iteration. The
-                // per-entry fence, stop, and exec-dirty-epoch checks
-                // above are the same rails the outer loop would apply.
+                // stay in the block body instead of paying the cache
+                // lookup once per iteration. The per-entry fence, stop,
+                // and exec-dirty-epoch checks above are the same rails
+                // the outer loop would apply.
                 index = 0;
                 continue;
             }
@@ -1069,31 +965,28 @@ mod tests {
             let cache = cache_for(&exe);
             let mut m = Machine::new(&exe, &[]);
             let mut stats = BlockStats::default();
-            let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
+            let got = m.run_uops(&cache, 10_000, &mut stats);
 
             assert_eq!(got, want);
-            assert_state_matches("eager uops", &m, &reference);
-            assert_eq!(stats.total(), got.steps);
-            assert!(stats.uop_steps > 0, "{stats:?}");
-            assert_eq!(stats.block_steps, 0, "eager tiering never runs decoded: {stats:?}");
-            assert!(stats.blocks_compiled > 0, "{stats:?}");
+            assert_state_matches("uops", &m, &reference);
+            assert_eq!(m.memory_stats(), reference.memory_stats());
+            assert_eq!(stats.uop_steps, got.steps, "nothing crashes, so nothing is interpreted");
         }
     }
 
     #[test]
     fn fused_idioms_skip_flag_materialization() {
         // FORWARDY's countdown is one self-looping superblock whose only
-        // flag consumer is its `cmp r2, 0` + `jne .loop` pair. With every
-        // block compiled, five loop iterations execute five fused pairs
-        // and never leave the body, so only the final block exit
-        // materializes, far below the count of flag-setting instructions
-        // executed.
+        // flag consumer is its `cmp r2, 0` + `jne .loop` pair. Five loop
+        // iterations execute five fused pairs and never leave the body,
+        // so only the final block exit materializes, far below the count
+        // of flag-setting instructions executed.
         let exe = assemble_and_link(FORWARDY).unwrap();
         let cache = cfg_cache_for(&exe);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        let result = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
-        assert_eq!(stats.uop_steps, result.steps, "every step runs compiled: {stats:?}");
+        let result = m.run_uops(&cache, 10_000, &mut stats);
+        assert_eq!(stats.uop_steps, result.steps, "every step runs as a uop: {stats:?}");
         assert!(
             stats.flag_materializations < stats.uop_steps / 4,
             "lazy flags should rarely materialize: {stats:?}"
@@ -1110,85 +1003,50 @@ mod tests {
                 m.run(10_000).steps
             };
             let cache = cache_for(&exe);
-            for hot_threshold in [0, 1, 8] {
-                for fence in 0..=total + 2 {
-                    let mut reference = Machine::new(&exe, &[]);
-                    let want = reference.run(fence);
-                    let mut m = Machine::new(&exe, &[]);
-                    let mut stats = BlockStats::default();
-                    let config = UopConfig { hot_threshold };
-                    let got = m.run_uops(&cache, config, fence, &mut stats);
-                    assert_eq!(got, want, "fence={fence} hot={hot_threshold}");
-                    assert_state_matches(
-                        &format!("fence={fence} hot={hot_threshold}"),
-                        &m,
-                        &reference,
-                    );
-                    assert_eq!(stats.total(), got.steps, "fence={fence}");
-                }
+            for fence in 0..=total + 2 {
+                let mut reference = Machine::new(&exe, &[]);
+                let want = reference.run(fence);
+                let mut m = Machine::new(&exe, &[]);
+                let mut stats = BlockStats::default();
+                let got = m.run_uops(&cache, fence, &mut stats);
+                assert_eq!(got, want, "fence={fence}");
+                assert_state_matches(&format!("fence={fence}"), &m, &reference);
+                assert_eq!(stats.total(), got.steps, "fence={fence}");
             }
         }
     }
 
     #[test]
-    fn tiering_promotes_blocks_after_the_threshold() {
-        let exe = assemble_and_link(LOOPY).unwrap();
-        let cache = cache_for(&exe);
-        let mut m = Machine::new(&exe, &[]);
-        let mut stats = BlockStats::default();
-        let result = m.run_uops(&cache, UopConfig { hot_threshold: 2 }, 10_000, &mut stats);
-
-        let mut reference = Machine::new(&exe, &[]);
-        assert_eq!(result, reference.run(10_000));
-        // The loop body crosses the threshold and is promoted; the cold
-        // prologue keeps running decoded.
-        assert!(stats.tier_promotions > 0, "{stats:?}");
-        assert!(stats.blocks_compiled > 0, "{stats:?}");
-        assert!(stats.uop_steps > 0, "{stats:?}");
-        assert!(stats.block_steps > 0, "cold blocks run decoded: {stats:?}");
-        assert_eq!(stats.total(), result.steps);
-        assert_eq!(stats.blocks_compiled, stats.tier_promotions);
-    }
-
-    #[test]
     fn compiled_bodies_are_shared_across_machines() {
         let exe = assemble_and_link(LOOPY).unwrap();
-        // Shared blocks cover every pc LOOPY reaches, and the first
-        // machine compiles each block it enters.
+        // Shared blocks cover every pc LOOPY reaches.
         let cache = cfg_cache_for(&exe);
         let mut first_stats = BlockStats::default();
-        let eager = UopConfig { hot_threshold: 0 };
-        Machine::new(&exe, &[]).run_uops(&cache, eager, 10_000, &mut first_stats);
-        assert!(first_stats.blocks_compiled > 0);
+        Machine::new(&exe, &[]).run_uops(&cache, 10_000, &mut first_stats);
         assert_eq!(first_stats.blocks_redecoded, 0, "{first_stats:?}");
-        // A second machine over the same cache reuses every compiled
-        // body: no compiles, no promotions, and no decoded warm-up.
+        // A second machine over the same cache reuses every body: it
+        // decodes nothing and runs every step as a uop step.
         let mut second_stats = BlockStats::default();
         let mut m = Machine::new(&exe, &[]);
-        let result = m.run_uops(&cache, UopConfig::default(), 10_000, &mut second_stats);
-        assert_eq!(second_stats.blocks_compiled, 0, "{second_stats:?}");
-        assert_eq!(second_stats.tier_promotions, 0, "{second_stats:?}");
-        assert_eq!(second_stats.block_steps, 0, "{second_stats:?}");
+        let result = m.run_uops(&cache, 10_000, &mut second_stats);
+        assert_eq!(second_stats.blocks_redecoded, 0, "{second_stats:?}");
         assert_eq!(second_stats.uop_steps, result.steps, "{second_stats:?}");
     }
 
     #[test]
     fn traced_uop_run_matches_interpreter_trace() {
-        for hot_threshold in [0, 1, 8] {
-            let exe = assemble_and_link(LOOPY).unwrap();
-            let mut ref_trace = Vec::new();
-            let mut reference = Machine::new(&exe, &[]);
-            let want = reference.run_with(10_000, |m| ref_trace.push(m.pc()));
+        let exe = assemble_and_link(LOOPY).unwrap();
+        let mut ref_trace = Vec::new();
+        let mut reference = Machine::new(&exe, &[]);
+        let want = reference.run_with(10_000, |m| ref_trace.push(m.pc()));
 
-            let cache = cache_for(&exe);
-            let mut m = Machine::new(&exe, &[]);
-            let mut stats = BlockStats::default();
-            let mut trace = Vec::new();
-            let config = UopConfig { hot_threshold };
-            let got = m.run_uops_traced(&cache, config, 10_000, &mut stats, &mut trace);
-            assert_eq!(got, want, "hot={hot_threshold}");
-            assert_eq!(trace, ref_trace, "hot={hot_threshold}");
-        }
+        let cache = cache_for(&exe);
+        let mut m = Machine::new(&exe, &[]);
+        let mut stats = BlockStats::default();
+        let mut trace = Vec::new();
+        let got = m.run_uops_traced(&cache, 10_000, &mut stats, &mut trace);
+        assert_eq!(got, want);
+        assert_eq!(trace, ref_trace);
     }
 
     #[test]
@@ -1211,7 +1069,7 @@ mod tests {
             let cache = cache_for(&exe);
             let mut m = Machine::new(&exe, &[]);
             let mut stats = BlockStats::default();
-            let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 100, &mut stats);
+            let got = m.run_uops(&cache, 100, &mut stats);
             assert_eq!(got, want, "{src}");
             assert_state_matches(src, &m, &reference);
         }
@@ -1221,11 +1079,6 @@ mod tests {
     fn poked_compiled_code_runs_from_redecoded_blocks() {
         let exe = assemble_and_link(LOOPY).unwrap();
         let cache = cfg_cache_for(&exe);
-        // Warm the cache so the corrupted blocks are already compiled.
-        let mut warm = BlockStats::default();
-        Machine::new(&exe, &[]).run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut warm);
-        assert!(warm.blocks_compiled > 0);
-
         let (sub, ..) = text_instrs(&exe)
             .into_iter()
             .find(|&(_, insn, _)| matches!(insn, Instr::AluRI { op: AluOp::Sub, .. }))
@@ -1233,9 +1086,8 @@ mod tests {
         // Flipping bit 6 of the entry `mov`'s opcode leaves bytes that do
         // not decode: the one interpreted step is the crash. Flipping
         // bit 2 of `sub r2, 1`'s immediate leaves `sub r2, 5`, which
-        // decodes: nothing is interpreted, and the compiled loop's
-        // rewritten copy is decoded out of memory and compiled afresh
-        // (every shared block already has its body).
+        // decodes: nothing is interpreted, and the shared loop block's
+        // rewritten copy is decoded out of memory.
         for (target, flip, interp_steps, redecoded) in
             [(exe.entry, 0x40, 1, false), (sub + 2, 0x04, 0, true)]
         {
@@ -1247,13 +1099,12 @@ mod tests {
             }
             let want = reference.run(10_000);
             let mut stats = BlockStats::default();
-            let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 10_000, &mut stats);
+            let got = m.run_uops(&cache, 10_000, &mut stats);
             let label = format!("poke {target:#x} ^ {flip:#x}");
             assert_eq!(got, want, "{label}");
             assert_state_matches(&label, &m, &reference);
             assert_eq!(stats.interp_steps, interp_steps, "{label}: {stats:?}");
             assert_eq!(stats.blocks_redecoded > 0, redecoded, "{label}: {stats:?}");
-            assert_eq!(stats.blocks_compiled > 0, redecoded, "{label}: {stats:?}");
             assert_eq!(stats.total(), got.steps, "{label}");
         }
     }
@@ -1290,17 +1141,14 @@ mod tests {
         let entry_only: Vec<u64> = vec![exe.entry];
         let every_offset: Vec<u64> = (text.start..text.end).collect();
         for (leaders, label) in [(entry_only, "entry leader"), (every_offset, "every offset")] {
-            for hot_threshold in [u32::MAX, 0, 2] {
-                let cache = BlockCache::build(&exe, leaders.iter().copied()).unwrap();
-                let mut m = Machine::new(&exe, &[]);
-                let mut stats = BlockStats::default();
-                let got = m.run_uops(&cache, UopConfig { hot_threshold }, 10_000, &mut stats);
-                let label = format!("{label} hot={hot_threshold}");
-                assert_eq!(got, want, "{label}");
-                assert_state_matches(&label, &m, &reference);
-                assert_eq!(stats.interp_steps, 0, "{label}: {stats:?}");
-                assert!(stats.blocks_redecoded > 0, "{label}: {stats:?}");
-            }
+            let cache = BlockCache::build(&exe, leaders).unwrap();
+            let mut m = Machine::new(&exe, &[]);
+            let mut stats = BlockStats::default();
+            let got = m.run_uops(&cache, 10_000, &mut stats);
+            assert_eq!(got, want, "{label}");
+            assert_state_matches(label, &m, &reference);
+            assert_eq!(stats.interp_steps, 0, "{label}: {stats:?}");
+            assert!(stats.blocks_redecoded > 0, "{label}: {stats:?}");
         }
     }
 
@@ -1326,7 +1174,7 @@ mod tests {
         let cache = BlockCache::build(&exe, exe.text_range().chain([exe.entry])).unwrap();
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        let got = m.run_uops(&cache, UopConfig { hot_threshold: 0 }, 100, &mut stats);
+        let got = m.run_uops(&cache, 100, &mut stats);
         assert_eq!(got, want);
         assert_state_matches("mid-block entry", &m, &reference);
     }
@@ -1334,21 +1182,30 @@ mod tests {
     #[test]
     fn compile_is_deterministic_and_fuses_cmp_jcc() {
         let exe = assemble_and_link(LOOPY).unwrap();
-        let cache = cache_for(&exe);
-        let (block, _) = cache.lookup(exe.entry).unwrap();
-        let a = compile_block(block);
-        let b = compile_block(block);
-        assert_eq!(a, b);
-        assert_eq!(a.entries.len(), block.body.len(), "one slot per instruction");
-        for (entry, &pc) in a.entries.iter().zip(&block.pcs) {
-            assert_eq!(entry.pc, pc);
+        let cache = cfg_cache_for(&exe);
+        let text = exe.text_range();
+        let text_at = |pc: u64| exe.text_bytes().get((pc - text.start) as usize..);
+        let instrs = text_instrs(&exe);
+        let mut fused = 0;
+        for range in cache.block_ranges() {
+            let (block, _) = cache.lookup(range.start).unwrap();
+            // Decoding the same bytes again yields the same body.
+            let again = DecodedBlock::decode(range.start, range.end, text_at).unwrap();
+            assert_eq!(again.uops, block.uops);
+            // One slot per instruction, at the instruction's address.
+            let pcs: Vec<u64> =
+                instrs.iter().map(|&(pc, ..)| pc).filter(|pc| range.contains(pc)).collect();
+            assert_eq!(block.uops.iter().map(|e| e.pc).collect::<Vec<_>>(), pcs);
+            // A fused compare keeps the branch's own plain slot after it.
+            for pair in block.uops.windows(2) {
+                if let Uop::CmpJcc { target, jcc_next, .. } = pair[0].op {
+                    assert_eq!(pair[1].op, Uop::Jcc { cc: Cond::Ne, target });
+                    assert_eq!(pair[1].next, jcc_next);
+                    fused += 1;
+                }
+            }
         }
         // The LOOPY loop block ends `cmp r2, 0` + `jne .loop`.
-        let loop_block = cache.block_ranges().zip(0u32..).find_map(|(range, _)| {
-            let (b, _) = cache.lookup(range.start)?;
-            let fused = compile_block(b).entries.iter().any(|e| matches!(e.op, Uop::CmpJcc { .. }));
-            fused.then_some(b.start)
-        });
-        assert!(loop_block.is_some(), "cmp+jne idiom must fuse");
+        assert_eq!(fused, 1, "the cmp+jne idiom must fuse");
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rr_asm::assemble_and_link;
-use rr_emu::{execute, BlockCache, BlockStats, Machine, RunOutcome, UopConfig};
+use rr_emu::{execute, BlockCache, BlockStats, Machine, RunOutcome};
 
 /// Random but *assemblable* straight-line programs over safe instructions
 /// (no unbalanced memory, no control flow — those are covered by
@@ -58,19 +58,18 @@ fn looped_program(lines: &[String], iters: u64) -> String {
 }
 
 /// Runs `machine` to completion through the uop tier in `chunk`-step
-/// slices (so fences land at arbitrary mid-block steps) under the given
-/// tiering threshold, and returns `(outcome, total_steps)`.
+/// slices (so fences land at arbitrary mid-block steps), and returns
+/// `(outcome, total_steps)`.
 fn run_uops_chunked(
     machine: &mut Machine,
     cache: &BlockCache,
-    config: UopConfig,
     chunk: u64,
     max_steps: u64,
 ) -> (RunOutcome, u64) {
     let mut stats = BlockStats::default();
     let mut total = 0u64;
     while machine.stopped().is_none() && total < max_steps {
-        let result = machine.run_uops(cache, config, chunk.min(max_steps - total), &mut stats);
+        let result = machine.run_uops(cache, chunk.min(max_steps - total), &mut stats);
         total += result.steps;
     }
     (machine.stopped().unwrap_or(RunOutcome::TimedOut), total)
@@ -110,11 +109,11 @@ proptest! {
 
     /// Random single-byte corruption of the code never breaks the *host*:
     /// the machine either runs to some outcome or crashes cleanly. The uop
-    /// tier runs the same corrupted machine bit-identically at every
-    /// tiering threshold, from a cache built from the entry leader alone,
-    /// so the rewritten code (length-changing corruptions included) and
-    /// every pc the entry block does not cover run from blocks decoded
-    /// out of the machine's own bytes.
+    /// tier runs the same corrupted machine bit-identically, from a cache
+    /// built from the entry leader alone, so the rewritten code
+    /// (length-changing corruptions included) and every pc the entry
+    /// block does not cover run from blocks decoded out of the machine's
+    /// own bytes.
     #[test]
     fn corrupted_binaries_cannot_harm_the_host(
         lines in proptest::collection::vec(safe_line(), 1..16),
@@ -133,30 +132,27 @@ proptest! {
         let output = m.take_output();
 
         let cache = BlockCache::build(&exe, [exe.entry]).expect("the entry decodes");
-        for hot_threshold in [u32::MAX, 0, 2] {
-            let mut uops = poked.clone();
-            let mut stats = BlockStats::default();
-            let got = uops.run_uops(&cache, UopConfig { hot_threshold }, 50_000, &mut stats);
-            let ctx = |what: &str| format!("{what} threshold {hot_threshold}");
-            prop_assert_eq!(result.outcome, got.outcome, "{}", ctx("outcome"));
-            prop_assert_eq!(result.steps, got.steps, "{}", ctx("steps"));
-            prop_assert_eq!(m.pc(), uops.pc(), "{}", ctx("pc"));
-            prop_assert_eq!(m.flags(), uops.flags(), "{}", ctx("flags"));
-            for i in 0..16u8 {
-                let reg = rr_isa::Reg::from_index(i);
-                prop_assert_eq!(m.reg(reg), uops.reg(reg), "{}", ctx("reg"));
-            }
-            prop_assert_eq!(&output, &uops.take_output(), "{}", ctx("output"));
+        let mut uops = poked;
+        let mut stats = BlockStats::default();
+        let got = uops.run_uops(&cache, 50_000, &mut stats);
+        prop_assert_eq!(result.outcome, got.outcome);
+        prop_assert_eq!(result.steps, got.steps);
+        prop_assert_eq!(m.pc(), uops.pc());
+        prop_assert_eq!(m.flags(), uops.flags());
+        for i in 0..16u8 {
+            let reg = rr_isa::Reg::from_index(i);
+            prop_assert_eq!(m.reg(reg), uops.reg(reg), "r{}", i);
         }
+        prop_assert_eq!(output, uops.take_output());
     }
 
-    /// Block-cached execution — every block on its pre-decoded body
-    /// (`hot_threshold: u32::MAX`, so nothing ever compiles) — is
-    /// bit-identical to the interpreter over random looped programs, for
-    /// every fence placement: the same outcome after the same number of
-    /// steps, with the same registers, flags, program counter, and output
-    /// — even when the run is driven in chunks whose boundaries land
-    /// mid-block.
+    /// Block-cached execution is bit-identical to the interpreter over
+    /// random looped programs, for every fence placement: the same
+    /// outcome after the same number of steps, with the same registers,
+    /// **NZCV flags** (the lazy-materialization contract), program
+    /// counter, and output — even when the run is driven in chunks whose
+    /// boundaries land mid-block or between the halves of a fused
+    /// compare-and-branch.
     #[test]
     fn block_cached_execution_matches_the_interpreter(
         lines in proptest::collection::vec(safe_line(), 0..24),
@@ -174,10 +170,8 @@ proptest! {
         let mut interp = Machine::new(&exe, &[]);
         let interp_result = interp.run(max_steps);
 
-        let decoded_only = UopConfig { hot_threshold: u32::MAX };
         let mut blocks = Machine::new(&exe, &[]);
-        let (outcome, steps) =
-            run_uops_chunked(&mut blocks, &cache, decoded_only, chunk, max_steps);
+        let (outcome, steps) = run_uops_chunked(&mut blocks, &cache, chunk, max_steps);
 
         prop_assert_eq!(interp_result.outcome, outcome);
         prop_assert_eq!(interp_result.steps, steps);
@@ -188,53 +182,6 @@ proptest! {
             prop_assert_eq!(interp.reg(reg), blocks.reg(reg), "r{}", i);
         }
         prop_assert_eq!(interp.take_output(), blocks.take_output());
-    }
-
-    /// Uop-tier execution with compilation is bit-identical to the
-    /// interpreter over random looped programs, for every fence placement
-    /// and every tiering threshold — eager compilation (0),
-    /// promote-on-reentry (1), and a threshold the short run may never
-    /// cross (8, leaving some or all blocks on their decoded bodies; the
-    /// decoded-only program is checked above). Every text offset is a
-    /// candidate block leader, which maximizes mid-block entry. Full
-    /// architectural state is compared at the end of every chunked run:
-    /// outcome, step count, pc, **NZCV flags** (the lazy-materialization
-    /// contract), all sixteen registers, and output.
-    #[test]
-    fn uop_execution_matches_the_interpreter_across_thresholds(
-        lines in proptest::collection::vec(safe_line(), 0..24),
-        iters in 1u64..6,
-        chunk in 1u64..97,
-    ) {
-        let exe = assemble_and_link(&looped_program(&lines, iters)).expect("program builds");
-        let text = exe.text_range();
-        let max_steps = 50_000u64;
-
-        let mut interp = Machine::new(&exe, &[]);
-        let interp_result = interp.run(max_steps);
-        let interp_output = interp.take_output();
-
-        for hot_threshold in [0u32, 1, 8] {
-            // A fresh cache per threshold: heat accumulated (and bodies
-            // compiled) under one threshold must not leak into the next.
-            // Undecodable or mid-instruction leader candidates are
-            // dropped by the builder.
-            let cache = BlockCache::build(&exe, text.start..text.end).expect("text decodes");
-            let config = UopConfig { hot_threshold };
-            let mut uops = Machine::new(&exe, &[]);
-            let (outcome, steps) = run_uops_chunked(&mut uops, &cache, config, chunk, max_steps);
-
-            let ctx = |what: &str| format!("{what} threshold {hot_threshold}");
-            prop_assert_eq!(interp_result.outcome, outcome, "{}", ctx("outcome"));
-            prop_assert_eq!(interp_result.steps, steps, "{}", ctx("steps"));
-            prop_assert_eq!(interp.pc(), uops.pc(), "{}", ctx("pc"));
-            prop_assert_eq!(interp.flags(), uops.flags(), "{}", ctx("flags"));
-            for i in 0..16u8 {
-                let reg = rr_isa::Reg::from_index(i);
-                prop_assert_eq!(interp.reg(reg), uops.reg(reg), "{}", ctx("reg"));
-            }
-            prop_assert_eq!(&interp_output, &uops.take_output(), "{}", ctx("output"));
-        }
     }
 
     /// Flag state after arithmetic matches the ISA-level flag model.

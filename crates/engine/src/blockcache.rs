@@ -34,7 +34,7 @@ pub fn build_block_cache(exe: &Executable, telemetry: &Telemetry) -> Option<Arc<
 
 /// Carries a block cache across a harden-loop rewrite.
 ///
-/// Reusing pre-decoded bodies is sound only when the new binary's text
+/// Reusing decoded micro-op bodies is sound only when the new binary's text
 /// bytes are *identical* to what the cache was decoded from: a shifted
 /// but symbolically unchanged block still re-encodes its relative
 /// branches differently, so the delta's unchanged-instruction remap is
@@ -71,11 +71,7 @@ pub fn rebuild_block_cache(
 mod tests {
     use super::*;
     use rr_asm::assemble_and_link;
-    use rr_emu::{BlockStats, Machine, UopConfig};
-
-    /// A threshold no block reaches: every cached block runs its
-    /// pre-decoded body.
-    const DECODED: UopConfig = UopConfig { hot_threshold: u32::MAX };
+    use rr_emu::{BlockStats, Machine};
 
     fn sample() -> Executable {
         assemble_and_link(
@@ -105,7 +101,7 @@ mod tests {
         let want = reference.run(10_000);
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
-        assert_eq!(m.run_uops(&cache, DECODED, 10_000, &mut stats), want);
+        assert_eq!(m.run_uops(&cache, 10_000, &mut stats), want);
         assert_eq!(stats.interp_steps, 0, "fully covered program: {stats:?}");
     }
 
@@ -157,7 +153,7 @@ mod tests {
         let want = reference.run(10_000);
         let mut m = Machine::new(&rebuilt, &[]);
         let mut stats = BlockStats::default();
-        assert_eq!(m.run_uops(&fresh, DECODED, 10_000, &mut stats), want);
+        assert_eq!(m.run_uops(&fresh, 10_000, &mut stats), want);
     }
 
     #[test]

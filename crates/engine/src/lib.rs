@@ -65,7 +65,3 @@ pub mod shard;
 
 pub use blockcache::{build_block_cache, rebuild_block_cache};
 pub use replay::{Checkpoint, ExecMode, ReplayConfig, ReplayEngine, ReplayError, ReplayFootprint};
-
-// The uop tiering knob is part of [`ReplayConfig`]; re-exported so
-// replay consumers don't need an rr-emu dependency to set it.
-pub use rr_emu::UopConfig;

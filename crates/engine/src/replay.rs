@@ -3,7 +3,6 @@
 
 use rr_emu::{
     BlockCache, BlockStats, Execution, Machine, MemoryDelta, RunOutcome, RunResult, Snapshot,
-    UopConfig,
 };
 use rr_obj::Executable;
 use rr_telemetry::{Counter, Gauge, SpanKind, Telemetry};
@@ -25,11 +24,10 @@ pub enum ExecMode {
     /// Per-step fetch/decode interpretation everywhere (the reference
     /// oracle).
     Interp,
-    /// The uop tier ([`rr_emu::Machine::run_uops`]): cold blocks run as
-    /// pre-decoded bodies, blocks crossing
-    /// [`rr_emu::UopConfig::hot_threshold`] compile once to micro-op
-    /// traces with lazy NZCV, and modified code runs from blocks decoded
-    /// out of the machine's own memory, which tier the same way.
+    /// The uop tier ([`rr_emu::Machine::run_uops`]): every block runs as
+    /// the micro-op body it was decoded into once, with lazy NZCV, and
+    /// modified code runs from blocks decoded the same way out of the
+    /// machine's own memory.
     #[default]
     Uops,
 }
@@ -91,9 +89,6 @@ pub struct ReplayConfig {
     /// interpreter, but without per-step fetch/decode outside injection
     /// and capture fences. `None` runs the plain interpreter.
     pub block_cache: Option<Arc<BlockCache>>,
-    /// Tiering knob for the uop tier: how hot a block runs decoded
-    /// before it is compiled. Ignored without a block cache.
-    pub uop: UopConfig,
 }
 
 impl Default for ReplayConfig {
@@ -104,7 +99,6 @@ impl Default for ReplayConfig {
             record_snapshots: true,
             telemetry: Telemetry::default(),
             block_cache: None,
-            uop: UopConfig::default(),
         }
     }
 }
@@ -228,10 +222,8 @@ pub struct ReplayEngine {
     /// means only the initial state exists and replay is from step 0).
     snapshots: bool,
     /// Block cache the recording ran under; [`ReplayEngine::run`]
-    /// executes through it (in the uop tier) when present, keeping the
-    /// compiled bodies accumulated in the shared cache warm.
+    /// executes through it (in the uop tier) when present.
     block_cache: Option<Arc<BlockCache>>,
-    uop: UopConfig,
     telemetry: Telemetry,
 }
 
@@ -344,32 +336,23 @@ fn run_recorded(
             recorder.capture(machine, step);
         }
         let fence = recorder.next_fence(step).map_or(config.max_steps, |f| f.min(config.max_steps));
-        machine.run_uops_traced(cache, config.uop, fence - step, &mut stats, trace);
+        machine.run_uops_traced(cache, fence - step, &mut stats, trace);
     };
     flush_block_stats(&config.telemetry, stats);
     result
 }
 
-/// Batches a run's per-tier step counts (and the uop tier's compile,
-/// re-decode and lazy-flag events) into the telemetry handle.
+/// Batches a run's per-tier step counts (and the uop tier's re-decode
+/// and lazy-flag events) into the telemetry handle.
 fn flush_block_stats(telemetry: &Telemetry, stats: BlockStats) {
-    if stats.block_steps > 0 {
-        telemetry.count(Counter::BlockSteps, stats.block_steps);
-    }
     if stats.interp_steps > 0 {
         telemetry.count(Counter::InterpSteps, stats.interp_steps);
     }
     if stats.uop_steps > 0 {
         telemetry.count(Counter::UopSteps, stats.uop_steps);
     }
-    if stats.blocks_compiled > 0 {
-        telemetry.count(Counter::BlocksCompiled, stats.blocks_compiled);
-    }
     if stats.flag_materializations > 0 {
         telemetry.count(Counter::FlagMaterializations, stats.flag_materializations);
-    }
-    if stats.tier_promotions > 0 {
-        telemetry.count(Counter::TierPromotions, stats.tier_promotions);
     }
     if stats.blocks_redecoded > 0 {
         telemetry.count(Counter::BlocksRedecoded, stats.blocks_redecoded);
@@ -417,7 +400,6 @@ impl ReplayEngine {
             interval: recorder.interval,
             snapshots: config.record_snapshots,
             block_cache: config.block_cache.clone(),
-            uop: config.uop,
             telemetry: config.telemetry.clone(),
         };
         engine.publish_footprint();
@@ -575,17 +557,17 @@ impl ReplayEngine {
     /// the interpreter otherwise — bit-identical either way. Code the
     /// caller rewrote in `machine` (a fault injection) runs from blocks
     /// decoded out of the machine's own bytes. Per-tier step counts and
-    /// compile events go to the recording's telemetry.
+    /// re-decode events go to the recording's telemetry.
     /// [`ReplayEngine::machine_at`] steps forward through it, and
     /// campaign sessions run their cursor walks and faulted
     /// continuations through it, so every run after the recording shares
-    /// the compiled bodies in the cache.
+    /// the micro-op bodies in the cache.
     pub fn run(&self, machine: &mut Machine, max_steps: u64) -> RunResult {
         let Some(cache) = &self.block_cache else {
             return machine.run(max_steps);
         };
         let mut stats = BlockStats::default();
-        let result = machine.run_uops(cache, self.uop, max_steps, &mut stats);
+        let result = machine.run_uops(cache, max_steps, &mut stats);
         flush_block_stats(&self.telemetry, stats);
         result
     }
@@ -898,42 +880,33 @@ mod tests {
         }
     }
 
-    /// Accelerated configs for an executable: the same `ReplayConfig`
-    /// with a cache built from the recovered CFG and the given tiering.
-    fn accel(config: &ReplayConfig, exe: &Executable, uop: UopConfig) -> ReplayConfig {
+    /// The accelerated config for an executable: the same
+    /// `ReplayConfig` with a cache built from the recovered CFG.
+    fn accel(config: &ReplayConfig, exe: &Executable) -> ReplayConfig {
         ReplayConfig {
             block_cache: Some(
                 crate::build_block_cache(exe, &config.telemetry).expect("sample decodes"),
             ),
-            uop,
             ..config.clone()
         }
     }
 
-    /// Decoded bodies only (a threshold no block reaches), and threshold
-    /// 1, which exercises the decoded→compiled promotion path inside
-    /// recorded runs, not just steady-state compiled bodies.
-    const ACCEL_MODES: [UopConfig; 2] =
-        [UopConfig { hot_threshold: u32::MAX }, UopConfig { hot_threshold: 1 }];
-
     #[test]
     fn accelerated_recording_is_bit_identical() {
         let exe = looping_exe(300);
-        for uop in ACCEL_MODES {
-            for base in [
-                ReplayConfig::default(),
-                ReplayConfig { record_snapshots: false, ..ReplayConfig::default() },
-            ] {
-                let interp = ReplayEngine::record(&exe, &[], &base);
-                let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, uop));
-                assert_eq!(interp.execution(), fast.execution(), "{uop:?}");
-                assert_eq!(interp.trace(), fast.trace(), "{uop:?}");
-                assert_eq!(interp.interval(), fast.interval(), "{uop:?}");
-                assert_eq!(interp.checkpoint_count(), fast.checkpoint_count(), "{uop:?}");
-                let steps: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
-                let fast_steps: Vec<u64> = fast.checkpoints.iter().map(|c| c.step).collect();
-                assert_eq!(steps, fast_steps, "{uop:?}: capture schedule must not drift");
-            }
+        for base in [
+            ReplayConfig::default(),
+            ReplayConfig { record_snapshots: false, ..ReplayConfig::default() },
+        ] {
+            let interp = ReplayEngine::record(&exe, &[], &base);
+            let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe));
+            assert_eq!(interp.execution(), fast.execution());
+            assert_eq!(interp.trace(), fast.trace());
+            assert_eq!(interp.interval(), fast.interval());
+            assert_eq!(interp.checkpoint_count(), fast.checkpoint_count());
+            let steps: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
+            let fast_steps: Vec<u64> = fast.checkpoints.iter().map(|c| c.step).collect();
+            assert_eq!(steps, fast_steps, "capture schedule must not drift");
         }
     }
 
@@ -943,18 +916,16 @@ mod tests {
         let base = ReplayConfig::default();
         let interp = ReplayEngine::record(&exe, &[], &base);
         let interval = interp.interval();
-        for uop in ACCEL_MODES {
-            let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, uop));
-            let total = interp.trace().len() as u64;
-            for step in [0, 1, interval - 1, interval, interval + 1, 100, total - 1, total] {
-                let a = interp.machine_at(step).unwrap();
-                let b = fast.machine_at(step).unwrap();
-                assert_eq!(a.pc(), b.pc(), "{uop:?}: pc at step {step}");
-                assert_eq!(a.flags(), b.flags(), "{uop:?}: flags at step {step}");
-                assert_eq!(a.stopped(), b.stopped(), "{uop:?}: stop state at step {step}");
-                for r in rr_isa_regs() {
-                    assert_eq!(a.reg(r), b.reg(r), "{uop:?}: reg {r} at step {step}");
-                }
+        let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe));
+        let total = interp.trace().len() as u64;
+        for step in [0, 1, interval - 1, interval, interval + 1, 100, total - 1, total] {
+            let a = interp.machine_at(step).unwrap();
+            let b = fast.machine_at(step).unwrap();
+            assert_eq!(a.pc(), b.pc(), "pc at step {step}");
+            assert_eq!(a.flags(), b.flags(), "flags at step {step}");
+            assert_eq!(a.stopped(), b.stopped(), "stop state at step {step}");
+            for r in rr_isa_regs() {
+                assert_eq!(a.reg(r), b.reg(r), "reg {r} at step {step}");
             }
         }
     }
@@ -962,28 +933,25 @@ mod tests {
     #[test]
     fn run_continues_on_the_recording_tier() {
         let exe = looping_exe(80);
-        for uop in [None, Some(UopConfig { hot_threshold: 1 })] {
+        for uops in [false, true] {
             let telemetry = Telemetry::counters();
             let base = ReplayConfig { telemetry: telemetry.clone(), ..ReplayConfig::default() };
-            let config = uop.map_or(base.clone(), |uop| accel(&base, &exe, uop));
+            let config = if uops { accel(&base, &exe) } else { base };
             let engine = ReplayEngine::record(&exe, &[], &config);
             let tier_steps = || {
                 let m = telemetry.metrics().unwrap();
-                [Counter::UopSteps, Counter::BlockSteps, Counter::InterpSteps]
-                    .into_iter()
-                    .map(|c| m.counter(c))
-                    .sum::<u64>()
+                m.counter(Counter::UopSteps) + m.counter(Counter::InterpSteps)
             };
             let recorded = tier_steps();
             let mut machine = engine.machine_at(0).unwrap();
             let result = engine.run(&mut machine, 1_000_000);
-            assert_eq!(result.outcome, engine.execution().outcome, "{uop:?}");
-            assert_eq!(result.steps, engine.execution().steps, "{uop:?}");
-            assert_eq!(machine.output(), engine.execution().output.as_slice(), "{uop:?}");
+            assert_eq!(result.outcome, engine.execution().outcome, "uops={uops}");
+            assert_eq!(result.steps, engine.execution().steps, "uops={uops}");
+            assert_eq!(machine.output(), engine.execution().output.as_slice(), "uops={uops}");
             // Only the uop tier reports per-tier steps, and it reports all
             // of them.
-            let expected = if uop.is_some() { result.steps } else { 0 };
-            assert_eq!(tier_steps() - recorded, expected, "{uop:?}");
+            let expected = if uops { result.steps } else { 0 };
+            assert_eq!(tier_steps() - recorded, expected, "uops={uops}");
         }
     }
 
@@ -997,15 +965,13 @@ mod tests {
         let budget = free.retained_bytes() / 4;
         let base = ReplayConfig { max_retained_bytes: budget, ..ReplayConfig::default() };
         let interp = ReplayEngine::record(&exe, &[], &base);
-        for uop in ACCEL_MODES {
-            let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe, uop));
-            assert_eq!(interp.execution(), fast.execution(), "{uop:?}");
-            assert_eq!(interp.interval(), fast.interval(), "{uop:?}");
-            let steps_a: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
-            let steps_b: Vec<u64> = fast.checkpoints.iter().map(|c| c.step).collect();
-            assert_eq!(steps_a, steps_b, "{uop:?}");
-            assert!(fast.retained_bytes() <= budget, "{uop:?}");
-        }
+        let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe));
+        assert_eq!(interp.execution(), fast.execution());
+        assert_eq!(interp.interval(), fast.interval());
+        let steps_a: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
+        let steps_b: Vec<u64> = fast.checkpoints.iter().map(|c| c.step).collect();
+        assert_eq!(steps_a, steps_b);
+        assert!(fast.retained_bytes() <= budget);
     }
 
     #[test]

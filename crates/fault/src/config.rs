@@ -91,13 +91,10 @@ pub struct CampaignConfig {
     /// policy, sampling budget, and sampling seed. The default is the
     /// classic single-fault campaign (order 1).
     pub plan: PlanConfig,
-    /// How emulated instructions execute — the uop tier (default) or the
-    /// plain interpreter. See [`ExecMode`].
+    /// How emulated instructions execute — the uop tier (default), which
+    /// runs every block as the micro-op body it was decoded into once, or
+    /// the plain interpreter. See [`ExecMode`].
     pub exec: ExecMode,
-    /// Tiering knob for [`ExecMode::Uops`]: how many executions promote
-    /// a decoded superblock to its compiled uop body (`0` = compile
-    /// eagerly on first execution, `u32::MAX` = decoded bodies only).
-    pub uop: rr_emu::UopConfig,
     /// Drop plans the static analysis ([`crate::Analysis`]) proves
     /// benign from the plan space before enumeration and budget
     /// normalization (default on; `--no-static-prune` on the CLI).
@@ -125,7 +122,6 @@ impl Default for CampaignConfig {
             engine: CampaignEngine::default(),
             plan: PlanConfig::default(),
             exec: ExecMode::default(),
-            uop: rr_emu::UopConfig::default(),
             static_prune: true,
             audit_analysis: false,
         }
@@ -154,7 +150,7 @@ mod tests {
         assert_eq!(config.engine, CampaignEngine::Checkpointed);
         assert_eq!(config.plan.order, 1, "single-fault campaigns are the default");
         assert_eq!(config.plan.budget, None, "order 1 is exhaustive by default");
-        assert_eq!(config.exec, ExecMode::Uops, "compiled uop execution is the default");
+        assert_eq!(config.exec, ExecMode::Uops, "uop execution is the default");
         assert!(config.static_prune, "static pruning is the default");
         assert!(!config.audit_analysis, "auditing is opt-in");
     }

@@ -163,7 +163,6 @@ pub use model::{
 };
 pub use oracle::{Behavior, CrashTriageOracle, GoldenPairOracle, Oracle, OutputPrefixOracle};
 pub use report::{CampaignReport, FaultResult, ModelSummary, Summary};
-pub use rr_emu::UopConfig;
 pub use session::{CampaignError, CampaignSession, CampaignSessionBuilder, Collect, Sink, Stream};
 pub use site::{Fault, FaultClass, FaultEffect, FaultPlan, FaultSite};
 

@@ -292,7 +292,6 @@ impl CampaignSessionBuilder {
                 record_snapshots: config.engine == CampaignEngine::Checkpointed,
                 telemetry: self.telemetry.clone(),
                 block_cache,
-                uop: config.uop,
             },
         );
         let golden_bad = replay.execution().clone();

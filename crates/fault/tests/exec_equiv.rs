@@ -1,33 +1,27 @@
 //! Execution-mode equivalence: the uop tier
-//! ([`rr_fault::ExecMode::Uops`], the default) — pre-decoded superblock
-//! bodies for cold blocks, compiled micro-op traces for hot ones — must
-//! classify every fault exactly like the per-step interpreter
-//! ([`rr_fault::ExecMode::Interp`]), for every workload, engine, and
-//! thread count.
+//! ([`rr_fault::ExecMode::Uops`], the default) — superblocks decoded once
+//! into micro-op bodies — must classify every fault exactly like the
+//! per-step interpreter ([`rr_fault::ExecMode::Interp`]), for every
+//! workload, engine, and thread count.
 //!
 //! This is the bit-identity contract the acceleration rests on: the
-//! decoded bodies run the *same* decoded instructions over the *same*
-//! bytes (compiled bodies additionally pre-lower them and defer NZCV
-//! materialization, but never past an observable point), run code the
-//! session modified from blocks decoded out of the faulted machine's own
-//! bytes (injections mark their ranges exec-dirty, which retires the
-//! shared blocks over them), and stop at exactly the same step for
-//! fences, budgets, crashes, and exits. Any divergence here is a bug in
-//! the block cache (stale decode, missed self-modification), the uop
-//! compiler (wrong lowering, flags materialized too lazily), or the
-//! fence arithmetic, and would silently corrupt campaign results — so
-//! the comparison is on full reports, fault by fault.
+//! micro-op bodies are lowered from the *same* decoded instructions over
+//! the *same* bytes (deferring NZCV materialization, but never past an
+//! observable point), run code the session modified from blocks decoded
+//! out of the faulted machine's own bytes (injections mark their ranges
+//! exec-dirty, which retires the shared blocks over them), and stop at
+//! exactly the same step for fences, budgets, crashes, and exits. Any
+//! divergence here is a bug in the block cache (stale decode, missed
+//! self-modification), the lowering (wrong micro-op, flags materialized
+//! too lazily), or the fence arithmetic, and would silently corrupt
+//! campaign results — so the comparison is on full reports, fault by
+//! fault.
 
 use rr_fault::{
     CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, ExecMode, FaultModel,
-    InstructionSkip, PairPolicy, PlanConfig, SingleBitFlip, UopConfig,
+    InstructionSkip, PairPolicy, PlanConfig, SingleBitFlip,
 };
 use rr_workloads::Workload;
-
-/// The uop tier on decoded bodies only (a threshold no block reaches)
-/// and at the default tiering, each compared against the interpreter.
-const ACCEL_CONFIGS: [UopConfig; 2] =
-    [UopConfig { hot_threshold: u32::MAX }, UopConfig { hot_threshold: 2 }];
 
 fn session(w: &Workload, config: CampaignConfig) -> CampaignSession {
     CampaignSession::builder(w.build().unwrap_or_else(|e| panic!("{}: build failed: {e}", w.name)))
@@ -56,8 +50,7 @@ fn assert_reports_equal(a: &CampaignReport, b: &CampaignReport, context: &str) {
 }
 
 /// Every workload, both engines, serial and parallel: interp and the uop
-/// tier (decoded-only and tiered) classify identically, report for
-/// report.
+/// tier classify identically, report for report.
 #[test]
 fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
     for w in rr_workloads::all_workloads() {
@@ -75,36 +68,22 @@ fn accelerated_tiers_match_interp_across_workloads_engines_and_scheduling() {
             let interp = session(&w, CampaignConfig { exec: ExecMode::Interp, ..base.clone() });
             let interp_skip = run_one(&interp, &InstructionSkip);
             let interp_flip = run_one(&interp, &SingleBitFlip);
-            for uop in ACCEL_CONFIGS {
-                let context = format!(
-                    "{} engine={engine} threads={threads} hot={}",
-                    w.name, uop.hot_threshold
-                );
-                let fast =
-                    session(&w, CampaignConfig { exec: ExecMode::Uops, uop, ..base.clone() });
-                assert_reports_equal(
-                    &interp_skip,
-                    &run_one(&fast, &InstructionSkip),
-                    &format!("{context} skip"),
-                );
-                assert_reports_equal(
-                    &interp_flip,
-                    &run_one(&fast, &SingleBitFlip),
-                    &format!("{context} bitflip"),
-                );
-                assert_eq!(
-                    run_one(&fast, &InstructionSkip).summary().diverged,
-                    0,
-                    "{context}: accelerated replay diverged"
-                );
-            }
+            let context = format!("{} engine={engine} threads={threads}", w.name);
+            let fast = session(&w, CampaignConfig { exec: ExecMode::Uops, ..base });
+            let fast_skip = run_one(&fast, &InstructionSkip);
+            assert_reports_equal(&interp_skip, &fast_skip, &format!("{context} skip"));
+            assert_reports_equal(
+                &interp_flip,
+                &run_one(&fast, &SingleBitFlip),
+                &format!("{context} bitflip"),
+            );
+            assert_eq!(fast_skip.summary().diverged, 0, "{context}: accelerated replay diverged");
         }
     }
 }
 
 /// Multi-fault plans inject at several timed points of one continuation;
-/// decoded and compiled bodies must honour every intermediate fence
-/// exactly, and a second code poke in one continuation must retire the
+/// micro-op bodies must honour every intermediate fence exactly, and a second code poke in one continuation must retire the
 /// blocks decoded after the first.
 #[test]
 fn accelerated_tiers_match_interp_for_double_fault_plans() {
@@ -120,23 +99,20 @@ fn accelerated_tiers_match_interp_for_double_fault_plans() {
     };
     let models: [&dyn FaultModel; 2] = [&InstructionSkip, &SingleBitFlip];
     let interp = session(&w, CampaignConfig { exec: ExecMode::Interp, ..base.clone() });
+    let fast = session(&w, CampaignConfig { exec: ExecMode::Uops, ..base });
     for model in models {
         let interp_report = run_one(&interp, model);
         assert!(!interp_report.results.is_empty(), "{}: no order-2 plans", model.name());
-        for uop in ACCEL_CONFIGS {
-            let fast = session(&w, CampaignConfig { exec: ExecMode::Uops, uop, ..base.clone() });
-            assert_reports_equal(
-                &interp_report,
-                &run_one(&fast, model),
-                &format!("pincheck order-2 {} hot={}", model.name(), uop.hot_threshold),
-            );
-        }
+        assert_reports_equal(
+            &interp_report,
+            &run_one(&fast, model),
+            &format!("pincheck order-2 {}", model.name()),
+        );
     }
 }
 
-/// The default config really is uop-compiled: an explicitly-interp
-/// session and a default one still agree on a full campaign, and an
-/// eager-compile threshold agrees with the tiered default.
+/// The default config really is the uop tier: an explicitly-interp
+/// session and a default one still agree on a full campaign.
 #[test]
 fn default_session_is_uop_compiled_and_equivalent() {
     assert_eq!(CampaignConfig::default().exec, ExecMode::Uops);
@@ -144,21 +120,9 @@ fn default_session_is_uop_compiled_and_equivalent() {
     let default = session(&w, CampaignConfig::default());
     let interp =
         session(&w, CampaignConfig { exec: ExecMode::Interp, ..CampaignConfig::default() });
-    let default_report = run_one(&default, &InstructionSkip);
     assert_reports_equal(
         &run_one(&interp, &InstructionSkip),
-        &default_report,
+        &run_one(&default, &InstructionSkip),
         "otp default-vs-interp",
-    );
-    // Eager compilation (threshold 0) must not change a single verdict
-    // relative to the tiered default threshold.
-    let eager = session(
-        &w,
-        CampaignConfig { uop: UopConfig { hot_threshold: 0 }, ..CampaignConfig::default() },
-    );
-    assert_reports_equal(
-        &default_report,
-        &run_one(&eager, &InstructionSkip),
-        "otp tiered-vs-eager",
     );
 }

@@ -13,13 +13,35 @@
 //! ```
 //!
 //! All integers are little-endian.
+//!
+//! Parsing treats its input as hostile. A count is rejected when the
+//! rest of the file cannot hold that many entries, before anything is
+//! reserved for them. An executable's segments must each fit their
+//! data, lie below the stack base (`STACK_TOP − STACK_SIZE`, the ISA's
+//! own layout) and not overlap, and one of them must be `.text`. Every
+//! violation is a [`FormatError`], so loading never allocates more than
+//! the file and the address space below the stack can describe.
 
 use crate::exec::{ExeSymbol, Segment, SegmentPerms};
 use crate::{Executable, ObjectFile, RelocKind, Relocation, SectionKind, Symbol, SymbolKind};
+use rr_isa::{STACK_SIZE, STACK_TOP};
 use std::fmt;
 
 const OBJ_MAGIC: &[u8; 4] = b"ROF1";
 const EXE_MAGIC: &[u8; 4] = b"RFX1";
+
+/// The lowest stack address: every executable segment must end at or
+/// below it.
+const STACK_BASE: u64 = STACK_TOP - STACK_SIZE;
+
+/// Smallest encodings of the counted entries: a segment (addr, mem_size,
+/// perms, section, empty data), an executable symbol (empty name, addr,
+/// kind), an object symbol (empty name, section, offset, kind, global)
+/// and a relocation (section, offset, kind, empty symbol, addend).
+const MIN_SEGMENT_LEN: usize = 8 + 8 + 1 + 1 + 4;
+const MIN_EXE_SYMBOL_LEN: usize = 4 + 8 + 1;
+const MIN_OBJ_SYMBOL_LEN: usize = 4 + 1 + 8 + 1 + 1;
+const MIN_RELOC_LEN: usize = 1 + 8 + 1 + 4 + 8;
 
 /// Error produced when parsing a serialized ROF file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +59,43 @@ pub enum FormatError {
     },
     /// A string was not valid UTF-8.
     BadString,
+    /// A count declares more entries than the rest of the file can hold.
+    CountTooLarge {
+        /// What is counted.
+        field: &'static str,
+        /// The declared count.
+        count: u32,
+        /// Bytes left in the file after the count.
+        remaining: usize,
+    },
+    /// A segment's initialized data is longer than its mapped size.
+    SegmentDataTooLong {
+        /// The segment's index in the file.
+        index: usize,
+        /// Initialized bytes.
+        data_len: u64,
+        /// Mapped size.
+        mem_size: u64,
+    },
+    /// A segment's range overflows the address space or reaches past the
+    /// stack base.
+    SegmentOutOfBounds {
+        /// The segment's index in the file.
+        index: usize,
+        /// Base address.
+        addr: u64,
+        /// Mapped size.
+        mem_size: u64,
+    },
+    /// Two segments map overlapping ranges.
+    OverlappingSegments {
+        /// The lower-addressed segment's index in the file.
+        first: usize,
+        /// The index of the segment that starts inside it.
+        second: usize,
+    },
+    /// An executable maps no `.text` segment.
+    MissingText,
 }
 
 impl fmt::Display for FormatError {
@@ -46,6 +105,24 @@ impl fmt::Display for FormatError {
             FormatError::UnexpectedEof => write!(f, "unexpected end of file"),
             FormatError::BadTag { field, value } => write!(f, "invalid {field} tag {value:#x}"),
             FormatError::BadString => write!(f, "invalid UTF-8 in string"),
+            FormatError::CountTooLarge { field, count, remaining } => write!(
+                f,
+                "{count} {field} entries declared, more than the remaining {remaining} bytes \
+                 can hold"
+            ),
+            FormatError::SegmentDataTooLong { index, data_len, mem_size } => write!(
+                f,
+                "segment {index} has {data_len} bytes of data, more than its mem_size {mem_size}"
+            ),
+            FormatError::SegmentOutOfBounds { index, addr, mem_size } => write!(
+                f,
+                "segment {index} at {addr:#x} with mem_size {mem_size:#x} reaches past the \
+                 stack base {STACK_BASE:#x}"
+            ),
+            FormatError::OverlappingSegments { first, second } => {
+                write!(f, "segment {second} overlaps segment {first}")
+            }
+            FormatError::MissingText => write!(f, "no .text segment"),
         }
     }
 }
@@ -92,6 +169,17 @@ impl<'a> Reader<'a> {
 
     fn string(&mut self) -> Result<String, FormatError> {
         String::from_utf8(self.bytes()?).map_err(|_| FormatError::BadString)
+    }
+
+    /// Reads a `field` count whose entries take at least `min_len` bytes
+    /// each, rejecting it when the rest of the file cannot hold them.
+    fn count(&mut self, field: &'static str, min_len: usize) -> Result<usize, FormatError> {
+        let count = self.u32()?;
+        let remaining = self.bytes.len() - self.pos;
+        if (count as usize).saturating_mul(min_len) > remaining {
+            return Err(FormatError::CountTooLarge { field, count, remaining });
+        }
+        Ok(count as usize)
     }
 
     fn done(&self) -> bool {
@@ -167,7 +255,7 @@ impl ObjectFile {
             s.data = data;
             s.zero_size = zero_size;
         }
-        let nsyms = r.u32()?;
+        let nsyms = r.count("symbol", MIN_OBJ_SYMBOL_LEN)?;
         for _ in 0..nsyms {
             let name = r.string()?;
             let section = section_kind(r.u8()?)?;
@@ -180,7 +268,7 @@ impl ObjectFile {
             };
             obj.symbols.push(Symbol { name, section, offset, kind, global });
         }
-        let nrelocs = r.u32()?;
+        let nrelocs = r.count("relocation", MIN_RELOC_LEN)?;
         for _ in 0..nrelocs {
             let section = section_kind(r.u8()?)?;
             let offset = r.u64()?;
@@ -240,15 +328,17 @@ impl Executable {
     ///
     /// # Errors
     ///
-    /// Returns a [`FormatError`] on malformed input; parsing never panics.
+    /// Returns a [`FormatError`] on malformed input, including segments
+    /// that do not fit their data, reach past the stack base, or overlap,
+    /// and a missing `.text` segment; parsing never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Executable, FormatError> {
         let mut r = Reader::new(bytes);
         if r.take(4)? != EXE_MAGIC {
             return Err(FormatError::BadMagic);
         }
         let entry = r.u64()?;
-        let nsegs = r.u32()?;
-        let mut segments = Vec::with_capacity(nsegs as usize);
+        let nsegs = r.count("segment", MIN_SEGMENT_LEN)?;
+        let mut segments = Vec::with_capacity(nsegs);
         for _ in 0..nsegs {
             let addr = r.u64()?;
             let mem_size = r.u64()?;
@@ -267,8 +357,9 @@ impl Executable {
                 section,
             });
         }
-        let nsyms = r.u32()?;
-        let mut symbols = Vec::with_capacity(nsyms as usize);
+        validate_segments(&segments)?;
+        let nsyms = r.count("symbol", MIN_EXE_SYMBOL_LEN)?;
+        let mut symbols = Vec::with_capacity(nsyms);
         for _ in 0..nsyms {
             let name = r.string()?;
             let addr = r.u64()?;
@@ -280,6 +371,36 @@ impl Executable {
         }
         Ok(Executable { segments, entry, symbols })
     }
+}
+
+/// Checks that every segment fits its data and lies below the stack
+/// base, that no two non-empty segments overlap, and that `.text` is
+/// mapped.
+fn validate_segments(segments: &[Segment]) -> Result<(), FormatError> {
+    for (index, seg) in segments.iter().enumerate() {
+        let (addr, mem_size) = (seg.addr, seg.mem_size);
+        let data_len = seg.data.len() as u64;
+        if data_len > mem_size {
+            return Err(FormatError::SegmentDataTooLong { index, data_len, mem_size });
+        }
+        if addr.checked_add(mem_size).is_none_or(|end| end > STACK_BASE) {
+            return Err(FormatError::SegmentOutOfBounds { index, addr, mem_size });
+        }
+    }
+    // Sorted by base address, any overlap shows between neighbours.
+    let mut mapped: Vec<usize> =
+        (0..segments.len()).filter(|&i| segments[i].mem_size > 0).collect();
+    mapped.sort_by_key(|&i| segments[i].addr);
+    for pair in mapped.windows(2) {
+        let (first, second) = (pair[0], pair[1]);
+        if segments[second].addr < segments[first].range().end {
+            return Err(FormatError::OverlappingSegments { first, second });
+        }
+    }
+    if !segments.iter().any(|seg| seg.section == SectionKind::Text) {
+        return Err(FormatError::MissingText);
+    }
+    Ok(())
 }
 
 fn section_kind(tag: u8) -> Result<SectionKind, FormatError> {
@@ -356,6 +477,79 @@ mod tests {
         let mut bytes = rich_object().to_bytes();
         bytes.push(0);
         assert_eq!(ObjectFile::from_bytes(&bytes), Err(FormatError::UnexpectedEof));
+    }
+
+    /// Segment 0's `mem_size` (file bytes 24..32) set to 2^46: loading
+    /// would size a page table for it.
+    #[test]
+    fn huge_segment_is_rejected() {
+        let mut bytes = link(&[rich_object()]).unwrap().to_bytes();
+        bytes[24..32].copy_from_slice(&(1u64 << 46).to_le_bytes());
+        let err = Executable::from_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(err, FormatError::SegmentOutOfBounds { index: 0, mem_size, .. } if mem_size == 1 << 46),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("segment 0"), "{err}");
+    }
+
+    /// The segment count (file bytes 12..16) set to `0x8000_0003`: the
+    /// parser must not reserve room for that many segments.
+    #[test]
+    fn huge_segment_count_is_rejected_before_reserving() {
+        let mut bytes = link(&[rich_object()]).unwrap().to_bytes();
+        bytes[12..16].copy_from_slice(&0x8000_0003u32.to_le_bytes());
+        let err = Executable::from_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(err, FormatError::CountTooLarge { field: "segment", count: 0x8000_0003, .. }),
+            "{err:?}"
+        );
+        // The same holds for the symbol count that ends the file's
+        // segments.
+        let exe = link(&[rich_object()]).unwrap();
+        let mut bytes = exe.to_bytes();
+        let at = bytes.len() - exe.symbols.iter().map(|s| 4 + s.name.len() + 8 + 1).sum::<usize>();
+        bytes[at - 4..at].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Executable::from_bytes(&bytes),
+            Err(FormatError::CountTooLarge { field: "symbol", .. })
+        ));
+    }
+
+    #[test]
+    fn segments_must_fit_below_the_stack_without_overlap_and_map_text() {
+        let exe = link(&[rich_object()]).unwrap();
+        assert!(exe.segments.len() >= 2 && !exe.segments[0].data.is_empty());
+        let reject = |edit: &dyn Fn(&mut Executable)| {
+            let mut bad = exe.clone();
+            edit(&mut bad);
+            Executable::from_bytes(&bad.to_bytes()).unwrap_err()
+        };
+        assert!(matches!(
+            reject(&|e| e.segments[1].mem_size = e.segments[1].data.len() as u64 - 1),
+            FormatError::SegmentDataTooLong { index: 1, .. }
+        ));
+        assert!(matches!(
+            reject(&|e| e.segments[1].addr = u64::MAX - 1),
+            FormatError::SegmentOutOfBounds { index: 1, .. }
+        ));
+        assert!(matches!(
+            reject(&|e| e.segments[0].addr = STACK_BASE - 1),
+            FormatError::SegmentOutOfBounds { index: 0, .. }
+        ));
+        assert_eq!(
+            reject(&|e| e.segments[1].addr = e.segments[0].addr + 1),
+            FormatError::OverlappingSegments { first: 0, second: 1 }
+        );
+        assert_eq!(
+            reject(&|e| e.segments[0].section = SectionKind::Data),
+            FormatError::MissingText
+        );
+        // A segment ending exactly at the stack base still loads.
+        let mut last = exe.clone();
+        let seg = last.segments.last_mut().unwrap();
+        seg.addr = STACK_BASE - seg.mem_size;
+        assert_eq!(Executable::from_bytes(&last.to_bytes()), Ok(last));
     }
 
     #[test]

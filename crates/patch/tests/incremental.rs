@@ -76,75 +76,54 @@ fn instruction_skip_is_invariant_across_all_workloads() {
 
 /// Accelerated execution survives the harden loop: every iteration's
 /// rewrite shifts the text, the carried cache is invalidated through the
-/// patch's listing delta and rebuilt (dropping compiled uop bodies with
-/// their blocks), and the loop still classifies, patches, and converges
-/// bit-identically to the interpreter — under the uop tier on decoded
-/// bodies only and at its default tiering.
+/// patch's listing delta and rebuilt (dropping the stale micro-op bodies
+/// with their blocks), and the loop still classifies, patches, and
+/// converges bit-identically to the interpreter.
 #[test]
 fn exec_mode_is_invariant_across_harden_iterations() {
-    use rr_fault::{CampaignConfig, ExecMode, UopConfig};
+    use rr_fault::{CampaignConfig, ExecMode};
     use rr_telemetry::{Counter, Telemetry};
     for w in [rr_workloads::pincheck(), rr_workloads::otp_check()] {
         let exe = w.build().unwrap();
-        let harden_with = |exec: ExecMode, uop: UopConfig, telemetry: Telemetry| {
+        let harden_with = |exec: ExecMode, telemetry: Telemetry| {
             let config = HardenConfig {
                 max_iterations: 3,
                 incremental: true,
                 telemetry,
-                campaign: CampaignConfig { exec, uop, ..CampaignConfig::default() },
+                campaign: CampaignConfig { exec, ..CampaignConfig::default() },
                 ..HardenConfig::default()
             };
             FaulterPatcher::new(config)
                 .harden(&exe, &w.good_input, &w.bad_input, &InstructionSkip)
                 .unwrap_or_else(|e| panic!("{} hardening failed: {e}", w.name))
         };
-        let interp = harden_with(ExecMode::Interp, UopConfig::default(), Telemetry::disabled());
-        for uop in [UopConfig { hot_threshold: u32::MAX }, UopConfig::default()] {
-            let telemetry = Telemetry::counters();
-            let fast = harden_with(ExecMode::Uops, uop, telemetry.clone());
+        let interp = harden_with(ExecMode::Interp, Telemetry::disabled());
+        let telemetry = Telemetry::counters();
+        let fast = harden_with(ExecMode::Uops, telemetry.clone());
 
-            let context = format!("workload {} hot {}", w.name, uop.hot_threshold);
-            assert_eq!(interp.iterations, fast.iterations, "{context}");
-            assert_eq!(
-                interp.hardened.to_bytes(),
-                fast.hardened.to_bytes(),
-                "{context}: hardened binaries diverged"
+        let context = format!("workload {}", w.name);
+        assert_eq!(interp.iterations, fast.iterations, "{context}");
+        assert_eq!(
+            interp.hardened.to_bytes(),
+            fast.hardened.to_bytes(),
+            "{context}: hardened binaries diverged"
+        );
+        assert_eq!(interp.fixed_point, fast.fixed_point, "{context}");
+        assert_eq!(interp.residual_vulnerabilities, fast.residual_vulnerabilities, "{context}");
+        assert_eq!(interp.campaigns, fast.campaigns, "{context}");
+
+        // The accelerated path really ran: text was decoded into blocks,
+        // uop steps exist, and each post-rewrite campaign invalidated the
+        // stale blocks of the carried cache before rebuilding.
+        let metrics = telemetry.metrics().expect("counters attached");
+        assert!(metrics.counter(Counter::BlocksDecoded) > 0, "{context}: no blocks decoded");
+        assert!(metrics.counter(Counter::UopSteps) > 0, "{context}: no uop steps");
+        if fast.campaigns >= 2 {
+            assert!(
+                metrics.counter(Counter::BlockInvalidations) > 0,
+                "{context}: {} campaigns without a cache invalidation",
+                fast.campaigns
             );
-            assert_eq!(interp.fixed_point, fast.fixed_point, "{context}");
-            assert_eq!(interp.residual_vulnerabilities, fast.residual_vulnerabilities, "{context}");
-            assert_eq!(interp.campaigns, fast.campaigns, "{context}");
-
-            // The accelerated path really ran: text was decoded into
-            // blocks, accelerated steps exist, and each post-rewrite
-            // campaign invalidated the stale blocks of the carried cache
-            // before rebuilding. With decoded bodies only, the cached
-            // blocks ran decoded; at the default tiering the loop must
-            // also have promoted and compiled hot bodies.
-            let metrics = telemetry.metrics().expect("counters attached");
-            assert!(metrics.counter(Counter::BlocksDecoded) > 0, "{context}: no blocks decoded");
-            if uop.hot_threshold == u32::MAX {
-                assert!(
-                    metrics.counter(Counter::BlockSteps) > 0,
-                    "{context}: no block-executed steps"
-                );
-            } else {
-                assert!(metrics.counter(Counter::UopSteps) > 0, "{context}: no uop steps");
-                assert!(
-                    metrics.counter(Counter::BlocksCompiled) > 0,
-                    "{context}: nothing compiled"
-                );
-                assert!(
-                    metrics.counter(Counter::TierPromotions) > 0,
-                    "{context}: nothing promoted"
-                );
-            }
-            if fast.campaigns >= 2 {
-                assert!(
-                    metrics.counter(Counter::BlockInvalidations) > 0,
-                    "{context}: {} campaigns without a cache invalidation",
-                    fast.campaigns
-                );
-            }
         }
     }
 }

@@ -158,8 +158,9 @@ pub enum Counter {
     BucketPlans,
     /// Superblocks pre-decoded into the block-cached execution engine.
     BlocksDecoded,
-    /// Instructions executed from pre-decoded block bodies (uop-tier
-    /// blocks not yet past the hot threshold).
+    /// Always 0: every block runs as a micro-op body, counted in
+    /// `UopSteps`. Kept only because the committed end-to-end benchmark
+    /// reads it; it goes with the next benchmark revision.
     BlockSteps,
     /// Instructions executed by the plain interpreter while a block
     /// cache was available: only pcs whose bytes do not fetch or decode,
@@ -167,22 +168,22 @@ pub enum Counter {
     InterpSteps,
     /// Cached blocks invalidated by a rewrite's listing delta.
     BlockInvalidations,
-    /// Hot superblocks compiled into pre-lowered micro-op traces.
+    /// Always 0: blocks are decoded straight into micro-ops (counted in
+    /// `BlocksDecoded` and `BlocksRedecoded`). Kept only because the
+    /// committed end-to-end benchmark reads it; it goes with the next
+    /// benchmark revision.
     BlocksCompiled,
-    /// Instructions executed from compiled micro-op bodies (alongside
-    /// `BlockSteps` and `InterpSteps`).
+    /// Instructions executed from micro-op block bodies (alongside
+    /// `InterpSteps`).
     UopSteps,
     /// Deferred NZCV tuples actually materialized by the uop tier (a
     /// consumer or block exit read the flags; fused compare+branch
     /// idioms never count here).
     FlagMaterializations,
-    /// Blocks promoted from decoded to compiled execution by crossing
-    /// the hot threshold.
-    TierPromotions,
     /// Blocks the uop tier decoded out of a machine's own memory for pcs
     /// the shared block cache could not serve: code a bit flip or a
-    /// store rewrote, and code no block leader covers. They run, tier
-    /// and count their steps like cached blocks.
+    /// store rewrote, and code no block leader covers. They run and
+    /// count their steps like cached blocks.
     BlocksRedecoded,
     /// Always 0: nothing increments it. Kept only because the committed
     /// end-to-end benchmark reads it; it goes with the next benchmark
@@ -206,7 +207,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 24;
     /// Every counter, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::PlansExecuted,
@@ -227,7 +228,6 @@ impl Counter {
         Counter::BlocksCompiled,
         Counter::UopSteps,
         Counter::FlagMaterializations,
-        Counter::TierPromotions,
         Counter::BlocksRedecoded,
         Counter::BlocksOptimized,
         Counter::PlansPrunedStatic,
@@ -257,7 +257,6 @@ impl Counter {
             Counter::BlocksCompiled => "blocks_compiled",
             Counter::UopSteps => "uop_steps",
             Counter::FlagMaterializations => "flag_materializations",
-            Counter::TierPromotions => "tier_promotions",
             Counter::BlocksRedecoded => "blocks_redecoded",
             Counter::BlocksOptimized => "blocks_optimized",
             Counter::PlansPrunedStatic => "plans_pruned_static",
