@@ -256,11 +256,6 @@ impl Analysis {
         Analysis { sites, functions }
     }
 
-    /// Number of analysed instruction sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// The recovered functions the analysis ran over.
     pub fn functions(&self) -> &[Function] {
         &self.functions
@@ -269,16 +264,6 @@ impl Analysis {
     /// Encoded length of the instruction at `pc`, if analysed.
     pub fn site_len(&self, pc: u64) -> Option<usize> {
         self.sites.get(&pc).map(|s| s.len)
-    }
-
-    /// May-live registers just before the instruction at `pc`, if analysed.
-    pub fn live_regs_before(&self, pc: u64) -> Option<RegSet> {
-        self.sites.get(&pc).map(|s| s.live_in_regs)
-    }
-
-    /// May-live flag bits just before the instruction at `pc`, if analysed.
-    pub fn live_flags_before(&self, pc: u64) -> Option<u8> {
-        self.sites.get(&pc).map(|s| s.live_in_flags)
     }
 
     /// Verdict for *skipping* the instruction at `pc`.

@@ -663,7 +663,7 @@ mod tests {
         // records no snapshots, so it retains nothing.
         assert!(naive.contains("memory: 1 checkpoints"), "{naive}");
         assert!(checkpointed.contains("memory: "), "{checkpointed}");
-        assert!(checkpointed.contains("region-COW"), "{checkpointed}");
+        assert!(checkpointed.contains("KiB retained"), "{checkpointed}");
         assert!(fault(&sv(&[&exe_path, "--good", "7391", "--bad", "7291", "--engine", "laser",]))
             .is_err());
         // Execution mode is a pure speed knob: interp and uops produce

@@ -27,12 +27,6 @@ impl BasicBlock {
     pub fn terminator(&self) -> (u64, Instr) {
         *self.instrs.last().expect("basic blocks are non-empty")
     }
-
-    /// The address one past the last instruction.
-    pub fn end_addr(&self, code: &CodeMap) -> u64 {
-        let (addr, _) = self.terminator();
-        addr + code.instr_at(addr).map(|&(_, len)| len as u64).unwrap_or(0)
-    }
 }
 
 /// A recovered function: an entry block plus every block reachable from it

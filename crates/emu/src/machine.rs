@@ -81,13 +81,6 @@ impl Snapshot {
     pub fn dirtied_since(&self, baseline: &Snapshot) -> MemoryDelta {
         self.0.memory.delta(&baseline.0.memory)
     }
-
-    /// Bytes a page-granular COW with a hypothetical `page_size` would
-    /// retain for this snapshot against `baseline`
-    /// ([`Memory::retained_bytes_at`]).
-    pub fn retained_bytes_at(&self, baseline: &Snapshot, page_size: usize) -> u64 {
-        self.0.memory.retained_bytes_at(&baseline.0.memory, page_size)
-    }
 }
 
 impl Machine {

@@ -32,10 +32,8 @@
 //!
 //! [`Memory::stats`] reports residency (materialized vs zero pages) and
 //! [`Memory::delta`] compares two memories of the same layout by page
-//! *identity*, counting pages whose backing is no longer shared. The
-//! delta also reports what region-granular COW (the previous design)
-//! would have retained for the same divergence, which is how the
-//! snapshot-footprint benchmark gates the ≥10× improvement.
+//! *identity*, counting pages whose backing is no longer shared: the
+//! private footprint a checkpoint retains over its predecessor.
 
 use rr_isa::{MAX_INSTR_LEN, STACK_SIZE, STACK_TOP};
 use rr_obj::{Executable, SegmentPerms};
@@ -271,11 +269,6 @@ pub struct MemoryDelta {
     pub pages: u64,
     /// `pages × PAGE_SIZE` — what page-granular COW retains privately.
     pub bytes: u64,
-    /// Regions with at least one differing page.
-    pub regions: u64,
-    /// Total mapped length of those regions — what region-granular COW
-    /// (one allocation per region) would retain for the same divergence.
-    pub region_bytes: u64,
 }
 
 impl MemoryDelta {
@@ -462,58 +455,6 @@ impl Memory {
         stats
     }
 
-    /// What page-granular COW would retain for this memory against
-    /// `baseline` under a **hypothetical** page size, in bytes: exact
-    /// byte-level diffing resampled onto a `page_size`-aligned grid.
-    ///
-    /// [`PAGE_SIZE`] is a compile-time constant, so alternative
-    /// granularities can't be measured by recompiling per point; this
-    /// analytic sweep answers "what would 1 KiB / 16 KiB pages have
-    /// retained?" for the same recording instead. Pages with identical
-    /// backing are skipped wholesale, so the scan only touches pages the
-    /// real COW copied. Byte-identical rewrites (a page copied for a
-    /// write that stored the same value) count as clean here but dirty
-    /// in [`Memory::delta`]'s identity accounting, so the result at
-    /// `PAGE_SIZE` is a lower bound on [`MemoryDelta::bytes`].
-    pub fn retained_bytes_at(&self, baseline: &Memory, page_size: usize) -> u64 {
-        assert!(page_size > 0, "page size must be positive");
-        assert_eq!(self.regions.len(), baseline.regions.len(), "memory layouts differ");
-        fn visible(page: &Page) -> &[u8] {
-            const ZERO: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
-            match page {
-                Page::Zero => &ZERO[..],
-                Page::Data(buf) => &buf[..PAGE_SIZE],
-            }
-        }
-        let mut chunks = std::collections::BTreeSet::new();
-        for (a, b) in self.regions.iter().zip(&baseline.regions) {
-            assert_eq!((a.start, a.len), (b.start, b.len), "memory layouts differ");
-            for (p, (pa, pb)) in a.pages.iter().zip(&b.pages).enumerate() {
-                if pa.same_backing(pb) {
-                    continue;
-                }
-                let page_base = p * PAGE_SIZE;
-                let mapped = a.len.saturating_sub(page_base).min(PAGE_SIZE);
-                let (da, db) = (visible(pa), visible(pb));
-                let mut i = 0;
-                while i < mapped {
-                    if da[i] == db[i] {
-                        i += 1;
-                        continue;
-                    }
-                    let addr = a.start + (page_base + i) as u64;
-                    let chunk = addr / page_size as u64;
-                    chunks.insert(chunk);
-                    // The whole chunk is retained either way; skip to
-                    // its end.
-                    let chunk_end = (chunk + 1) * page_size as u64;
-                    i = ((chunk_end - a.start) as usize - page_base).clamp(i + 1, mapped);
-                }
-            }
-        }
-        chunks.len() as u64 * page_size as u64
-    }
-
     /// Whether this memory holds exactly the bytes of `other`, region by
     /// region. Pages sharing a backing are equal without a read; only
     /// pages whose backings differ are compared byte by byte. The
@@ -537,13 +478,8 @@ impl Memory {
         let mut delta = MemoryDelta::default();
         for (a, b) in self.regions.iter().zip(&baseline.regions) {
             assert_eq!((a.start, a.len), (b.start, b.len), "memory layouts differ");
-            let dirty =
+            delta.pages +=
                 a.pages.iter().zip(&b.pages).filter(|(pa, pb)| !pa.same_backing(pb)).count() as u64;
-            if dirty > 0 {
-                delta.pages += dirty;
-                delta.regions += 1;
-                delta.region_bytes += a.len as u64;
-            }
         }
         delta.bytes = delta.pages * PAGE_SIZE as u64;
         delta
@@ -670,8 +606,6 @@ mod tests {
         let delta = mem.delta(&snapshot);
         assert_eq!(delta.pages, 1);
         assert_eq!(delta.bytes, PAGE_SIZE as u64);
-        assert_eq!(delta.regions, 1);
-        assert_eq!(delta.region_bytes, 16, "region-COW would retain the whole region");
         // The snapshot still sees the pre-write value.
         assert_eq!(snapshot.read_u64(0x2000).unwrap(), 0xAAAA_AAAA);
         assert_eq!(mem.read_u64(0x2000).unwrap(), 0xDEAD_BEEF);
@@ -684,8 +618,7 @@ mod tests {
         mem.write_u64(STACK_TOP - 8, 0xFEED).unwrap();
         let delta = mem.delta(&snapshot);
         assert_eq!(delta.pages, 1, "one page of the 1 MiB stack");
-        assert_eq!(delta.region_bytes, STACK_SIZE, "region-COW would retain the whole stack");
-        assert!(delta.bytes * 10 <= delta.region_bytes);
+        assert_eq!(delta.bytes, PAGE_SIZE as u64);
     }
 
     #[test]
@@ -732,36 +665,6 @@ mod tests {
         // Failed pokes record nothing.
         assert!(!mem.poke(0x9999_0000, &[1]));
         assert_eq!(mem.exec_dirty_epoch(), 1);
-    }
-
-    #[test]
-    fn retained_bytes_resample_to_hypothetical_page_sizes() {
-        let mut mem = paged_memory();
-        let baseline = mem.clone();
-        let base = 0x10000u64;
-        // Two dirty bytes in the same 4 KiB page but different 1 KiB
-        // subpages, plus one in the next 4 KiB page.
-        mem.write_u8(base + 5, 0x99).unwrap();
-        mem.write_u8(base + 2000, 0x99).unwrap();
-        mem.write_u8(base + PAGE_SIZE as u64 + 1, 0x99).unwrap();
-        assert_eq!(mem.retained_bytes_at(&baseline, 1024), 3 * 1024);
-        assert_eq!(mem.retained_bytes_at(&baseline, PAGE_SIZE), 2 * PAGE_SIZE as u64);
-        // Both dirty 4 KiB pages share one 8 KiB superpage (region base
-        // is aligned).
-        assert_eq!(mem.retained_bytes_at(&baseline, 2 * PAGE_SIZE), 2 * PAGE_SIZE as u64);
-        // Coverage is monotone in the page size on the aligned grid.
-        let sweep: Vec<u64> = [1024usize, 2048, 4096, 8192, 16384]
-            .iter()
-            .map(|&p| mem.retained_bytes_at(&baseline, p))
-            .collect();
-        assert!(sweep.windows(2).all(|w| w[0] <= w[1]), "{sweep:?}");
-        // A byte-identical rewrite copies the page (delta counts it) but
-        // retains nothing by byte diffing.
-        let mut same = baseline.clone();
-        let original = same.read_u8(base + 5).unwrap();
-        same.write_u8(base + 5, original).unwrap();
-        assert!(same.delta(&baseline).bytes > 0);
-        assert_eq!(same.retained_bytes_at(&baseline, PAGE_SIZE), 0);
     }
 
     #[test]

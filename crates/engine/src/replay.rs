@@ -171,11 +171,9 @@ impl Checkpoint {
 /// Aggregate memory footprint of a recording's retained checkpoints.
 ///
 /// `retained_bytes` is what the page-granular COW representation keeps
-/// privately across checkpoints; `region_cow_bytes` is what the previous
-/// region-granular design would have kept for the *same* checkpoints
-/// (one whole region per region touched per interval) — the ratio is the
-/// win the paged memory buys, and the snapshot-footprint benchmark gates
-/// it at ≥ 10× on stack-dirtying workloads.
+/// privately across checkpoints: the pages each checkpoint no longer
+/// shares with its predecessor. A loop that dirties one stack page per
+/// interval retains one page per checkpoint after the first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayFootprint {
     /// Retained checkpoints, including the initial state.
@@ -190,22 +188,17 @@ pub struct ReplayFootprint {
     /// `retained_pages × PAGE_SIZE` — incremental retained state under
     /// page-granular COW.
     pub retained_bytes: u64,
-    /// Incremental retained state region-granular COW would have kept
-    /// for the same checkpoints.
-    pub region_cow_bytes: u64,
 }
 
 impl fmt::Display for ReplayFootprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} checkpoints (interval {}): {} KiB retained ({} dirty pages; \
-             region-COW would retain {} KiB)",
+            "{} checkpoints (interval {}): {} KiB retained ({} dirty pages)",
             self.checkpoints,
             self.interval,
             (self.base_resident_bytes + self.retained_bytes) / 1024,
             self.retained_pages,
-            (self.base_resident_bytes + self.region_cow_bytes) / 1024,
         )
     }
 }
@@ -447,9 +440,8 @@ impl ReplayEngine {
         self.checkpoints.len()
     }
 
-    /// Memory footprint of the retained checkpoints: page-granular
-    /// retained bytes, and what region-granular COW would have retained
-    /// for the same recording.
+    /// Memory footprint of the retained checkpoints: how many there are,
+    /// and the pages and bytes they retain under page-granular COW.
     pub fn footprint(&self) -> ReplayFootprint {
         let base = self.checkpoints.first().expect("initial state");
         let mut footprint = ReplayFootprint {
@@ -461,7 +453,6 @@ impl ReplayEngine {
         for checkpoint in &self.checkpoints[1..] {
             footprint.retained_pages += checkpoint.delta.pages;
             footprint.retained_bytes += checkpoint.delta.bytes;
-            footprint.region_cow_bytes += checkpoint.delta.region_bytes;
         }
         footprint
     }
@@ -470,22 +461,6 @@ impl ReplayEngine {
     /// [`ReplayConfig::max_retained_bytes`] budgets).
     pub fn retained_bytes(&self) -> u64 {
         self.checkpoints[1..].iter().map(|c| c.delta.bytes).sum()
-    }
-
-    /// Bytes this recording's checkpoints would retain under a
-    /// **hypothetical** COW page size, from exact byte-level diffs of
-    /// adjacent checkpoint snapshots
-    /// ([`rr_emu::Snapshot::retained_bytes_at`]). The emulator's page
-    /// size is a compile-time constant, so this analytic resample is how
-    /// the footprint benchmark sweeps granularities (1–16 KiB) without
-    /// per-point rebuilds. Byte-identical page rewrites count as clean
-    /// here, so the value at the native page size lower-bounds
-    /// [`ReplayEngine::retained_bytes`].
-    pub fn retained_bytes_at(&self, page_size: usize) -> u64 {
-        self.checkpoints
-            .windows(2)
-            .map(|pair| pair[1].snapshot.retained_bytes_at(&pair[0].snapshot, page_size))
-            .sum()
     }
 
     /// The trace step of the nearest retained checkpoint at or before
@@ -596,7 +571,7 @@ fn recompute_deltas(checkpoints: &mut [Checkpoint]) -> u64 {
 mod tests {
     use super::*;
     use rr_asm::assemble_and_link;
-    use rr_emu::RunOutcome;
+    use rr_emu::{RunOutcome, PAGE_SIZE};
 
     fn looping_exe(iterations: u32) -> Executable {
         assemble_and_link(&format!(
@@ -725,25 +700,27 @@ mod tests {
 
     #[test]
     fn footprint_reports_page_granular_retention() {
-        let exe = stack_churn_exe(500);
-        let engine = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
-        let footprint = engine.footprint();
-        assert_eq!(footprint.checkpoints, engine.checkpoint_count());
-        assert_eq!(footprint.interval, engine.interval());
-        assert_eq!(footprint.retained_bytes, engine.retained_bytes());
-        assert_eq!(footprint.retained_bytes, footprint.retained_pages * 4096);
-        // Stack churn dirties ~1 page per interval while region-COW would
-        // retain the whole 1 MiB stack per checkpoint.
-        assert!(footprint.retained_bytes > 0);
-        assert!(
-            footprint.region_cow_bytes >= 10 * footprint.retained_bytes,
-            "region-COW {} vs paged {}",
-            footprint.region_cow_bytes,
-            footprint.retained_bytes
-        );
-        let rendered = footprint.to_string();
-        assert!(rendered.contains("checkpoints"), "{rendered}");
-        assert!(rendered.contains("region-COW"), "{rendered}");
+        // Each interval of stack churn dirties exactly the one stack page
+        // under `sp`, so every checkpoint after the initial state retains
+        // exactly one page.
+        for iterations in [500, 800, 3000] {
+            let exe = stack_churn_exe(iterations);
+            let engine = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
+            let footprint = engine.footprint();
+            assert_eq!(footprint.checkpoints, engine.checkpoint_count());
+            assert_eq!(footprint.interval, engine.interval());
+            assert!(footprint.checkpoints > 16, "{iterations}: {footprint}");
+            assert_eq!(
+                footprint.retained_pages,
+                footprint.checkpoints as u64 - 1,
+                "{iterations} iterations: one page per checkpoint interval"
+            );
+            assert_eq!(footprint.retained_bytes, engine.retained_bytes());
+            assert_eq!(footprint.retained_bytes, footprint.retained_pages * PAGE_SIZE as u64);
+            let rendered = footprint.to_string();
+            assert!(rendered.contains("checkpoints"), "{rendered}");
+            assert!(rendered.contains(&format!("{} dirty pages", footprint.retained_pages)));
+        }
     }
 
     #[test]

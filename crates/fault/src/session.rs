@@ -539,8 +539,8 @@ impl CampaignSession {
     }
 
     /// Memory footprint of the checkpoints retained for this session:
-    /// page-granular retained bytes, and the region-COW baseline for the
-    /// same recording. Naive sessions report one checkpoint and zero
+    /// their count and the pages and bytes they retain under
+    /// page-granular COW. Naive sessions report one checkpoint and zero
     /// retained bytes.
     pub fn replay_footprint(&self) -> ReplayFootprint {
         self.replay.footprint()

@@ -16,9 +16,11 @@
 //! exactly how a consumer would switch engines.
 
 use rr_fault::{
-    CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, FaultClass,
-    FaultModel, FlagFlip, InstructionSkip, RegisterBitFlip, SingleBitFlip, Stream,
+    CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, Fault, FaultClass,
+    FaultEffect, FaultModel, FaultSite, FlagFlip, InstructionSkip, RegisterBitFlip, SingleBitFlip,
+    Stream,
 };
+use rr_telemetry::{Counter, Telemetry};
 use rr_workloads::Workload;
 
 fn workloads() -> Vec<Workload> {
@@ -201,4 +203,91 @@ fn one_pass_multi_model_runs_match_independent_runs() {
             assert_eq!(combined_report.results, solo.results, "{name} via {engine}");
         }
     }
+}
+
+/// Instruction skips restricted to trace steps at or after `from_step`:
+/// the attacker aims at the decision, not the warm-up.
+struct TailSkip {
+    from_step: u64,
+}
+
+impl FaultModel for TailSkip {
+    fn name(&self) -> &'static str {
+        "tail-skip"
+    }
+
+    fn faults_at(&self, site: &FaultSite) -> Vec<Fault> {
+        if site.step < self.from_step {
+            return Vec::new();
+        }
+        vec![Fault { step: site.step, pc: site.pc, effect: FaultEffect::SkipInstruction }]
+    }
+}
+
+/// A 3,000-iteration checksum loop (≈15k trace steps) ahead of a
+/// one-compare grant/deny decision.
+fn long_checksum_session(engine: CampaignEngine) -> CampaignSession {
+    let exe = rr_asm::assemble_and_link(
+        "    .global _start\n\
+         _start:\n\
+             mov r1, 3000\n\
+             mov r2, 0\n\
+         .loop:\n\
+             add r2, 7\n\
+             xor r2, r1\n\
+             sub r1, 1\n\
+             cmp r1, 0\n\
+             jne .loop\n\
+             svc 2\n\
+             cmp r0, 'G'\n\
+             jne .deny\n\
+             mov r1, 'Y'\n\
+             svc 1\n\
+             mov r1, 0\n\
+             svc 0\n\
+         .deny:\n\
+             mov r1, 'N'\n\
+             svc 1\n\
+             mov r1, 1\n\
+             svc 0\n",
+    )
+    .expect("checksum program builds");
+    CampaignSession::builder(exe)
+        .good_input(&b"G"[..])
+        .bad_input(&b"B"[..])
+        .config(CampaignConfig { engine, threads: 1, ..CampaignConfig::default() })
+        .telemetry(Telemetry::counters())
+        .build()
+        .expect("session sets up")
+}
+
+/// What the checkpointed engine saves, as exact counts: on a campaign
+/// aimed at the last 16 steps of a long trace, the naive engine replays
+/// the whole prefix for every plan while the checkpointed one restores
+/// the nearest checkpoint once per bucket sweep and walks from there.
+#[test]
+fn checkpointed_engine_executes_a_fraction_of_naive_steps_on_a_tail_campaign() {
+    // The report and the work of one campaign, from the metrics delta
+    // around it (the golden recording at session build is not counted).
+    let run = |engine| {
+        let session = long_checksum_session(engine);
+        let trace_len = session.golden_bad().steps;
+        assert!(trace_len >= 10_000, "trace must be ≥10k steps, got {trace_len}");
+        let before = session.metrics().expect("counters telemetry is enabled");
+        let report = run_one(&session, &TailSkip { from_step: trace_len - 16 });
+        let work = session.metrics().expect("counters telemetry is enabled").delta_since(&before);
+        let steps = work.counter(Counter::UopSteps) + work.counter(Counter::InterpSteps);
+        (report, steps, work)
+    };
+    let (naive, naive_steps, _) = run(CampaignEngine::Naive);
+    let (checkpointed, checkpointed_steps, work) = run(CampaignEngine::Checkpointed);
+    assert_eq!(naive.results, checkpointed.results, "engines must classify identically");
+    assert_eq!(naive.results.len(), 16, "one skip per tail step");
+    assert!(
+        naive_steps >= 14 * checkpointed_steps,
+        "naive {naive_steps} steps vs checkpointed {checkpointed_steps}"
+    );
+    let (restores, sweeps) =
+        (work.counter(Counter::CheckpointRestores), work.counter(Counter::BucketSweeps));
+    assert!(sweeps > 0 && restores == sweeps, "{restores} restores over {sweeps} bucket sweeps");
 }

@@ -21,6 +21,7 @@ use rr_fault::{
     CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, ExecMode, FaultModel,
     InstructionSkip, PairPolicy, PlanConfig, SingleBitFlip,
 };
+use rr_telemetry::{Counter, Telemetry};
 use rr_workloads::Workload;
 
 fn session(w: &Workload, config: CampaignConfig) -> CampaignSession {
@@ -125,4 +126,62 @@ fn default_session_is_uop_compiled_and_equivalent() {
         &run_one(&default, &InstructionSkip),
         "otp default-vs-interp",
     );
+}
+
+/// The uop tier carries a whole campaign: on a long loop of arithmetic
+/// and stack traffic, a uniform skip campaign classifies exactly as on
+/// the interpreter while its steps run from decoded micro-op bodies, not
+/// from the interpreter (which runs only crashing steps).
+#[test]
+fn uop_tier_runs_a_uniform_campaign_on_decoded_blocks() {
+    let exe = rr_asm::assemble_and_link(
+        "    .global _start\n\
+         _start:\n\
+             mov r1, 2500\n\
+             mov r2, 0\n\
+         .loop:\n\
+             push r1\n\
+             add r2, 7\n\
+             xor r2, r1\n\
+             pop r3\n\
+             sub r1, 1\n\
+             cmp r1, 0\n\
+             jne .loop\n\
+             svc 2\n\
+             cmp r0, 'G'\n\
+             jne .deny\n\
+             mov r1, 'Y'\n\
+             svc 1\n\
+             mov r1, 0\n\
+             svc 0\n\
+         .deny:\n\
+             mov r1, 'N'\n\
+             svc 1\n\
+             mov r1, 1\n\
+             svc 0\n",
+    )
+    .expect("push/pop program builds");
+    let session = |exec, telemetry| {
+        CampaignSession::builder(exe.clone())
+            .good_input(&b"G"[..])
+            .bad_input(&b"B"[..])
+            .config(CampaignConfig { site_stride: 59, exec, ..CampaignConfig::default() })
+            .telemetry(telemetry)
+            .build()
+            .expect("session sets up")
+    };
+    let interp = session(ExecMode::Interp, Telemetry::disabled());
+    let telemetry = Telemetry::counters();
+    let uops = session(ExecMode::Uops, telemetry.clone());
+    assert!(interp.golden_bad().steps >= 15_000, "{} steps", interp.golden_bad().steps);
+    assert_reports_equal(
+        &run_one(&interp, &InstructionSkip),
+        &run_one(&uops, &InstructionSkip),
+        "push/pop loop",
+    );
+    let metrics = telemetry.metrics().expect("counters telemetry is enabled");
+    assert!(metrics.counter(Counter::BlocksDecoded) > 0, "no blocks decoded");
+    let (uop_steps, interp_steps) =
+        (metrics.counter(Counter::UopSteps), metrics.counter(Counter::InterpSteps));
+    assert!(uop_steps > 9 * interp_steps, "{uop_steps} uop vs {interp_steps} interpreted steps");
 }

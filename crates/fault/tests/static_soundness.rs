@@ -167,3 +167,62 @@ fn order_two_pruning_is_invariant_too() {
     let pruned_total: u128 = pruned.pruned_by_order.iter().map(|&(_, n)| n).sum();
     assert_eq!(pruned.results.len() as u128 + pruned_total, full.results.len() as u128);
 }
+
+/// Pruning's payoff on the shape it targets: a checksum loop whose
+/// scratch registers die inside every iteration, under a bitflip-heavy
+/// campaign. Pruned plans are accounted for without being executed, so
+/// each executed plan stands for ≥ 1.3 plans of the fault space, and at
+/// least a quarter of the space is proven benign.
+/// `pruning_preserves_every_non_benign_classification` pins that the
+/// executed results are unchanged.
+#[test]
+fn pruning_accounts_for_most_of_a_dead_scratch_campaign_without_executing_it() {
+    let exe = rr_asm::assemble_and_link(
+        "    .global _start\n\
+         _start:\n\
+             mov r1, 150\n\
+             mov r2, 0\n\
+         .loop:\n\
+             mov r6, r1\n\
+             shl r6, 3\n\
+             mov r7, r1\n\
+             xor r7, 21\n\
+             add r6, r7\n\
+             mov r8, r6\n\
+             and r8, 255\n\
+             add r2, r8\n\
+             mov r9, 7\n\
+             mov r10, 11\n\
+             mov r11, 13\n\
+             sub r1, 1\n\
+             cmp r1, 0\n\
+             jne .loop\n\
+             svc 2\n\
+             cmp r0, 'G'\n\
+             jne .deny\n\
+             mov r1, 'Y'\n\
+             svc 1\n\
+             mov r1, 0\n\
+             svc 0\n\
+         .deny:\n\
+             mov r1, 'N'\n\
+             svc 1\n\
+             mov r1, 1\n\
+             svc 0\n",
+    )
+    .expect("dead-scratch program builds");
+    let config = CampaignConfig { threads: 1, site_stride: 2, ..CampaignConfig::default() };
+    let session = CampaignSession::builder(exe)
+        .good_input(&b"G"[..])
+        .bad_input(&b"B"[..])
+        .config(config)
+        .build()
+        .expect("session sets up");
+    let reg_flips = RegisterBitFlip::low_bits(6);
+    let reports = session.run(&[&SingleBitFlip as &dyn FaultModel, &reg_flips], Collect);
+    let executed: u128 = reports.iter().map(|r| r.results.len() as u128).sum();
+    let pruned: u128 = reports.iter().map(|r| r.plans_pruned_static()).sum();
+    let total = executed + pruned;
+    assert!(10 * total >= 13 * executed, "{total} plans, {executed} executed");
+    assert!(4 * pruned >= total, "{pruned} of {total} plans pruned");
+}

@@ -101,21 +101,9 @@ impl<'a> Interp<'a> {
         self
     }
 
-    /// Pre-sets a cell (e.g. an argument register).
-    pub fn set_cell(&mut self, cell: Cell, value: u64) {
-        self.cells[cell.0 as usize] = value;
-    }
-
     /// Reads a cell after the run.
     pub fn cell(&self, cell: Cell) -> u64 {
         self.cells[cell.0 as usize]
-    }
-
-    /// Writes bytes into the interpreter's memory (test fixtures).
-    pub fn write_memory(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.memory.insert(addr + i as u64, b);
-        }
     }
 
     /// Runs the module's entry function to completion.

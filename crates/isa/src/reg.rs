@@ -97,11 +97,6 @@ impl Reg {
     pub fn index(self) -> u8 {
         self as u8
     }
-
-    /// Whether this register is callee-saved under the ABI.
-    pub fn is_callee_saved(self) -> bool {
-        Self::CALLEE_SAVED.contains(&self)
-    }
 }
 
 impl fmt::Display for Reg {

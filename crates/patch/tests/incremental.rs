@@ -226,3 +226,63 @@ fn seeding_changes_the_cache_not_the_recording() {
         assert_eq!(records, outcome.campaigns as u64, "order {fault_order}");
     }
 }
+
+/// What incremental re-campaigning saves, as an exact count: hardening a
+/// checksum loop ahead of a vulnerable decision runs three campaigns
+/// (one find-and-fix iteration plus the re-measurements), and each patch
+/// touches only the decision, so the loop's classifications carry over
+/// and the incremental run executes at most half the emulated steps of
+/// the full run, for the same binary.
+#[test]
+fn incremental_run_executes_at_most_half_the_steps_of_a_full_run() {
+    use rr_telemetry::{Counter, Telemetry};
+    let exe = rr_asm::assemble_and_link(
+        "    .global _start\n\
+         _start:\n\
+             mov r1, 800\n\
+             mov r2, 0\n\
+         .loop:\n\
+             add r2, 7\n\
+             xor r2, r1\n\
+             sub r1, 1\n\
+             cmp r1, 0\n\
+             jne .loop\n\
+             svc 2\n\
+             cmp r0, 'G'\n\
+             jne .deny\n\
+             mov r1, 'Y'\n\
+             svc 1\n\
+             mov r1, 0\n\
+             svc 0\n\
+         .deny:\n\
+             mov r1, 'N'\n\
+             svc 1\n\
+             mov r1, 1\n\
+             svc 0\n",
+    )
+    .expect("checksum pincheck builds");
+    let harden = |incremental| {
+        let config = HardenConfig {
+            max_iterations: 1,
+            incremental,
+            telemetry: Telemetry::counters(),
+            ..HardenConfig::default()
+        };
+        let outcome =
+            FaulterPatcher::new(config).harden(&exe, b"G", b"B", &InstructionSkip).unwrap();
+        let metrics = outcome.metrics.as_ref().expect("telemetry attached");
+        let steps = metrics.counter(Counter::UopSteps) + metrics.counter(Counter::InterpSteps);
+        (outcome, steps)
+    };
+    let (full, full_steps) = harden(false);
+    let (incremental, incremental_steps) = harden(true);
+    assert_eq!(full.hardened.to_bytes(), incremental.hardened.to_bytes());
+    assert_eq!(full.iterations, incremental.iterations);
+    assert_eq!(full.residual_vulnerabilities, incremental.residual_vulnerabilities);
+    assert!(incremental.campaigns >= 3, "{} campaigns", incremental.campaigns);
+    assert!(incremental.sites_reused > 0);
+    assert!(
+        full_steps >= 2 * incremental_steps,
+        "full {full_steps} steps vs incremental {incremental_steps}"
+    );
+}
