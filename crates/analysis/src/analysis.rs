@@ -1,9 +1,8 @@
 //! Whole-program liveness and per-effect static verdicts.
 
 use crate::dataflow::{solve_liveness, LiveNode};
-use crate::regset::{flag_bits, RegSet};
 use rr_disasm::{build_functions, discover, CodeMap, DisasmError, Function};
-use rr_isa::{decode, AluOp, Cond, Instr, InstrKind, Reg, MAX_INSTR_LEN};
+use rr_isa::{decode, flag_bits, AluOp, Instr, InstrKind, Reg, RegSet, MAX_INSTR_LEN};
 use rr_obj::Executable;
 use std::collections::HashMap;
 
@@ -47,109 +46,32 @@ pub struct Analysis {
     functions: Vec<Function>,
 }
 
-/// The flag bits a condition code reads ([`flag_bits`] mask).
-fn cond_flag_uses(cc: Cond) -> u8 {
-    match cc {
-        Cond::Eq | Cond::Ne => flag_bits::Z,
-        Cond::Lt | Cond::Ge => flag_bits::N | flag_bits::V,
-        Cond::Le | Cond::Gt => flag_bits::Z | flag_bits::N | flag_bits::V,
-        Cond::B | Cond::Ae => flag_bits::C,
-        Cond::Be | Cond::A => flag_bits::Z | flag_bits::C,
-    }
-}
-
-/// The liveness transfer function of one concrete instruction.
+/// The liveness transfer function of one concrete instruction: the
+/// [`Instr::operands`] table plus this analysis's conservative policy.
 ///
-/// Conservative by construction: uses are over-approximated (calls,
-/// indirect transfers, and returns read *everything* — the analysis makes
-/// no interprocedural or ABI assumptions), defs are under-approximated
-/// (`svc` kills nothing even though service 2 writes `r0`). Flag uses
-/// mirror register uses: a call/indirect/return conservatively exposes
-/// the current flags to unanalysed code.
+/// Calls, indirect jumps and returns read *everything*, registers and
+/// flags alike, because they hand the whole machine state to code this
+/// per-function analysis does not model (it makes no interprocedural or
+/// ABI assumptions). Services are conservative both ways: `svc` reads
+/// `r0` and `r1` and kills nothing, even though service 2 writes `r0`.
 fn transfer(insn: &Instr) -> LiveNode {
-    let mut node = LiveNode::default();
-    let uses = &mut node.reg_uses;
-    let defs = &mut node.reg_defs;
-    match *insn {
-        Instr::Nop | Instr::Halt | Instr::Jmp { .. } => {}
-        Instr::Jcc { cc, .. } => node.flag_uses = cond_flag_uses(cc),
-        // Calls, returns, and indirect transfers hand the whole machine
-        // state to code this per-function analysis does not model.
-        Instr::Call { .. } | Instr::CallR { .. } | Instr::JmpR { .. } | Instr::Ret => {
-            *uses = RegSet::ALL;
+    let ops = insn.operands();
+    let mut node = LiveNode {
+        reg_uses: ops.reads(),
+        reg_defs: ops.defs,
+        flag_uses: ops.flag_uses,
+        flag_defs: ops.flag_defs,
+    };
+    match insn.kind() {
+        InstrKind::Call | InstrKind::Ret | InstrKind::IndirectJump => {
+            node.reg_uses = RegSet::ALL;
             node.flag_uses = flag_bits::ALL;
         }
-        Instr::MovRR { rd, rs } => {
-            uses.insert(rs);
-            defs.insert(rd);
+        InstrKind::Svc => {
+            node.reg_uses = [Reg::R0, Reg::R1].into_iter().collect();
+            node.reg_defs = RegSet::EMPTY;
         }
-        Instr::MovRI { rd, .. } => defs.insert(rd),
-        Instr::AluRR { rd, rs, .. } => {
-            uses.insert(rd);
-            uses.insert(rs);
-            defs.insert(rd);
-        }
-        Instr::AluRI { rd, .. } | Instr::ShiftRI { rd, .. } => {
-            uses.insert(rd);
-            defs.insert(rd);
-        }
-        Instr::Not { rd } | Instr::Neg { rd } => {
-            uses.insert(rd);
-            defs.insert(rd);
-        }
-        Instr::CmpRR { rs1, rs2 } | Instr::TestRR { rs1, rs2 } => {
-            uses.insert(rs1);
-            uses.insert(rs2);
-        }
-        Instr::CmpRI { rs1, .. } => uses.insert(rs1),
-        Instr::CmpRM { rs1, base, .. } => {
-            uses.insert(rs1);
-            uses.insert(base);
-        }
-        Instr::Load { rd, base, .. } | Instr::LoadB { rd, base, .. } => {
-            uses.insert(base);
-            defs.insert(rd);
-        }
-        Instr::Store { base, rs, .. } | Instr::StoreB { base, rs, .. } => {
-            uses.insert(base);
-            uses.insert(rs);
-        }
-        Instr::Lea { rd, base, .. } => {
-            uses.insert(base);
-            defs.insert(rd);
-        }
-        Instr::Push { rs } => {
-            uses.insert(rs);
-            uses.insert(Reg::SP);
-            defs.insert(Reg::SP);
-        }
-        Instr::Pop { rd } => {
-            uses.insert(Reg::SP);
-            defs.insert(rd);
-            defs.insert(Reg::SP);
-        }
-        Instr::PushF => {
-            uses.insert(Reg::SP);
-            defs.insert(Reg::SP);
-            node.flag_uses = flag_bits::ALL;
-        }
-        Instr::PopF => {
-            uses.insert(Reg::SP);
-            defs.insert(Reg::SP);
-        }
-        Instr::SetCc { rd, cc } => {
-            defs.insert(rd);
-            node.flag_uses = cond_flag_uses(cc);
-        }
-        // Services read their argument register(s); service 2 writes r0,
-        // but defs are under-approximated so the kill is dropped.
-        Instr::Svc { .. } => {
-            uses.insert(Reg::R0);
-            uses.insert(Reg::R1);
-        }
-    }
-    if insn.sets_flags() {
-        node.flag_defs = flag_bits::ALL;
+        _ => {}
     }
     node
 }
@@ -349,10 +271,8 @@ impl Analysis {
         let old = transfer(&site.insn);
         let new = transfer(&new_insn);
         let defs = old.reg_defs.union(new.reg_defs);
-        let sets_flags = site.insn.sets_flags() || new_insn.sets_flags();
-        if defs.intersect(site.live_out_regs).is_empty()
-            && (!sets_flags || site.live_out_flags == 0)
-        {
+        let flag_defs = old.flag_defs | new.flag_defs;
+        if defs.intersect(site.live_out_regs).is_empty() && flag_defs & site.live_out_flags == 0 {
             StaticVerdict::Benign
         } else {
             StaticVerdict::Unknown

@@ -5,7 +5,7 @@
 //! scratch-register search ([`solve_live_regs`]), which supplies its own
 //! per-line transfer functions but no longer maintains its own solver.
 
-use crate::regset::{flag_bits, RegSet};
+use rr_isa::{flag_bits, RegSet};
 
 /// Per-node transfer function: what the node reads (`gen`) and writes
 /// (`kill`), over registers and packed NZCV flag bits.

@@ -3,7 +3,11 @@
 //! Classic dataflow over the CFG that [`rr_disasm::build_functions`]
 //! recovers: backward register **and per-bit NZCV flag** may-liveness at
 //! instruction granularity, plus forward reaching definitions of the
-//! flags per basic block, with conservative call/indirect handling. On
+//! flags per basic block, with conservative call/indirect handling. What
+//! each instruction reads and writes comes from `rr-isa`'s operand table
+//! ([`rr_isa::Instr::operands`]), which is exact against the
+//! interpreter; this crate adds only its policy for calls, returns,
+//! indirect jumps and services. On
 //! top of it, a [`StaticVerdict`] for every fault effect the campaign
 //! models in `rr-fault` emit — instruction skip, instruction-encoding
 //! bit flip, register bit flip, flag flip — so provably-benign faults
@@ -63,10 +67,8 @@
 
 mod analysis;
 mod dataflow;
-mod regset;
 mod report;
 
 pub use analysis::{Analysis, StaticVerdict};
 pub use dataflow::{solve_live_regs, solve_liveness, LiveNode, LiveSet, LiveState};
-pub use regset::{flag_bits, RegSet};
 pub use report::{AnalysisReport, EffectCounts, FunctionReport, PrunableStats};

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use rr_analysis::{Analysis, StaticVerdict};
 use rr_emu::{execute_traced, Execution, Machine};
-use rr_isa::{Flags, Reg};
+use rr_isa::{Cond, Flags, Reg};
 use rr_obj::Executable;
 
 /// Scratch registers the generated bodies write and read (r2–r9; the
@@ -23,13 +23,21 @@ fn reg_name(index: u8) -> String {
     format!("r{index}")
 }
 
-/// One random body instruction: register/immediate moves and ALU ops
-/// plus compares, the exact shapes the dataflow transfer function has to
-/// get right (defs kill liveness, uses create it, `cmp` defines flags).
+/// One random body instruction: register/immediate moves, ALU ops,
+/// immediate shifts (counts that mask to zero included), compares and
+/// `set<cc>`, the exact shapes the dataflow transfer function has to get
+/// right (defs kill liveness, uses create it, `cmp` defines flags, a
+/// zero-count shift defines nothing, `set<cc>` reads flags).
 fn body_insn() -> impl Strategy<Value = String> {
     let reg = || (0usize..SCRATCH.len()).prop_map(|i| reg_name(SCRATCH[i]));
     let imm = || 0i64..64;
     prop_oneof![
+        (reg(), 0usize..4, 0usize..3).prop_map(|(d, amt, op)| {
+            let op = ["shl", "shr", "sar"][op];
+            format!("    {op} {d}, {}", [0, 1, 63, 64][amt])
+        }),
+        (reg(), 0usize..Cond::ALL.len())
+            .prop_map(|(d, cc)| format!("    set{} {d}", Cond::ALL[cc].mnemonic())),
         (reg(), imm()).prop_map(|(d, v)| format!("    mov {d}, {v}")),
         (reg(), reg()).prop_map(|(d, s)| format!("    mov {d}, {s}")),
         (reg(), imm(), 0usize..5).prop_map(|(d, v, op)| {
@@ -157,7 +165,7 @@ fn check_all_benign_verdicts(source: &str) -> usize {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn benign_verdicts_are_dynamically_invisible(

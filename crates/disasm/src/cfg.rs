@@ -42,11 +42,6 @@ pub struct Function {
 }
 
 impl Function {
-    /// The block starting at `addr`.
-    pub fn block_at(&self, addr: u64) -> Option<&BasicBlock> {
-        self.blocks.iter().find(|b| b.addr == addr)
-    }
-
     /// Total number of instructions.
     pub fn instr_count(&self) -> usize {
         self.blocks.iter().map(|b| b.instrs.len()).sum()
@@ -218,7 +213,8 @@ mod tests {
         let f = &funcs[0];
         assert_eq!(f.blocks.len(), 4, "{f:#?}");
         // Entry block has two successors (then + fallthrough else).
-        let entry = f.block_at(exe.entry).unwrap();
+        let entry = &f.blocks[0];
+        assert_eq!(entry.addr, exe.entry);
         assert_eq!(entry.succs.len(), 2);
         // Both branches converge on .join.
         let join_addr = f.blocks.iter().map(|b| b.addr).max().unwrap();

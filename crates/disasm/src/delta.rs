@@ -105,11 +105,6 @@ impl ListingDelta {
         ListingDelta { identity: true, ..ListingDelta::default() }
     }
 
-    /// Whether this is an [identity](ListingDelta::identity) delta.
-    pub fn is_identity(&self) -> bool {
-        self.identity
-    }
-
     /// Whether the delta changes nothing at all: an identity delta, or a
     /// computed one with no changed, inserted, or shifted range — every
     /// instruction kept its exact address and bytes. Strictly stronger
@@ -334,7 +329,6 @@ mod tests {
     #[test]
     fn identity_delta_maps_everything_to_itself() {
         let delta = ListingDelta::identity();
-        assert!(delta.is_identity());
         assert_eq!(delta.remap(0x1234), Some(0x1234));
         assert!(!delta.is_changed(0x1234));
         assert!(!delta.is_inserted(0x1234));
@@ -345,7 +339,6 @@ mod tests {
     fn unpatched_listing_yields_an_empty_delta() {
         let (listing, exe) = listing_pair();
         let delta = ListingDelta::compute(&listing, &exe, &listing, &exe).unwrap();
-        assert!(!delta.is_identity());
         assert!(delta.changed_ranges().is_empty());
         assert!(delta.inserted_ranges().is_empty());
         assert!(delta.shifted_ranges().is_empty());

@@ -368,30 +368,16 @@ impl<'a> Symbolizer<'a> {
     }
 }
 
+/// Whether the instruction writes `reg` without reading it.
 fn overwrites(insn: &Instr, reg: Reg) -> bool {
-    match *insn {
-        Instr::MovRR { rd, .. }
-        | Instr::MovRI { rd, .. }
-        | Instr::Load { rd, .. }
-        | Instr::LoadB { rd, .. }
-        | Instr::Lea { rd, .. }
-        | Instr::Pop { rd }
-        | Instr::SetCc { rd, .. } => rd == reg,
-        _ => false,
-    }
+    let ops = insn.operands();
+    ops.defs.minus(ops.reads()).contains(reg)
 }
 
+/// Whether the instruction reads `reg` as a memory base, `lea` base or
+/// indirect target.
 fn uses_as_address(insn: &Instr, reg: Reg) -> bool {
-    match *insn {
-        Instr::Load { base, .. }
-        | Instr::LoadB { base, .. }
-        | Instr::Store { base, .. }
-        | Instr::StoreB { base, .. }
-        | Instr::Lea { base, .. }
-        | Instr::CmpRM { base, .. } => base == reg,
-        Instr::JmpR { rs } | Instr::CallR { rs } => rs == reg,
-        _ => false,
-    }
+    insn.operands().address == Some(reg)
 }
 
 /// Whether the value in `reg` escapes the local analysis (copied, stored,

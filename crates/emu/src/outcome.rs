@@ -75,11 +75,6 @@ impl RunOutcome {
     pub fn is_exit(&self) -> bool {
         matches!(self, RunOutcome::Exited { .. })
     }
-
-    /// Whether the run ended in a detectable failure (crash or timeout).
-    pub fn is_failure(&self) -> bool {
-        !self.is_exit()
-    }
 }
 
 impl fmt::Display for RunOutcome {
@@ -119,8 +114,6 @@ mod tests {
     #[test]
     fn outcome_classification() {
         assert!(RunOutcome::Exited { code: 0 }.is_exit());
-        assert!(RunOutcome::TimedOut.is_failure());
-        assert!(RunOutcome::Crashed { fault: CpuFault::DivideByZero, pc: 0 }.is_failure());
     }
 
     #[test]

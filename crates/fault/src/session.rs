@@ -525,12 +525,6 @@ impl CampaignSession {
         }
     }
 
-    /// Number of classifications carried over from the seeding session
-    /// (zero for unseeded sessions).
-    pub fn cached_classifications(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Snapshot of the attached telemetry's aggregated metrics, or
     /// `None` when the session was built without a telemetry handle
     /// ([`CampaignSessionBuilder::telemetry`]).
@@ -1592,7 +1586,6 @@ mod tests {
             .seed_from(first.seed(&reports), &rr_disasm::ListingDelta::identity())
             .build()
             .unwrap();
-        assert!(seeded.cached_classifications() > 0);
         let again = seeded.run(&models, Collect);
         for (fresh, cached) in reports.iter().zip(&again) {
             assert_eq!(fresh.model, cached.model);

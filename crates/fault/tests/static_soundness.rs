@@ -14,12 +14,50 @@
 //!   exactly the same non-benign results (and therefore bit-identical
 //!   successes) as the same campaign with pruning off — pruning may only
 //!   ever drop plans that execute to `Benign`.
+//!
+//! Both checks also run on [`zero_shift_decision`], whose flags pass
+//! through a zero-count shift on their way to the branch.
 
 use rr_fault::{
     CampaignConfig, CampaignSession, Collect, FaultClass, FaultModel, FaultResult, FlagFlip,
     InstructionSkip, PairPolicy, PlanConfig, RegisterBitFlip, SingleBitFlip,
 };
 use rr_workloads::{all_workloads, Workload};
+
+/// A one-byte access decision with `shl r2, 0` between the compare and
+/// the branch. The shift count masks to zero, so the shift leaves the
+/// flags alone: a flag flip just before it still reaches the `jeq`.
+fn zero_shift_decision() -> Workload {
+    Workload {
+        name: "zero-shift-decision",
+        description: "grants on input `G`; the decision's flags pass a zero-count shift",
+        source: "    .global _start\n\
+                 _start:\n\
+                     svc 2\n\
+                     cmp r0, 71\n\
+                     shl r2, 0\n\
+                     jeq .grant\n\
+                     mov r1, 'N'\n\
+                     svc 1\n\
+                     mov r1, 1\n\
+                     svc 0\n\
+                 .grant:\n\
+                     mov r1, 'Y'\n\
+                     svc 1\n\
+                     mov r1, 0\n\
+                     svc 0\n"
+            .to_owned(),
+        good_input: b"G".to_vec(),
+        bad_input: b"B".to_vec(),
+    }
+}
+
+/// The bundled workloads plus [`zero_shift_decision`].
+fn workloads() -> Vec<Workload> {
+    let mut workloads = all_workloads();
+    workloads.push(zero_shift_decision());
+    workloads
+}
 
 fn models() -> Vec<Box<dyn FaultModel>> {
     vec![
@@ -54,7 +92,7 @@ fn session(w: &Workload, config: CampaignConfig) -> CampaignSession {
 
 #[test]
 fn audit_mode_finds_no_unsound_verdict_on_any_workload_or_model() {
-    for w in all_workloads() {
+    for w in workloads() {
         for model in models() {
             let config = CampaignConfig {
                 site_stride: stride_for(model.name()),
@@ -80,7 +118,7 @@ fn audit_mode_finds_no_unsound_verdict_on_any_workload_or_model() {
 fn order_two_audit_is_clean() {
     // Order-2 plans compose two effects; a statically-benign pair (both
     // members individually benign) must still execute to `Benign`.
-    for w in all_workloads() {
+    for w in workloads() {
         for model in [&InstructionSkip as &dyn FaultModel, &FlagFlip] {
             let config = CampaignConfig {
                 site_stride: 3,
@@ -115,7 +153,7 @@ fn pruning_preserves_every_non_benign_classification() {
     // Unbudgeted campaigns only: with a per-order sampling budget the
     // budget is intentionally spent on the *pruned* plan space, so the
     // drawn samples (and their classifications) legitimately differ.
-    for w in all_workloads() {
+    for w in workloads() {
         for model in models() {
             let config = |static_prune| CampaignConfig {
                 site_stride: stride_for(model.name()),

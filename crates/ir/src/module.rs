@@ -36,11 +36,6 @@ impl Module {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Mutable lookup by name.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
-    }
-
     /// Total placed ops across all functions (Table IV's IR metric).
     pub fn placed_op_count(&self) -> usize {
         self.functions.iter().map(Function::placed_op_count).sum()
@@ -58,7 +53,5 @@ mod tests {
         m.push_function(Function::new("b"));
         assert!(m.function("a").is_some());
         assert!(m.function("c").is_none());
-        m.function_mut("b").unwrap().new_block();
-        assert_eq!(m.function("b").unwrap().block_count(), 2);
     }
 }

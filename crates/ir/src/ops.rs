@@ -290,18 +290,6 @@ impl Terminator {
             Terminator::Ret | Terminator::Abort | Terminator::Unset => Vec::new(),
         }
     }
-
-    /// Rewrites successor blocks through `map`.
-    pub fn map_successors(&mut self, mut map: impl FnMut(BlockId) -> BlockId) {
-        match self {
-            Terminator::Br(b) => *b = map(*b),
-            Terminator::CondBr { if_true, if_false, .. } => {
-                *if_true = map(*if_true);
-                *if_false = map(*if_false);
-            }
-            Terminator::Ret | Terminator::Abort | Terminator::Unset => {}
-        }
-    }
 }
 
 impl fmt::Display for Width {
@@ -358,8 +346,5 @@ mod tests {
             2
         );
         assert!(Terminator::Ret.successors().is_empty());
-        let mut t = Terminator::Br(BlockId(0));
-        t.map_successors(|_| BlockId(9));
-        assert_eq!(t, Terminator::Br(BlockId(9)));
     }
 }

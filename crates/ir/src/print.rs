@@ -3,7 +3,6 @@
 use crate::func::Function;
 use crate::module::Module;
 use crate::ops::{Op, Terminator};
-use crate::types::BlockId;
 use std::fmt;
 
 impl fmt::Display for Module {
@@ -87,18 +86,6 @@ impl fmt::Display for TermFmt<'_> {
     }
 }
 
-/// Formats one block (used by pass debugging).
-#[allow(dead_code)]
-pub fn block_to_string(f: &Function, b: BlockId) -> String {
-    let block = f.block(b);
-    let mut out = format!("{b}:\n");
-    for &v in &block.ops {
-        out.push_str(&format!("    {v} = {}\n", OpFmt(f.op(v))));
-    }
-    out.push_str(&format!("    {}\n", TermFmt(&block.term)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,15 +110,5 @@ mod tests {
         for needle in ["func @main", "readcell r1", "icmp eq", "condbr", "bb1:", "ret"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn block_to_string_is_partial_view() {
-        let mut f = Function::new("x");
-        let e = f.entry();
-        f.append(e, Op::Svc { num: 0 });
-        f.set_terminator(e, Terminator::Abort);
-        let text = block_to_string(&f, e);
-        assert!(text.contains("svc 0") && text.contains("abort"));
     }
 }

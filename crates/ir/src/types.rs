@@ -76,11 +76,6 @@ impl Cell {
         Cell(index)
     }
 
-    /// Whether this cell holds a condition flag.
-    pub fn is_flag(self) -> bool {
-        self.0 >= 16
-    }
-
     /// Whether the cell index is valid.
     pub fn is_valid(self) -> bool {
         self.0 < Self::COUNT
@@ -106,8 +101,6 @@ mod tests {
 
     #[test]
     fn cell_classification() {
-        assert!(!Cell::reg(3).is_flag());
-        assert!(Cell::Z.is_flag());
         assert!(Cell::V.is_valid());
         assert!(!Cell(20).is_valid());
     }

@@ -87,6 +87,18 @@ impl Cond {
         }
     }
 
+    /// The flag bits the condition reads ([`crate::flag_bits`] mask).
+    pub fn flag_uses(self) -> u8 {
+        use crate::flag_bits::{C, N, V, Z};
+        match self {
+            Cond::Eq | Cond::Ne => Z,
+            Cond::Lt | Cond::Ge => N | V,
+            Cond::Le | Cond::Gt => Z | N | V,
+            Cond::B | Cond::Ae => C,
+            Cond::Be | Cond::A => Z | C,
+        }
+    }
+
     /// The logically opposite condition (`eq` ↔ `ne`, `lt` ↔ `ge`, …).
     ///
     /// For every flag state exactly one of `self` and `self.negate()` holds,
@@ -198,6 +210,18 @@ mod tests {
                 assert_eq!(Cond::Be.eval(f), a <= b);
                 assert_eq!(Cond::A.eval(f), a > b);
                 assert_eq!(Cond::Ae.eval(f), a >= b);
+            }
+        }
+    }
+
+    #[test]
+    fn flag_uses_are_exactly_the_bits_eval_reads() {
+        for c in Cond::ALL {
+            for bit in 0..4 {
+                let mask = 1u64 << bit;
+                let matters = all_flag_states()
+                    .any(|f| c.eval(f) != c.eval(Flags::from_bits(f.to_bits() ^ mask)));
+                assert_eq!(matters, u64::from(c.flag_uses()) & mask != 0, "{c} bit {bit}");
             }
         }
     }

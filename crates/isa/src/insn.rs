@@ -244,14 +244,16 @@ impl Instr {
         self.is_control_flow() && !matches!(self.kind(), InstrKind::Call)
     }
 
-    /// Whether executing the instruction updates the [`crate::Flags`].
+    /// Whether executing the instruction updates the [`crate::Flags`]
+    /// (its [`crate::Operands::flag_defs`] are not empty).
     pub fn sets_flags(&self) -> bool {
-        matches!(self.kind(), InstrKind::Alu | InstrKind::Cmp) || matches!(self, Instr::PopF)
+        self.operands().flag_defs != 0
     }
 
-    /// Whether the instruction's behaviour depends on the current flags.
+    /// Whether the instruction's behaviour depends on the current flags
+    /// (its [`crate::Operands::flag_uses`] are not empty).
     pub fn reads_flags(&self) -> bool {
-        matches!(self, Instr::Jcc { .. } | Instr::SetCc { .. } | Instr::PushF)
+        self.operands().flag_uses != 0
     }
 
     /// The control-flow displacement for direct jumps/calls, if any.
@@ -313,6 +315,7 @@ mod tests {
         assert!(Instr::CmpRI { rs1: Reg::R0, imm: 0 }.sets_flags());
         assert!(Instr::PopF.sets_flags());
         assert!(!Instr::MovRR { rd: Reg::R0, rs: Reg::R1 }.sets_flags());
+        assert!(!Instr::ShiftRI { op: ShiftOp::Shl, rd: Reg::R2, amt: 0 }.sets_flags());
         assert!(Instr::Jcc { cc: Cond::Eq, rel: 0 }.reads_flags());
         assert!(Instr::PushF.reads_flags());
         assert!(!Instr::Jmp { rel: 0 }.reads_flags());

@@ -12,6 +12,12 @@
 //! [`Cond`], and a bijective binary [`encode`]/[`decode`] pair. Execution
 //! lives in `rr-emu`, the object format in `rr-obj`.
 //!
+//! It also holds the one operand table ([`Instr::operands`]): the
+//! registers ([`RegSet`]) and flag bits ([`flag_bits`]) each instruction
+//! reads and writes, exact against `rr-emu`'s interpreter. Static
+//! pruning, the patcher's liveness and the symbolizer all read it, each
+//! adding its own policy for calls, returns and services.
+//!
 //! A variable-length encoding matters for fault-injection research: a single
 //! bit flip can change an instruction's *length*, desynchronizing the decode
 //! of everything after it — the same behaviour that makes rewriting x86-64
@@ -41,14 +47,18 @@ mod encode;
 mod flags;
 mod insn;
 pub mod opcode;
+mod operands;
 mod reg;
+mod regset;
 
 pub use cond::Cond;
 pub use decode::{decode, DecodeError};
 pub use encode::{encode, encode_to_vec, encoded_len};
 pub use flags::Flags;
 pub use insn::{AluOp, Instr, InstrKind, ShiftOp};
+pub use operands::Operands;
 pub use reg::{ParseRegError, Reg};
+pub use regset::{flag_bits, RegSet};
 
 /// Base address at which `.text` is loaded by the linker and emulator.
 pub const TEXT_BASE: u64 = 0x1000;

@@ -1,13 +1,14 @@
-//! Compact register and flag sets shared by every dataflow client.
+//! Compact register and flag sets: the vocabulary of [`crate::Operands`].
 
-use rr_isa::Reg;
+use crate::Reg;
 use std::fmt;
 
 /// A set of machine registers as a bitmask.
 ///
-/// This is the lattice element of the liveness analyses in this crate and
-/// in `rr-patch`'s scratch-register search: sixteen registers, one bit
-/// each, with the usual set algebra.
+/// The register half of an instruction's [`Operands`](crate::Operands),
+/// and the lattice element of the liveness analyses built on them
+/// (`rr-analysis`'s fault-effect pruning, `rr-patch`'s scratch-register
+/// search): sixteen registers, one bit each, with the usual set algebra.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct RegSet(u16);
 
@@ -91,8 +92,9 @@ impl fmt::Display for RegSet {
     }
 }
 
-/// Flag-bit masks over the packed NZCV word ([`rr_isa::Flags::to_bits`]):
+/// Flag-bit masks over the packed NZCV word ([`crate::Flags::to_bits`]):
 /// bit 0 = Z, bit 1 = N, bit 2 = C, bit 3 = V. A `u8` with these bits is
+/// the flag half of an instruction's [`Operands`](crate::Operands) and
 /// the lattice element of the per-bit flag liveness analysis.
 pub mod flag_bits {
     /// The zero flag, bit 0.
@@ -133,7 +135,7 @@ mod tests {
 
     #[test]
     fn flag_bits_pack_like_the_isa() {
-        use rr_isa::Flags;
+        use crate::Flags;
         assert_eq!(Flags::new(true, false, false, false).to_bits() as u8, flag_bits::Z);
         assert_eq!(Flags::new(false, true, false, false).to_bits() as u8, flag_bits::N);
         assert_eq!(Flags::new(false, false, true, false).to_bits() as u8, flag_bits::C);

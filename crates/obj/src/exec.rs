@@ -128,11 +128,6 @@ impl Executable {
         seg.data.get(start..start + len)
     }
 
-    /// Whether `addr` falls inside any mapped segment.
-    pub fn is_mapped(&self, addr: u64) -> bool {
-        self.segment_at(addr).is_some()
-    }
-
     /// Looks up a retained symbol by name.
     pub fn symbol(&self, name: &str) -> Option<&ExeSymbol> {
         self.symbols.iter().find(|s| s.name == name)
@@ -193,8 +188,6 @@ mod tests {
     #[test]
     fn mapping_queries() {
         let exe = demo();
-        assert!(exe.is_mapped(0x200F));
-        assert!(!exe.is_mapped(0x2010));
         assert!(exe.segment_at(0x1000).unwrap().perms.exec);
     }
 

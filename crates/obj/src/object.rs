@@ -49,16 +49,6 @@ impl ObjectFile {
     pub fn sections(&self) -> impl Iterator<Item = (SectionKind, &Section)> {
         SectionKind::ALL.into_iter().map(move |k| (k, self.section(k)))
     }
-
-    /// Defines a symbol, returning an error message if a global of the same
-    /// name already exists in this object.
-    pub fn define_symbol(&mut self, symbol: Symbol) -> Result<(), String> {
-        if symbol.global && self.symbols.iter().any(|s| s.global && s.name == symbol.name) {
-            return Err(format!("duplicate global symbol `{}`", symbol.name));
-        }
-        self.symbols.push(symbol);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -80,17 +70,6 @@ mod tests {
         obj.section_mut(SectionKind::Data).data = vec![1, 2, 3];
         assert_eq!(obj.section(SectionKind::Data).size(), 3);
         assert!(obj.section(SectionKind::Text).is_empty());
-    }
-
-    #[test]
-    fn duplicate_globals_rejected() {
-        let mut obj = ObjectFile::new("t");
-        obj.define_symbol(Symbol::global("x", SectionKind::Text, 0, SymbolKind::Func)).unwrap();
-        assert!(obj
-            .define_symbol(Symbol::global("x", SectionKind::Text, 8, SymbolKind::Func))
-            .is_err());
-        // Locals may shadow freely.
-        obj.define_symbol(Symbol::local("x", SectionKind::Text, 8, SymbolKind::Label)).unwrap();
     }
 
     #[test]

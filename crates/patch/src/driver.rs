@@ -20,7 +20,12 @@ pub struct HardenConfig {
     pub max_iterations: usize,
     /// Symbolization policy for the disassembly step.
     pub policy: SymbolizationPolicy,
-    /// Campaign settings (step budgets, threads, plan space).
+    /// Campaign settings (step budgets, threads, pruning, …). The loop
+    /// overwrites three of them from this config's own fields:
+    /// `campaign.plan` is rebuilt from [`HardenConfig::fault_order`],
+    /// `pair_window`, `plan_budget` and `sample_seed`; `campaign.engine`
+    /// is [`HardenConfig::engine`]; and with `parallel: false`,
+    /// `campaign.threads` is 1.
     pub campaign: CampaignConfig,
     /// Run campaigns in parallel.
     pub parallel: bool,

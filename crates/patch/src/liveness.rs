@@ -9,113 +9,46 @@
 //! backward may-liveness dataflow over the listing's line-level CFG, so
 //! the patcher only picks scratch registers that are provably dead.
 //!
-//! The analysis is conservative: calls and indirect transfers treat every
-//! register as used, unknown edges keep everything live.
+//! What each instruction reads and writes is `rr-isa`'s operand table
+//! ([`rr_isa::Instr::operands`]), exact against the interpreter. This
+//! module adds the patcher's policy on top: calls and indirect transfers
+//! treat every register as used, a return reads what the ABI lets the
+//! caller read, and unknown edges keep everything live.
 //!
-//! The fixed-point solver (and the [`RegSet`] it works over) is
-//! `rr-analysis`'s [`solve_live_regs`] — the same dataflow core that
-//! backs the campaign stack's static fault-effect pruning. This module
-//! keeps only what is listing-specific: the symbolic-instruction
-//! transfer function (with the patcher's ABI-aware return convention)
-//! and the line-level CFG.
-
-use rr_disasm::{Line, Listing, SymInstr};
-use rr_isa::{Instr, Reg};
-use std::collections::HashMap;
+//! The fixed-point solver is `rr-analysis`'s [`solve_live_regs`] — the
+//! same dataflow core that backs the campaign stack's static fault-effect
+//! pruning. This module keeps only what is listing-specific: the
+//! symbolic-instruction transfer function and the line-level CFG.
 
 use rr_analysis::solve_live_regs;
-pub use rr_analysis::RegSet;
+use rr_disasm::{Line, Listing, SymInstr};
+use rr_isa::{InstrKind, Reg, RegSet};
+use std::collections::HashMap;
 
 /// `(uses, defs)` of one symbolic instruction, for liveness purposes.
 fn uses_defs(insn: &SymInstr) -> (RegSet, RegSet) {
-    let mut uses = RegSet::EMPTY;
-    let mut defs = RegSet::EMPTY;
     match insn {
-        SymInstr::MovSym { rd, .. } => defs.insert(*rd),
-        SymInstr::Branch { is_call: true, .. } => {
-            // Callees may read anything (the toolchain does not know their
-            // signatures) — conservative.
-            uses = RegSet::ALL;
+        SymInstr::MovSym { rd, .. } => (RegSet::EMPTY, RegSet::singleton(*rd)),
+        // Callees may read anything (the toolchain does not know their
+        // signatures) — conservative.
+        SymInstr::Branch { is_call: true, .. } => (RegSet::ALL, RegSet::EMPTY),
+        SymInstr::Branch { .. } => (RegSet::EMPTY, RegSet::EMPTY),
+        SymInstr::Plain(i) => {
+            let ops = i.operands();
+            match i.kind() {
+                // At a return the ABI constrains what the caller may read:
+                // the return value (r0), the callee-saved registers, and
+                // the stack/frame pointers.
+                InstrKind::Ret => {
+                    let abi = [Reg::R0, Reg::FP, Reg::SP].into_iter().chain(Reg::CALLEE_SAVED);
+                    (abi.collect(), ops.defs)
+                }
+                // Indirect transfers leave the analysed region entirely.
+                InstrKind::Call | InstrKind::IndirectJump => (RegSet::ALL, ops.defs),
+                _ => (ops.reads(), ops.defs),
+            }
         }
-        SymInstr::Branch { .. } => {}
-        SymInstr::Plain(i) => match *i {
-            Instr::Nop | Instr::Jmp { .. } | Instr::Jcc { .. } | Instr::Call { .. } => {}
-            Instr::Halt => {}
-            // At a return the ABI constrains what the caller may read:
-            // the return value (r0), the callee-saved registers, and the
-            // stack/frame pointers.
-            Instr::Ret => {
-                for r in [Reg::R0, Reg::FP, Reg::SP] {
-                    uses.insert(r);
-                }
-                for r in Reg::CALLEE_SAVED {
-                    uses.insert(r);
-                }
-            }
-            // Indirect transfers leave the analysed region entirely.
-            Instr::JmpR { .. } | Instr::CallR { .. } => uses = RegSet::ALL,
-            Instr::MovRR { rd, rs } => {
-                uses.insert(rs);
-                defs.insert(rd);
-            }
-            Instr::MovRI { rd, .. } => defs.insert(rd),
-            Instr::AluRR { rd, rs, .. } => {
-                uses.insert(rd);
-                uses.insert(rs);
-                defs.insert(rd);
-            }
-            Instr::AluRI { rd, .. } | Instr::ShiftRI { rd, .. } => {
-                uses.insert(rd);
-                defs.insert(rd);
-            }
-            Instr::Not { rd } | Instr::Neg { rd } => {
-                uses.insert(rd);
-                defs.insert(rd);
-            }
-            Instr::CmpRR { rs1, rs2 } | Instr::TestRR { rs1, rs2 } => {
-                uses.insert(rs1);
-                uses.insert(rs2);
-            }
-            Instr::CmpRI { rs1, .. } => uses.insert(rs1),
-            Instr::CmpRM { rs1, base, .. } => {
-                uses.insert(rs1);
-                uses.insert(base);
-            }
-            Instr::Load { rd, base, .. } | Instr::LoadB { rd, base, .. } => {
-                uses.insert(base);
-                defs.insert(rd);
-            }
-            Instr::Store { base, rs, .. } | Instr::StoreB { base, rs, .. } => {
-                uses.insert(base);
-                uses.insert(rs);
-            }
-            Instr::Lea { rd, base, .. } => {
-                uses.insert(base);
-                defs.insert(rd);
-            }
-            Instr::Push { rs } => {
-                uses.insert(rs);
-                uses.insert(Reg::SP);
-                defs.insert(Reg::SP);
-            }
-            Instr::Pop { rd } => {
-                uses.insert(Reg::SP);
-                defs.insert(rd);
-                defs.insert(Reg::SP);
-            }
-            Instr::PushF | Instr::PopF => {
-                uses.insert(Reg::SP);
-                defs.insert(Reg::SP);
-            }
-            Instr::SetCc { rd, .. } => defs.insert(rd),
-            // Services read their argument register and may write r0.
-            Instr::Svc { .. } => {
-                uses.insert(Reg::R0);
-                uses.insert(Reg::R1);
-            }
-        },
     }
-    (uses, defs)
 }
 
 /// Per-line live-out register sets for a listing.
@@ -169,9 +102,9 @@ impl Liveness {
                             }
                         }
                         SymInstr::Plain(i) => match i.kind() {
-                            rr_isa::InstrKind::Ret
-                            | rr_isa::InstrKind::Halt
-                            | rr_isa::InstrKind::IndirectJump => Some(Vec::new()),
+                            InstrKind::Ret | InstrKind::Halt | InstrKind::IndirectJump => {
+                                Some(Vec::new())
+                            }
                             _ => Some(next.into_iter().collect()),
                         },
                         SymInstr::MovSym { .. } => Some(next.into_iter().collect()),
@@ -210,19 +143,6 @@ impl Liveness {
 mod tests {
     use super::*;
     use rr_disasm::disassemble;
-
-    #[test]
-    fn regset_operations() {
-        let mut s = RegSet::EMPTY;
-        s.insert(Reg::R3);
-        s.insert(Reg::R7);
-        assert!(s.contains(Reg::R3));
-        s.remove(Reg::R3);
-        assert!(!s.contains(Reg::R3) && s.contains(Reg::R7));
-        assert!(RegSet::ALL.contains(Reg::R15));
-        assert_eq!(RegSet::ALL.minus(RegSet::ALL), RegSet::EMPTY);
-        assert_eq!(RegSet::EMPTY.union(s), s);
-    }
 
     fn liveness_for(src: &str) -> (Listing, Liveness) {
         let exe = rr_asm::assemble_and_link(src).unwrap();

@@ -239,29 +239,21 @@ fn fusible_pair(listing: &Listing, index: usize) -> Option<(usize, Option<u64>)>
 /// pointer state (nothing in our patterns moves sp, so only direct sp
 /// *value* reads matter — sp-based memory operands are fine).
 fn reads_sp(i: &Instr) -> bool {
-    match *i {
-        Instr::CmpRR { rs1, rs2 } | Instr::TestRR { rs1, rs2 } => rs1 == Reg::SP || rs2 == Reg::SP,
-        Instr::CmpRI { rs1, .. } | Instr::CmpRM { rs1, .. } => rs1 == Reg::SP,
-        _ => false,
-    }
+    i.operands().uses.contains(Reg::SP)
 }
 
 /// Whether duplicating the instruction back-to-back is a no-op on the
 /// second execution (the Barry-et-al. idempotency criterion the paper
-/// cites).
+/// cites): a move, load, store, compare or `set<cc>` that writes no
+/// register it reads. `mov rd, rd` reads what it writes but writes back
+/// what it read, so it qualifies too.
 fn is_idempotent(i: &Instr) -> bool {
-    match *i {
-        // mov rd,rd is trivially idempotent, so every register mov is.
-        Instr::MovRR { .. } | Instr::MovRI { .. } | Instr::Lea { .. } => true,
-        Instr::Load { rd, base, .. } | Instr::LoadB { rd, base, .. } => rd != base,
-        // Stores re-write the same value (operands unchanged in between).
-        Instr::Store { .. } | Instr::StoreB { .. } => true,
-        Instr::CmpRR { .. } | Instr::CmpRI { .. } | Instr::CmpRM { .. } | Instr::TestRR { .. } => {
-            true
-        }
-        Instr::SetCc { .. } => true,
-        _ => false,
-    }
+    let ops = i.operands();
+    let self_copy = i.kind() == InstrKind::Mov && ops.uses == ops.defs;
+    matches!(
+        i.kind(),
+        InstrKind::Mov | InstrKind::Load | InstrKind::Store | InstrKind::Cmp | InstrKind::SetCc
+    ) && (ops.defs.intersect(ops.reads()).is_empty() || self_copy)
 }
 
 /// Expands one instruction into its protected form. `scratch_for`
@@ -318,22 +310,13 @@ fn expand_plain(
     scratch_for: &dyn Fn(&[Reg]) -> Option<Reg>,
     listing: &mut Listing,
 ) -> Result<(Vec<Line>, PatternKind), String> {
-    // Instructions that write sp cannot be re-executed or verified
-    // without changing stack state.
-    let writes_sp = match *instr {
-        Instr::MovRR { rd, .. }
-        | Instr::MovRI { rd, .. }
-        | Instr::Load { rd, .. }
-        | Instr::LoadB { rd, .. }
-        | Instr::Lea { rd, .. } => rd == Reg::SP,
-        _ => false,
-    };
-    if writes_sp {
-        return Err("stack-pointer write".into());
-    }
-
     match instr.kind() {
         InstrKind::Mov | InstrKind::Load | InstrKind::Store => {
+            // A move that writes sp cannot be re-executed or verified
+            // without changing stack state.
+            if instr.operands().defs.contains(Reg::SP) {
+                return Err("stack-pointer write".into());
+            }
             // Table I. Verification form when safe (flags dead and a
             // re-compare exists — scratch-free, or through a provably
             // dead register), duplication otherwise.
@@ -685,6 +668,55 @@ mod tests {
         let patched = assemble_and_link(&listing.to_source()).unwrap();
         let run = execute(&patched, &[], 500_000);
         assert_eq!(run.outcome, rr_emu::RunOutcome::Exited { code: 0 });
+    }
+
+    #[test]
+    fn zero_count_shift_keeps_the_flags_live() {
+        // `shl r4, 0` leaves the flags alone, so the `cmp` still decides
+        // the `jeq`: the patched `mov r3, 5` must not get a verification
+        // compare (its `cmp r3, 5` would take the branch, exit 2).
+        patch_and_check(
+            "    .global _start\n\
+             _start:\n\
+                 mov r2, 0\n\
+                 cmp r2, 1\n\
+                 mov r3, 5\n\
+                 shl r4, 0\n\
+                 jeq .x\n\
+                 mov r1, 1\n\
+                 svc 0\n\
+             .x:\n\
+                 mov r1, 2\n\
+                 svc 0\n",
+            &[ENTRY + 16],
+            &[],
+        );
+    }
+
+    #[test]
+    fn lea_that_reads_its_destination_is_not_duplicated() {
+        // The flags are live after `lea r1, [r1+8]`, so no verification
+        // compare may follow it, and running it twice would add 8 twice
+        // (exit 21 instead of 13): the site has no pattern.
+        let exe = assemble_and_link(
+            "    .global _start\n\
+             _start:\n\
+                 mov r1, 5\n\
+                 mov r2, 0\n\
+                 cmp r2, 0\n\
+                 lea r1, [r1+8]\n\
+                 jeq .x\n\
+                 mov r1, 1\n\
+             .x:\n\
+                 svc 0\n",
+        )
+        .unwrap();
+        let mut listing = disassemble(&exe).unwrap().listing;
+        let stats = apply_patterns(&mut listing, &BTreeSet::from([ENTRY + 26]));
+        assert_eq!(stats.patched, vec![], "skipped: {:?}", stats.skipped);
+        let patched = assemble_and_link(&listing.to_source()).unwrap();
+        let run = execute(&patched, &[], 500_000);
+        assert_eq!(run.outcome, rr_emu::RunOutcome::Exited { code: 13 });
     }
 
     #[test]
