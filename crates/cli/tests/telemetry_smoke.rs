@@ -190,7 +190,7 @@ impl<'a> Parser<'a> {
 
 const SPAN_KINDS: [&str; 6] =
     ["record", "snapshot", "restore", "inject", "classify", "bucket_sweep"];
-const COUNTERS: [&str; 24] = [
+const COUNTERS: [&str; 26] = [
     "plans_executed",
     "cache_hits",
     "cache_misses",
@@ -215,6 +215,8 @@ const COUNTERS: [&str; 24] = [
     "audit_failures",
     "plans_converged",
     "steps_converged",
+    "plans_extrapolated",
+    "steps_extrapolated",
 ];
 const GAUGES: [&str; 3] = ["plans_total", "retained_snapshot_bytes", "checkpoints"];
 
@@ -383,6 +385,45 @@ fn fault_trace_and_metrics_are_schema_valid() {
         covered >= 0.3 * wall && covered <= 1.05 * wall,
         "span durations must sum to ≈ wall time, got {covered} of {wall} ns"
     );
+}
+
+#[test]
+fn bit_flip_campaigns_extrapolate_hangs_only_on_the_checkpointed_engine() {
+    let exe = tmp("hang-pincheck.rfx");
+    rr_cli::dispatch(&sv(&["workload", "pincheck", "-o", &exe])).expect("workload builds");
+    let mut reports = Vec::new();
+    for engine in ["checkpoint", "naive"] {
+        let metrics = tmp(&format!("hang-metrics-{engine}.json"));
+        let report = rr_cli::dispatch(&sv(&[
+            "fault",
+            &exe,
+            "--good",
+            "7391",
+            "--bad",
+            "7291",
+            "--model",
+            "bitflip",
+            "--engine",
+            engine,
+            "--metrics",
+            &metrics,
+        ]))
+        .expect("fault campaign runs");
+        let root = validate_metrics(&metrics);
+        let (plans, steps) = (num(&root, "plans_extrapolated"), num(&root, "steps_extrapolated"));
+        if engine == "naive" {
+            // The reference engine runs every hang to its budget.
+            assert_eq!((plans, steps), (0.0, 0.0), "{engine}");
+        } else {
+            assert!(plans > 0.0 && steps > 0.0, "{engine}: {plans} plans, {steps} steps");
+        }
+        assert!(report.contains("timed-out"), "{report}");
+        reports.push(
+            report.lines().filter(|l| !l.starts_with("memory:")).collect::<Vec<_>>().join("\n"),
+        );
+    }
+    // Extrapolation changes the work, not the report.
+    assert_eq!(reports[0].replace("(engine checkpoint", "(engine naive"), reports[1]);
 }
 
 #[test]

@@ -188,31 +188,30 @@ impl<'a> Symbolizer<'a> {
     /// additionally require an instruction-start hit).
     fn scan_data_pointers(&mut self) {
         for kind in [SectionKind::Rodata, SectionKind::Data] {
-            let Some(range) = self.exe.section_range(kind) else { continue };
-            let mut addr = range.start;
-            while addr + 8 <= range.end {
-                if let Some(bytes) = self.exe.read_bytes(addr, 8) {
-                    let value = u64::from_le_bytes(bytes.try_into().expect("len 8"));
-                    if let Some(target_section) = self.section_of(value) {
-                        let ok = if target_section == SectionKind::Text {
-                            self.code.is_instr_start(value)
+            let Some(seg) = self.exe.segments.iter().find(|s| s.section == kind) else { continue };
+            // Only the initialized bytes can hold a pointer: past them the
+            // section is zero-filled, however large its mapped size.
+            for (i, word) in seg.data.chunks_exact(8).enumerate() {
+                let addr = seg.addr + 8 * i as u64;
+                let value = u64::from_le_bytes(word.try_into().expect("len 8"));
+                if let Some(target_section) = self.section_of(value) {
+                    let ok = if target_section == SectionKind::Text {
+                        self.code.is_instr_start(value)
+                    } else {
+                        true
+                    };
+                    if ok && value != 0 {
+                        self.quad_syms.insert(addr, value);
+                        if target_section == SectionKind::Text {
+                            let name = self
+                                .symbol_name_at(value, &[SymbolKind::Func, SymbolKind::Label])
+                                .unwrap_or_else(|| format!("f_{value:x}"));
+                            self.code_labels.entry(value).or_default().push((name, false));
                         } else {
-                            true
-                        };
-                        if ok && value != 0 {
-                            self.quad_syms.insert(addr, value);
-                            if target_section == SectionKind::Text {
-                                let name = self
-                                    .symbol_name_at(value, &[SymbolKind::Func, SymbolKind::Label])
-                                    .unwrap_or_else(|| format!("f_{value:x}"));
-                                self.code_labels.entry(value).or_default().push((name, false));
-                            } else {
-                                self.data_refs.insert(value);
-                            }
+                            self.data_refs.insert(value);
                         }
                     }
                 }
-                addr += 8;
             }
         }
     }

@@ -236,7 +236,7 @@ impl BlockCache {
 pub(crate) struct LocalBlocks {
     /// The [`Memory::exec_dirty_epoch`](crate::Memory::exec_dirty_epoch)
     /// the blocks were decoded at.
-    epoch: usize,
+    epoch: u64,
     blocks: Vec<DecodedBlock>,
 }
 

@@ -32,6 +32,12 @@
 //! memory the same way. Both tiers are bit-identical; the uop tier is the
 //! default for replay campaigns.
 //!
+//! The interpreter can watch a run for a provable hang
+//! ([`Machine::run_detecting`]): a [`HangDetector`] finds a candidate
+//! period before every step and proves it with a one-period taint slice,
+//! and [`Period::extrapolate`] then gives the run's behaviour at its step
+//! budget without executing it.
+//!
 //! ## Program I/O
 //!
 //! Programs talk to the runtime through `svc`:
@@ -61,12 +67,14 @@
 #![forbid(unsafe_code)]
 
 mod blockexec;
+mod hang;
 mod machine;
 mod memory;
 mod outcome;
 mod uop;
 
 pub use blockexec::{BlockCache, BlockStats};
+pub use hang::{HangDetector, Period};
 pub use machine::{Machine, RunResult, Snapshot, DEFAULT_MAX_STEPS};
 pub use memory::{
     AccessKind, MemResult, Memory, MemoryDelta, MemoryStats, PAGE_SIZE, STRADDLE_TAIL,

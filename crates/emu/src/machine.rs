@@ -1,8 +1,9 @@
 //! The CPU interpreter.
 
+use crate::hang::StateDiff;
 use crate::memory::{AccessKind, MemResult, Memory, MemoryDelta, MemoryStats};
 use crate::outcome::{CpuFault, RunOutcome};
-use rr_isa::{decode, AluOp, Flags, Instr, Reg, ShiftOp, MAX_INSTR_LEN, STACK_TOP};
+use rr_isa::{decode, AluOp, Flags, Instr, Reg, RegSet, ShiftOp, MAX_INSTR_LEN, STACK_TOP};
 use rr_obj::Executable;
 use std::sync::Arc;
 
@@ -126,21 +127,47 @@ impl Machine {
 
     /// Whether this machine's complete architectural state equals the
     /// state `snapshot` captured, so that both run on identically from
-    /// here. Compares cheapest first: pc, registers, NZCV, stop state,
-    /// input cursor and stream, output, then memory contents
-    /// ([`Memory::same_contents`]: shared pages compare without a read,
-    /// and exec-dirty bookkeeping is ignored).
+    /// here: the same registers, NZCV and output, then the same pc, stop
+    /// state, input and memory contents, by the comparison a hung run's
+    /// candidate period takes (see [`HangDetector`](crate::HangDetector)).
+    /// Memory compares last ([`Memory::same_contents`]: shared pages
+    /// compare without a read, and exec-dirty bookkeeping is ignored).
     pub fn same_state(&self, snapshot: &Snapshot) -> bool {
         let other = &snapshot.0;
-        self.pc == other.pc
-            && self.regs == other.regs
+        self.regs == other.regs
             && self.flags == other.flags
+            && self.output == other.output
+            && self.register_diff(snapshot).is_some()
+    }
+
+    /// Compares this machine with the state `snapshot` captured, except
+    /// for the output: `None` when they differ in the program counter,
+    /// the stop state, the input cursor or stream, the stack pointer or
+    /// memory contents, otherwise the registers and NZCV bits that
+    /// differ. Compares cheapest first and memory last.
+    ///
+    /// [`Machine::same_state`] is the empty difference, and a hung run's
+    /// candidate period a nonempty one (see
+    /// [`HangDetector`](crate::HangDetector)), where a stack pointer that
+    /// moves is never a candidate.
+    pub(crate) fn register_diff(&self, snapshot: &Snapshot) -> Option<StateDiff> {
+        let other = &snapshot.0;
+        let sp = Reg::SP.index() as usize;
+        let same_place = self.pc == other.pc
             && self.stopped == other.stopped
             && self.input_pos == other.input_pos
+            && self.regs[sp] == other.regs[sp]
             && (Arc::ptr_eq(&self.input, &other.input) || self.input == other.input)
-            && self.output.len() == other.output.len()
-            && self.output == other.output
-            && self.memory.same_contents(&other.memory)
+            && self.memory.same_contents(&other.memory);
+        if !same_place {
+            return None;
+        }
+        let regs = if self.regs == other.regs {
+            RegSet::EMPTY
+        } else {
+            Reg::ALL.into_iter().filter(|&r| self.reg(r) != other.reg(r)).collect()
+        };
+        Some(StateDiff { regs, flags: (self.flags.to_bits() ^ other.flags.to_bits()) as u8 })
     }
 
     /// Current program counter.

@@ -37,6 +37,7 @@
 
 use rr_isa::{MAX_INSTR_LEN, STACK_SIZE, STACK_TOP};
 use rr_obj::{Executable, SegmentPerms};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Bytes per copy-on-write page.
@@ -234,11 +235,16 @@ pub struct Memory {
     regions: Vec<Region>,
     /// Byte ranges of *executable* memory overwritten since load: pokes
     /// from fault injection, plus checked writes in the (unusual) case
-    /// of a region mapped write+exec. Cloned with the memory, so
-    /// snapshot/restore rewinds it together with the bytes — the
-    /// block-cached execution fast path consults this to run modified
-    /// code from blocks decoded out of the current bytes.
-    exec_dirty: Vec<std::ops::Range<u64>>,
+    /// of a region mapped write+exec. Sorted, disjoint and coalesced
+    /// (touching ranges merge), so a loop rewriting the same bytes keeps
+    /// one range. Cloned with the memory, so snapshot/restore rewinds it
+    /// together with the bytes — the block-cached execution fast path
+    /// consults this to run modified code from blocks decoded out of the
+    /// current bytes.
+    exec_dirty: Vec<Range<u64>>,
+    /// Executable-range overwrites since load, one per write: see
+    /// [`Memory::exec_dirty_epoch`].
+    exec_epoch: u64,
 }
 
 /// Result of a memory access: the value, or the failed access description.
@@ -297,7 +303,7 @@ impl Memory {
             STACK_SIZE as usize,
         ));
         regions.sort_by_key(|r| r.start);
-        Memory { regions, exec_dirty: Vec::new() }
+        Memory { regions, exec_dirty: Vec::new(), exec_epoch: 0 }
     }
 
     fn region(&self, addr: u64) -> Option<&Region> {
@@ -355,13 +361,33 @@ impl Memory {
         let offset = (addr - region.start) as usize;
         let exec = region.perms.exec;
         if region.write(offset, data) {
-            if exec && !data.is_empty() {
-                self.exec_dirty.push(addr..addr + data.len() as u64);
+            if exec {
+                self.note_exec_write(addr, data.len());
             }
             Ok(())
         } else {
             Err((addr, AccessKind::Write))
         }
+    }
+
+    /// Records a write of `len` bytes at `addr` into executable memory:
+    /// advances the epoch and merges the range into the coalesced dirty
+    /// list.
+    fn note_exec_write(&mut self, addr: u64, len: usize) {
+        if len == 0 {
+            return;
+        }
+        self.exec_epoch += 1;
+        let mut new = addr..addr + len as u64;
+        // The ranges that overlap or touch `new` form one run of the
+        // sorted list; they collapse into one.
+        let first = self.exec_dirty.partition_point(|r| r.end < new.start);
+        let last = first + self.exec_dirty[first..].partition_point(|r| r.start <= new.end);
+        if first < last {
+            new.start = new.start.min(self.exec_dirty[first].start);
+            new.end = new.end.max(self.exec_dirty[last - 1].end);
+        }
+        self.exec_dirty.splice(first..last, [new]);
     }
 
     /// Fetches up to `max_len` executable bytes starting at `addr` (fewer if
@@ -387,8 +413,8 @@ impl Memory {
         if !region.write(offset, data) {
             return false;
         }
-        if exec && !data.is_empty() {
-            self.exec_dirty.push(addr..addr + data.len() as u64);
+        if exec {
+            self.note_exec_write(addr, data.len());
         }
         true
     }
@@ -400,16 +426,19 @@ impl Memory {
     /// cached blocks over code a fault injection has modified, running
     /// that code from blocks decoded out of the current bytes instead.
     pub fn exec_dirty_intersects(&self, start: u64, end: u64) -> bool {
-        !self.exec_dirty.is_empty()
-            && self.exec_dirty.iter().any(|r| r.start < end && start < r.end)
+        // The first range ending past `start` is the only candidate: the
+        // list is sorted and disjoint.
+        let first = self.exec_dirty.partition_point(|r| r.end <= start);
+        self.exec_dirty.get(first).is_some_and(|r| r.start < end)
     }
 
-    /// Monotonic count of executable-range overwrites — a cheap "did code
-    /// change since I last looked" check for callers holding decoded
-    /// instructions (grows on every exec-range [`Memory::poke`]/write,
-    /// rewinds on restore).
-    pub fn exec_dirty_epoch(&self) -> usize {
-        self.exec_dirty.len()
+    /// Count of executable-range overwrites — a cheap "did code change
+    /// since I last looked" check for callers holding decoded
+    /// instructions. Every exec-range [`Memory::poke`] or checked write
+    /// advances it, also one that rewrites bytes already dirty; it
+    /// rewinds on restore.
+    pub fn exec_dirty_epoch(&self) -> u64 {
+        self.exec_epoch
     }
 
     /// Reads bytes ignoring permissions (inspection/forensics counterpart
@@ -665,6 +694,40 @@ mod tests {
         // Failed pokes record nothing.
         assert!(!mem.poke(0x9999_0000, &[1]));
         assert_eq!(mem.exec_dirty_epoch(), 1);
+    }
+
+    #[test]
+    fn exec_writes_coalesce_into_ranges_and_each_advances_the_epoch() {
+        let exe = Executable {
+            segments: vec![Segment {
+                addr: 0x1000,
+                data: vec![0x01; 64],
+                mem_size: 64,
+                perms: SegmentPerms { read: true, write: true, exec: true },
+                section: SectionKind::Text,
+            }],
+            entry: 0x1000,
+            symbols: vec![],
+        };
+        let mut mem = Memory::for_executable(&exe);
+        // A loop storing into write+exec memory: one range, one epoch
+        // step per store, whatever the value.
+        for i in 0..10_000u64 {
+            mem.write_u64(0x1010, i % 2).unwrap();
+        }
+        assert_eq!((mem.exec_dirty.len(), &mem.exec_dirty[0]), (1, &(0x1010..0x1018)));
+        assert_eq!(mem.exec_dirty_epoch(), 10_000);
+        // Touching and overlapping writes merge, separate ones stay in
+        // address order, and a write bridging two ranges joins them.
+        mem.write_u8(0x1018, 1).unwrap();
+        assert!(mem.poke(0x1000, &[2, 2]));
+        assert_eq!(mem.exec_dirty, [0x1000..0x1002, 0x1010..0x1019]);
+        assert!(mem.exec_dirty_intersects(0x1001, 0x1002));
+        assert!(!mem.exec_dirty_intersects(0x1002, 0x1010));
+        assert!(mem.exec_dirty_intersects(0x1018, 0x1030));
+        assert!(mem.poke(0x1002, &[3; 14]));
+        assert_eq!((mem.exec_dirty.len(), &mem.exec_dirty[0]), (1, &(0x1000..0x1019)));
+        assert_eq!(mem.exec_dirty_epoch(), 10_003);
     }
 
     #[test]

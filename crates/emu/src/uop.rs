@@ -1153,6 +1153,52 @@ mod tests {
     }
 
     #[test]
+    fn code_rewritten_with_alternating_bytes_matches_the_interpreter() {
+        // Each iteration stores 'a' or 'b', alternating, into the
+        // immediate of the `mov r1, 0` in `emit`, then calls it. The same
+        // byte is rewritten every time, so the dirty ranges stay one; the
+        // epoch must still move on every store, or the local block
+        // decoded from the previous value runs again.
+        let src = "    .global _start\n\
+             _start:\n\
+                 mov r3, 0\n\
+                 mov r4, emit\n\
+             .loop:\n\
+                 mov r5, r3\n\
+                 and r5, 1\n\
+                 add r5, 'a'\n\
+                 storeb [r4+2], r5\n\
+                 call emit\n\
+                 add r3, 1\n\
+                 cmp r3, 6\n\
+                 jne .loop\n\
+                 mov r1, 0\n\
+                 svc 0\n\
+             emit:\n\
+                 mov r1, 0\n\
+                 svc 1\n\
+                 ret\n";
+        let mut exe = assemble_and_link(src).unwrap();
+        for seg in exe.segments.iter_mut().filter(|seg| seg.section == SectionKind::Text) {
+            seg.perms.write = true;
+        }
+        let mut reference = Machine::new(&exe, &[]);
+        let want = reference.run(10_000);
+        assert_eq!(want.outcome, RunOutcome::Exited { code: 0 });
+        assert_eq!(reference.output(), b"ababab");
+        let text = exe.text_range();
+        for leaders in [vec![exe.entry], (text.start..text.end).collect()] {
+            let cache = BlockCache::build(&exe, leaders).unwrap();
+            let mut m = Machine::new(&exe, &[]);
+            let mut stats = BlockStats::default();
+            let got = m.run_uops(&cache, 10_000, &mut stats);
+            assert_eq!(got, want);
+            assert_state_matches("alternating rewrites", &m, &reference);
+            assert_eq!(stats.interp_steps, 0, "{stats:?}");
+        }
+    }
+
+    #[test]
     fn mid_block_entry_at_a_fused_branch_slot_stays_exact() {
         // Jump straight at the `jne` inside the fused pair: the branch
         // slot must behave as a plain jcc against current flags.

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use rr_asm::assemble_and_link;
-use rr_emu::{execute, BlockCache, BlockStats, Machine, RunOutcome};
+use rr_emu::{execute, BlockCache, BlockStats, Execution, HangDetector, Machine, RunOutcome};
+use rr_obj::Executable;
 
 /// Random but *assemblable* straight-line programs over safe instructions
 /// (no unbalanced memory, no control flow — those are covered by
@@ -202,4 +203,94 @@ proptest! {
         let expected = rr_isa::Flags::from_sub(a as u64, b32 as u64);
         prop_assert_eq!(m.flags(), expected);
     }
+}
+
+/// Loop-body lines for programs that may hang: the safe lines, plus
+/// output of r1 (as a byte or in decimal), input reads (at EOF), a
+/// counter in r12, moves into r1, and stores to and loads from a buffer
+/// that r14 points at.
+fn hang_line() -> impl Strategy<Value = String> {
+    let reg = (0u8..14).prop_map(|i| format!("r{i}"));
+    prop_oneof![
+        safe_line(),
+        Just("svc 1".to_owned()),
+        Just("svc 3".to_owned()),
+        Just("svc 2".to_owned()),
+        Just("add r12, 1".to_owned()),
+        reg.clone().prop_map(|r| format!("mov r1, {r}")),
+        reg.clone().prop_map(|r| format!("store [r14], {r}")),
+        reg.prop_map(|r| format!("load {r}, [r14]")),
+    ]
+}
+
+/// A loop around `lines` that runs forever, or until r12 reaches
+/// `exit_at` (`None`: forever).
+fn hang_program(lines: &[String], exit_at: Option<u16>) -> String {
+    let mut src = String::from("    .global _start\n_start:\n    mov r14, buf\n.loop:\n");
+    for line in lines {
+        src.push_str("    ");
+        src.push_str(line);
+        src.push('\n');
+    }
+    match exit_at {
+        Some(n) => src.push_str(&format!("    cmp r12, {n}\n    jne .loop\n")),
+        None => src.push_str("    jmp .loop\n"),
+    }
+    src.push_str("    mov r1, 7\n    svc 0\n    .data\nbuf:\n    .quad 0\n");
+    src
+}
+
+/// Runs `exe` to `budget` steps, checked for a hung loop during the first
+/// `window` steps, and extrapolated to the budget when a period is
+/// proven (reported as `true`).
+fn run_extrapolated(exe: &Executable, window: u64, budget: u64) -> (Execution, bool) {
+    let mut m = Machine::new(exe, &[]);
+    let mut detector = HangDetector::default();
+    let head = m.run_detecting(window, &mut detector);
+    if let Some(period) = detector.proof() {
+        return (period.extrapolate(m.take_output(), head.steps, budget), true);
+    }
+    let rest = m.run(budget - head.steps);
+    (
+        Execution {
+            outcome: rest.outcome,
+            output: m.take_output(),
+            steps: head.steps + rest.steps,
+        },
+        false,
+    )
+}
+
+/// A hung-run proof changes no behaviour: over random programs with
+/// loops, some endless and some that exit on a counter, the run checked
+/// for a period and extrapolated to the budget equals `Machine::run` to
+/// the budget — outcome, output and steps. Proofs and refusals are both
+/// common, so neither half holds vacuously.
+#[test]
+fn extrapolated_hangs_match_running_to_the_budget() {
+    const CASES: usize = 400;
+    const WINDOW: u64 = 256;
+    const BUDGET: u64 = 3_000;
+    let programs = (
+        proptest::collection::vec(hang_line(), 1..10),
+        prop_oneof![Just(None), (1u16..400).prop_map(Some)],
+    );
+    let mut rng =
+        proptest::TestRng::deterministic("extrapolated_hangs_match_running_to_the_budget");
+    let (mut proven, mut refused) = (0, 0);
+    for _ in 0..CASES {
+        let (lines, exit_at) = programs.generate(&mut rng);
+        let src = hang_program(&lines, exit_at);
+        let exe = assemble_and_link(&src).expect("program builds");
+        let want = execute(&exe, &[], BUDGET);
+        let (got, was_proven) = run_extrapolated(&exe, WINDOW, BUDGET);
+        assert_eq!(got, want, "{src}");
+        if was_proven {
+            proven += 1;
+        } else if want.outcome == RunOutcome::TimedOut || want.steps > WINDOW {
+            refused += 1;
+        }
+    }
+    assert!(proven >= CASES / 10, "{proven} of {CASES} programs proven");
+    assert!(refused >= CASES / 10, "{refused} of {CASES} programs refused");
 }

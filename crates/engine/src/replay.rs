@@ -2,7 +2,8 @@
 //! arbitrary trace steps.
 
 use rr_emu::{
-    BlockCache, BlockStats, Execution, Machine, MemoryDelta, RunOutcome, RunResult, Snapshot,
+    BlockCache, BlockStats, Execution, HangDetector, Machine, MemoryDelta, RunOutcome, RunResult,
+    Snapshot,
 };
 use rr_obj::Executable;
 use rr_telemetry::{Counter, Gauge, SpanKind, Telemetry};
@@ -544,6 +545,23 @@ impl ReplayEngine {
         let mut stats = BlockStats::default();
         let result = machine.run_uops(cache, max_steps, &mut stats);
         flush_block_stats(&self.telemetry, stats);
+        result
+    }
+
+    /// [`ReplayEngine::run`] on the interpreter, checking every step for a
+    /// hung loop with `detector` ([`Machine::run_detecting`]). Under a
+    /// block cache, the run's steps and the steps its proofs re-execute
+    /// count as interpreted steps.
+    pub fn run_detecting(
+        &self,
+        machine: &mut Machine,
+        max_steps: u64,
+        detector: &mut HangDetector,
+    ) -> RunResult {
+        let result = machine.run_detecting(max_steps, detector);
+        if self.block_cache.is_some() {
+            self.telemetry.count(Counter::InterpSteps, result.steps + detector.proof_steps());
+        }
         result
     }
 

@@ -46,6 +46,19 @@
 //! enforces bit-identical reports across engines, sinks, and thread
 //! counts.
 //!
+//! A checkpointed session also skips work no classification can see.
+//! After a plan's last injection it stops a run whose state rejoins the
+//! golden bad run at a retained checkpoint, and takes the rest of the
+//! behaviour from the golden run. And it stops a run still going at
+//! twice the golden run's steps once an `rr_emu::HangDetector` proves
+//! it repeats one period until its step budget: such a run would time
+//! out, and its output and step count at the budget are extrapolated
+//! exactly. Under bit flips, the model whose faults loop forever, most
+//! `TimedOut` plans end this way. The naive engine takes neither
+//! shortcut and stays the reference; `tests/tests/steps_exact.rs`
+//! compares the two under oracles that read the steps and output of
+//! every run.
+//!
 //! For iterative loops that re-campaign after a small binary rewrite,
 //! sessions support **incremental re-campaigning**: package a finished
 //! session's classifications with [`CampaignSession::seed`], compute the

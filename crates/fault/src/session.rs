@@ -34,7 +34,7 @@ use crate::oracle::{Behavior, GoldenPairOracle, Oracle};
 use crate::report::{CampaignReport, FaultResult, ModelSummary, Summary};
 use crate::site::{Fault, FaultClass, FaultEffect, FaultPlan, FaultSite};
 use rr_disasm::ListingDelta;
-use rr_emu::{execute, Execution, Machine, RunOutcome};
+use rr_emu::{execute, Execution, HangDetector, Machine, RunOutcome};
 use rr_engine::shard::run_bucketed;
 use rr_engine::{ReplayConfig, ReplayEngine, ReplayFootprint};
 use rr_isa::{decode, Flags, MAX_INSTR_LEN};
@@ -102,6 +102,16 @@ impl fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
+
+/// A checkpointed continuation still running when its run, counted from
+/// the start (the first injection's step plus the steps executed since),
+/// reaches this many times the golden bad run's steps may hang: from then
+/// on it is checked for a provable period ([`HangDetector`]).
+const HANG_CHECK_FROM: u64 = 2;
+
+/// Steps a continuation is checked for a period before it runs on
+/// unchecked to its budget.
+const HANG_CHECK_WINDOW: u64 = 1024;
 
 /// Builds a [`CampaignSession`] — see [`CampaignSession::builder`].
 #[derive(Debug, Clone)]
@@ -564,10 +574,12 @@ impl CampaignSession {
     /// [`CampaignConfig`]. Classifications are identical across engines,
     /// sinks, and thread counts — the emulator is deterministic, and the
     /// equivalence test suite enforces it. A checkpointed session
-    /// finishes a faulted run early once its state rejoins the golden
-    /// bad run at a retained checkpoint, with the exact behaviour
-    /// executing would have produced (counted by the `plans_converged`
-    /// and `steps_converged` telemetry counters).
+    /// finishes a faulted run early, with the exact behaviour executing
+    /// would have produced, once its state rejoins the golden bad run at
+    /// a retained checkpoint (counted by the `plans_converged` and
+    /// `steps_converged` telemetry counters), or once the run is proven
+    /// to repeat one period until its step budget (`plans_extrapolated`
+    /// and `steps_extrapolated`).
     ///
     /// # Panics
     ///
@@ -682,9 +694,10 @@ impl CampaignSession {
     ///
     /// After the last injection, a checkpointed session may finish the
     /// run early: [`CampaignSession::run_continuation`] stops it when its
-    /// state rejoins the golden bad run at a retained checkpoint and
-    /// takes the rest of the behaviour from the golden run, which is
-    /// exactly what executing it would have produced.
+    /// state rejoins the golden bad run at a retained checkpoint, and
+    /// takes the rest of the behaviour from the golden run, or when it is
+    /// proven to hang, and extrapolates the rest. Either is exactly what
+    /// executing it would have produced.
     fn inject_and_classify(&self, mut machine: Machine, plan: &FaultPlan) -> FaultClass {
         let inject_span = self.telemetry.span(SpanKind::Inject);
         let first = plan.first();
@@ -750,9 +763,22 @@ impl CampaignSession {
     /// running, to time out as before.
     ///
     /// Plans that flip code bits never check: their rewritten code page
-    /// never matches golden memory. A naive session records no
-    /// checkpoints to rejoin, so it always runs to the end — the
-    /// reference oracle stays unshortened.
+    /// never matches golden memory.
+    ///
+    /// A run still going at [`HANG_CHECK_FROM`] times the golden bad
+    /// run's steps, counted from its start, may hang. For the next
+    /// [`HANG_CHECK_WINDOW`] steps it runs on the interpreter under a
+    /// [`HangDetector`]; when that proves the run repeats one period
+    /// until the budget, the behaviour is the one running to the budget
+    /// gives: `TimedOut`, `budget` steps, and the output so far followed
+    /// by the output of every period left and of the first steps of one
+    /// more ([`rr_emu::Period::extrapolate`]). Every oracle therefore
+    /// classifies identically, one that reads the output of a timed-out
+    /// run included. An unproven run continues unchecked to the budget.
+    ///
+    /// A naive session takes neither shortcut: it records no checkpoints
+    /// to rejoin and never checks for a period, so it always runs to the
+    /// end — the reference oracle stays unshortened.
     fn run_continuation(
         &self,
         machine: &mut Machine,
@@ -800,12 +826,36 @@ impl CampaignSession {
                 nth *= 2;
             }
         }
-        let result = self.replay.run(machine, budget - used);
-        Behavior {
-            outcome: result.outcome,
-            output: machine.take_output(),
-            steps: used + result.steps,
+        if self.config.engine == CampaignEngine::Checkpointed {
+            let from = self
+                .golden_bad
+                .steps
+                .saturating_mul(HANG_CHECK_FROM)
+                .saturating_sub(plan.first().step)
+                .min(budget);
+            if used < from {
+                used += self.replay.run(machine, from - used).steps;
+            }
+            if used < budget && machine.stopped().is_none() {
+                let mut detector = HangDetector::default();
+                let window = HANG_CHECK_WINDOW.min(budget - used);
+                used += self.replay.run_detecting(machine, window, &mut detector).steps;
+                if let Some(period) = detector.proof() {
+                    self.telemetry.count(Counter::PlansExtrapolated, 1);
+                    self.telemetry.count(Counter::StepsExtrapolated, budget - used);
+                    return period.extrapolate(machine.take_output(), used, budget);
+                }
+            }
         }
+        let outcome = match machine.stopped() {
+            Some(outcome) => outcome,
+            None => {
+                let result = self.replay.run(machine, budget - used);
+                used += result.steps;
+                result.outcome
+            }
+        };
+        Behavior { outcome, output: machine.take_output(), steps: used }
     }
 
     /// Consults the oracle under a [`SpanKind::Classify`] span.

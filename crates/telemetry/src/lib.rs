@@ -163,8 +163,10 @@ pub enum Counter {
     /// reads it; it goes with the next benchmark revision.
     BlockSteps,
     /// Instructions executed by the plain interpreter while a block
-    /// cache was available: only pcs whose bytes do not fetch or decode,
-    /// so each one is a crashing step.
+    /// cache was available: pcs whose bytes do not fetch or decode, so
+    /// each one is a crashing step, the steps a faulted continuation runs
+    /// under a hang check, and the steps its proofs re-execute to check a
+    /// candidate period.
     InterpSteps,
     /// Cached blocks invalidated by a rewrite's listing delta.
     BlockInvalidations,
@@ -203,11 +205,18 @@ pub enum Counter {
     /// Golden-remainder steps those plans did not execute: adding them
     /// to the executed steps gives the work without the shortcut.
     StepsConverged,
+    /// Faulted plans whose run was proven to repeat one period until its
+    /// step budget, so their `TimedOut` behaviour was extrapolated
+    /// instead of executed.
+    PlansExtrapolated,
+    /// Budget steps those plans did not execute: adding them to the
+    /// executed steps gives the work without the shortcut.
+    StepsExtrapolated,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 24;
+    pub const COUNT: usize = 26;
     /// Every counter, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::PlansExecuted,
@@ -234,6 +243,8 @@ impl Counter {
         Counter::AuditFailures,
         Counter::PlansConverged,
         Counter::StepsConverged,
+        Counter::PlansExtrapolated,
+        Counter::StepsExtrapolated,
     ];
 
     /// Stable wire name (used as JSON key).
@@ -263,6 +274,8 @@ impl Counter {
             Counter::AuditFailures => "audit_failures",
             Counter::PlansConverged => "plans_converged",
             Counter::StepsConverged => "steps_converged",
+            Counter::PlansExtrapolated => "plans_extrapolated",
+            Counter::StepsExtrapolated => "steps_extrapolated",
         }
     }
 

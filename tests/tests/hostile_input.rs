@@ -12,7 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rr_emu::{BlockCache, BlockStats, Machine};
 use rr_fault::{Analysis, CampaignConfig, CampaignSession, Collect, FaultModel, InstructionSkip};
-use rr_obj::Executable;
+use rr_isa::{STACK_SIZE, STACK_TOP};
+use rr_obj::{Executable, SectionKind};
 use rr_workloads::Workload;
 
 /// Mutants per workload, each with 1–4 random bit flips.
@@ -161,4 +162,29 @@ fn loaded_mutants_disassemble_analyse_and_campaign_or_fail_typed() {
     {
         assert!(stage.ok > 0 && stage.typed_errors > 0, "{name}: {stage:?}");
     }
+}
+
+#[test]
+fn the_largest_accepted_data_size_disassembles_from_the_initialized_bytes() {
+    // otp's 28-byte `.rodata` mapped up to the stack: the largest size
+    // the loader accepts, about 1 GiB. Symbolization looks for pointers
+    // in the 28 initialized bytes, and the listing ends the section with
+    // the zero-filled rest.
+    let mut exe = rr_workloads::otp_check().build().expect("workload builds");
+    let rodata = exe.segments.iter_mut().find(|s| s.section == SectionKind::Rodata).unwrap();
+    rodata.mem_size = STACK_TOP - STACK_SIZE - rodata.addr;
+    let tail = rodata.mem_size - rodata.data.len() as u64;
+    let exe = Executable::from_bytes(&exe.to_bytes()).expect("the loader accepts the size");
+    let listing = rr_disasm::disassemble(&exe).expect("disassembles").listing.to_source();
+    assert_eq!(tail, 1_072_685_028);
+    let expected = "\
+msg_ok:
+    .byte 0x4f, 0x54, 0x50, 0x20, 0x4f, 0x4b, 0x0a, 0x00
+msg_no:
+    .byte 0x4f, 0x54, 0x50, 0x20, 0x52, 0x45, 0x4a, 0x45, 0x43, 0x54, 0x45, 0x44, 0x0a, 0x00
+otp_secret:
+    .byte 0x34, 0x39, 0x32, 0x38, 0x31, 0x36
+    .space 1072685028
+";
+    assert!(listing.contains(expected), "{listing}");
 }

@@ -1,26 +1,44 @@
-//! The golden-rejoin shortcut synthesizes a faulted run's step count
-//! instead of executing the golden remainder, so that count must be the
-//! one executing would have produced.
+//! Two shortcuts synthesize part of a faulted run's behaviour instead of
+//! executing it, so what they synthesize must be what executing would
+//! have produced.
+//!
+//! * The golden-rejoin shortcut takes the rest of a run from the golden
+//!   bad run, with a synthesized step count.
+//! * The hang shortcut extrapolates a run proven to repeat one period
+//!   to its step budget: `TimedOut`, the budget's steps, and the output
+//!   of every period it did not execute.
 //!
 //! The engine-equivalence suites classify with `GoldenPairOracle`, which
-//! ignores `steps`; a wrong synthesized count would pass all of them.
-//! Here the oracle classifies on `steps` alone, so the checkpointed
-//! engine (which takes the shortcut) and the naive engine (which never
-//! does) agree report for report only if every synthesized count is
-//! exact.
+//! ignores `steps` and only compares output for exits; a wrong
+//! synthesized count or hung-run output would pass all of them. Here the
+//! oracles classify on `steps`, and on a hash of the outcome, output and
+//! steps, so the checkpointed engine (which takes the shortcuts) and the
+//! naive engine (which never does) agree report for report only if
+//! everything synthesized is exact.
+
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use rr_core::{harden_hybrid, HybridConfig};
 use rr_fault::{
     Behavior, CampaignConfig, CampaignEngine, CampaignSession, Collect, FaultClass, FaultModel,
-    FlagFlip, InstructionSkip, Oracle, PairPolicy, PlanConfig, RegisterBitFlip,
+    FlagFlip, InstructionSkip, Oracle, PairPolicy, PlanConfig, RegisterBitFlip, SingleBitFlip,
 };
 use rr_isa::Reg;
 use rr_obj::Executable;
 use rr_telemetry::{Counter, Telemetry};
 
+/// The classes an oracle below picks from by a value mod 5.
+const CLASSES: [FaultClass; 5] = [
+    FaultClass::Success,
+    FaultClass::Benign,
+    FaultClass::Crashed,
+    FaultClass::TimedOut,
+    FaultClass::Corrupted,
+];
+
 /// Five classes by `steps % 5`: any off-by-n step count in 1..=4
 /// changes the class.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct StepsModFive;
 
 impl Oracle for StepsModFive {
@@ -29,14 +47,25 @@ impl Oracle for StepsModFive {
     }
 
     fn classify(&self, faulted: &Behavior) -> FaultClass {
-        const CLASSES: [FaultClass; 5] = [
-            FaultClass::Success,
-            FaultClass::Benign,
-            FaultClass::Crashed,
-            FaultClass::TimedOut,
-            FaultClass::Corrupted,
-        ];
         CLASSES[(faulted.steps % 5) as usize]
+    }
+}
+
+/// Five classes by a hash of the outcome, output and steps mod 5: a
+/// wrong byte of output, in any outcome, changes the class of four runs
+/// in five.
+#[derive(Debug, Clone, Copy)]
+struct BehaviorHashModFive;
+
+impl Oracle for BehaviorHashModFive {
+    fn name(&self) -> &'static str {
+        "behavior-hash-mod-5"
+    }
+
+    fn classify(&self, faulted: &Behavior) -> FaultClass {
+        let mut hasher = DefaultHasher::new();
+        (faulted.outcome, &faulted.output, faulted.steps).hash(&mut hasher);
+        CLASSES[(hasher.finish() % 5) as usize]
     }
 }
 
@@ -74,47 +103,70 @@ fn binaries() -> Vec<(String, Executable, Vec<u8>, usize)> {
     binaries
 }
 
+/// Runs `models` at each plan set of [`plans`] on a naive and a
+/// checkpointed session of `exe` that classify with `oracle`, and asserts
+/// that their reports are byte-identical and that `counters` (a shortcut
+/// and the steps it saved) read 0 on the naive side and more than 0 on
+/// the checkpointed side.
+fn engines_agree<O: Oracle + Copy + 'static>(
+    name: &str,
+    exe: &Executable,
+    bad: &[u8],
+    site_stride: usize,
+    oracle: O,
+    models: &[&dyn FaultModel],
+    counters: [Counter; 2],
+) {
+    let checkpointed = Telemetry::counters();
+    for plan in plans() {
+        let session = |engine, telemetry: &Telemetry| {
+            CampaignSession::builder(exe.clone())
+                .bad_input(bad)
+                .oracle(oracle)
+                .config(CampaignConfig { engine, site_stride, plan, ..CampaignConfig::default() })
+                .telemetry(telemetry.clone())
+                .build()
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        let naive = Telemetry::counters();
+        let expected = session(CampaignEngine::Naive, &naive).run(models, Collect);
+        let actual = session(CampaignEngine::Checkpointed, &checkpointed).run(models, Collect);
+        assert_eq!(
+            format!("{actual:?}"),
+            format!("{expected:?}"),
+            "{name}, order {}: reports differ",
+            plan.order
+        );
+        let naive = naive.metrics().unwrap();
+        for counter in counters {
+            assert_eq!(naive.counter(counter), 0, "{name}: naive {counter:?}");
+        }
+    }
+    let metrics = checkpointed.metrics().unwrap();
+    for counter in counters {
+        assert!(
+            metrics.counter(counter) > 0,
+            "{name}: {counter:?} is 0, so the shortcut went untested"
+        );
+    }
+}
+
 #[test]
 fn synthesized_step_counts_are_exact() {
+    let models = models();
+    let models: Vec<&dyn FaultModel> = models.iter().map(Box::as_ref).collect();
     for (name, exe, bad, site_stride) in binaries() {
-        let converged = Telemetry::counters();
-        for plan in plans() {
-            let session = |engine, telemetry: &Telemetry| {
-                CampaignSession::builder(exe.clone())
-                    .bad_input(&bad[..])
-                    .oracle(StepsModFive)
-                    .config(CampaignConfig {
-                        engine,
-                        site_stride,
-                        plan,
-                        ..CampaignConfig::default()
-                    })
-                    .telemetry(telemetry.clone())
-                    .build()
-                    .unwrap_or_else(|e| panic!("{name}: {e}"))
-            };
-            let naive_telemetry = Telemetry::counters();
-            let naive = session(CampaignEngine::Naive, &naive_telemetry);
-            let checkpointed = session(CampaignEngine::Checkpointed, &converged);
-            let models = models();
-            let refs: Vec<&dyn FaultModel> = models.iter().map(Box::as_ref).collect();
-            let expected = naive.run(&refs, Collect);
-            let actual = checkpointed.run(&refs, Collect);
-            assert_eq!(
-                format!("{actual:?}"),
-                format!("{expected:?}"),
-                "{name}, order {}: reports differ",
-                plan.order
-            );
-            let naive_metrics = naive_telemetry.metrics().unwrap();
-            assert_eq!(naive_metrics.counter(Counter::PlansConverged), 0, "{name}");
-            assert_eq!(naive_metrics.counter(Counter::StepsConverged), 0, "{name}");
-        }
-        let metrics = converged.metrics().unwrap();
-        assert!(
-            metrics.counter(Counter::PlansConverged) > 0,
-            "{name}: no plan rejoined the golden run, so the shortcut went untested"
-        );
-        assert!(metrics.counter(Counter::StepsConverged) > 0, "{name}");
+        let counters = [Counter::PlansConverged, Counter::StepsConverged];
+        engines_agree(&name, &exe, &bad, site_stride, StepsModFive, &models, counters);
+    }
+}
+
+#[test]
+fn extrapolated_hangs_are_exact() {
+    let models: [&dyn FaultModel; 2] = [&SingleBitFlip, &InstructionSkip];
+    for w in rr_workloads::all_workloads() {
+        let counters = [Counter::PlansExtrapolated, Counter::StepsExtrapolated];
+        let exe = w.build().unwrap();
+        engines_agree(w.name, &exe, &w.bad_input, 1, BehaviorHashModFive, &models, counters);
     }
 }
