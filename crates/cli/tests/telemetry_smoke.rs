@@ -190,7 +190,7 @@ impl<'a> Parser<'a> {
 
 const SPAN_KINDS: [&str; 6] =
     ["record", "snapshot", "restore", "inject", "classify", "bucket_sweep"];
-const COUNTERS: [&str; 26] = [
+const COUNTERS: [&str; 25] = [
     "plans_executed",
     "cache_hits",
     "cache_misses",
@@ -205,7 +205,6 @@ const COUNTERS: [&str; 26] = [
     "blocks_decoded",
     "block_steps",
     "interp_steps",
-    "block_invalidations",
     "blocks_compiled",
     "uop_steps",
     "flag_materializations",

@@ -26,10 +26,11 @@
 //!   block of its own out of the machine's current bytes, through the
 //!   same fetch ([`Memory::fetch`](crate::Memory::fetch)) and decoder
 //!   the interpreter uses, and runs that instead. The same *local
-//!   blocks* serve pcs no leader covers; all of them are dropped when
-//!   the exec-dirty epoch moves, and a write that dirties text
-//!   *mid-block* (a self-modifying store to a write+exec mapping) is
-//!   caught by the per-step epoch check. Only a pc whose bytes do not
+//!   blocks* serve a pc the sweep did not reach as an instruction start,
+//!   such as a jump into the middle of an instruction; all of them are
+//!   dropped when the exec-dirty epoch moves, and a write that dirties
+//!   text *mid-block* (a self-modifying store to a write+exec mapping)
+//!   is caught by the per-step epoch check. Only a pc whose bytes do not
 //!   fetch or decode — the crashing step — is left to the interpreter;
 //! * step budgets are exact: the fence is checked before every cached
 //!   instruction, so a fence landing mid-block stops precisely there.
@@ -41,7 +42,7 @@ use crate::machine::Machine;
 use crate::memory::PAGE_SIZE;
 use crate::uop::{push_lowered, UopEntry};
 use rr_isa::decode;
-use rr_obj::Executable;
+use rr_obj::{Executable, SymbolKind};
 use std::collections::BTreeSet;
 use std::ops::Range;
 
@@ -56,9 +57,11 @@ pub struct BlockStats {
     pub interp_steps: u64,
     /// Instructions executed from micro-op block bodies.
     pub uop_steps: u64,
-    /// Blocks decoded out of the machine's own memory for pcs the shared
+    /// Blocks decoded out of the machine's own memory for pcs the
     /// [`BlockCache`] could not serve: rewritten code (a bit flip or a
-    /// store into executable memory) and code no leader covers.
+    /// store into executable memory) and a pc the sweep did not reach as
+    /// an instruction start, such as a jump into the middle of an
+    /// instruction.
     pub blocks_redecoded: u64,
     /// Times the uop tier materialized the NZCV flags from a deferred
     /// flag-setting operation (consumer reads and block exits).
@@ -116,8 +119,8 @@ impl DecodedBlock {
 }
 
 /// Superblocks decoded into micro-op bodies over an executable's text,
-/// built once per session and shared (behind an `Arc`) by every replay
-/// that executes the same binary.
+/// built once per recording ([`BlockCache::for_executable`]) and read by
+/// every run that executes the same binary.
 ///
 /// # Example
 ///
@@ -128,7 +131,7 @@ impl DecodedBlock {
 /// let exe = assemble_and_link(
 ///     "    .global _start\n_start:\n    mov r1, 41\n    add r1, 1\n    svc 0\n",
 /// )?;
-/// let cache = BlockCache::build(&exe, [exe.entry]).expect("text decodes");
+/// let cache = BlockCache::for_executable(&exe).expect("text decodes");
 /// let mut m = Machine::new(&exe, &[]);
 /// let mut stats = BlockStats::default();
 /// let result = m.run_uops(&cache, 1_000, &mut stats);
@@ -141,10 +144,6 @@ impl DecodedBlock {
 pub struct BlockCache {
     /// Start address of the decoded text.
     text_start: u64,
-    /// The text bytes the blocks were decoded from — callers compare
-    /// against a rebuilt binary's text to decide whether the cache can
-    /// be carried across a rewrite verbatim.
-    text: Vec<u8>,
     blocks: Vec<DecodedBlock>,
     /// Per text byte: index into `blocks` when the byte starts an
     /// instruction of a decoded block, else `u32::MAX`.
@@ -154,8 +153,47 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
+    /// Decodes the text of `exe` into superblocks whose leaders come from
+    /// one linear sweep of `.text`: the entry point, every `Func` symbol,
+    /// every direct jump, branch and call target, and the instruction
+    /// after each block terminator. An undecodable byte is skipped, and
+    /// the next instruction that decodes starts a block. Returns `None`
+    /// when nothing decodes (see [`BlockCache::build`]).
+    pub fn for_executable(exe: &Executable) -> Option<BlockCache> {
+        let text_start = exe.text_range().start;
+        let text = exe.text_bytes();
+        let mut leaders: Vec<u64> = exe
+            .symbols
+            .iter()
+            .filter(|sym| sym.kind == SymbolKind::Func)
+            .map(|sym| sym.addr)
+            .chain([exe.entry])
+            .collect();
+        let mut off = 0;
+        while off < text.len() {
+            let pc = text_start + off as u64;
+            let Ok((insn, len)) = decode(&text[off..]) else {
+                // Resynchronize: `build` skips each next byte as a leader
+                // while it does not decode, so the first instruction that
+                // decodes again starts a block.
+                off += 1;
+                leaders.push(pc + 1);
+                continue;
+            };
+            let next = pc + len as u64;
+            if let Some(rel) = insn.rel_target() {
+                leaders.push(next.wrapping_add(rel as i64 as u64));
+            }
+            if insn.is_block_terminator() {
+                leaders.push(next);
+            }
+            off += len;
+        }
+        BlockCache::build(exe, leaders)
+    }
+
     /// Decodes the text of `exe` into superblocks starting at `leaders`
-    /// (block entry addresses — typically the CFG's basic-block starts;
+    /// (block entry addresses, such as [`BlockCache::for_executable`]'s;
     /// addresses outside the text are ignored). Each block extends until
     /// a block-terminating instruction, the next leader, or the end of
     /// text. Undecodable leader runs are skipped ([`Machine::run_uops`]
@@ -167,7 +205,7 @@ impl BlockCache {
     /// superblock executes the cached tail from that point.
     pub fn build(exe: &Executable, leaders: impl IntoIterator<Item = u64>) -> Option<BlockCache> {
         let text_start = exe.text_range().start;
-        let text = exe.text_bytes().to_vec();
+        let text = exe.text_bytes();
         let text_end = text_start + text.len() as u64;
         let sorted: BTreeSet<u64> =
             leaders.into_iter().filter(|&a| a >= text_start && a < text_end).collect();
@@ -189,7 +227,7 @@ impl BlockCache {
         if blocks.is_empty() {
             return None;
         }
-        Some(BlockCache { text_start, text, blocks, block_of, instr_of })
+        Some(BlockCache { text_start, blocks, block_of, instr_of })
     }
 
     /// Number of decoded superblocks.
@@ -197,18 +235,7 @@ impl BlockCache {
         self.blocks.len()
     }
 
-    /// Start address of the decoded text.
-    pub fn text_start(&self) -> u64 {
-        self.text_start
-    }
-
-    /// The exact text bytes the blocks were decoded from.
-    pub fn text_bytes(&self) -> &[u8] {
-        &self.text
-    }
-
-    /// Byte ranges of the decoded blocks (for invalidation accounting
-    /// against a rewrite's listing delta).
+    /// Byte ranges of the decoded blocks, in address order.
     pub fn block_ranges(&self) -> impl Iterator<Item = Range<u64>> + '_ {
         self.blocks.iter().map(|b| b.start..b.end)
     }
@@ -226,12 +253,12 @@ impl BlockCache {
 }
 
 /// The blocks one [`Machine::run_uops`] call decodes out of the
-/// machine's own memory, for pcs the shared [`BlockCache`] cannot serve:
-/// code a fault injection or a store rewrote (its shared block overlaps
-/// an exec-dirty range), and code no leader covers. They run exactly
-/// like shared blocks. Every one of them is dropped when the
-/// exec-dirty epoch moves, since a new write may have made any of them
-/// stale.
+/// machine's own memory, for pcs the [`BlockCache`] cannot serve: code a
+/// fault injection or a store rewrote (its cached block overlaps an
+/// exec-dirty range), and a pc the sweep did not reach as an instruction
+/// start. They run exactly like cached blocks. Every one of them is
+/// dropped when the exec-dirty epoch moves, since a new write may have
+/// made any of them stale.
 #[derive(Debug, Default)]
 pub(crate) struct LocalBlocks {
     /// The [`Memory::exec_dirty_epoch`](crate::Memory::exec_dirty_epoch)
@@ -446,12 +473,106 @@ pub(crate) mod tests {
     fn cache_metadata_reflects_the_decoded_text() {
         let exe = assemble_and_link(LOOPY).unwrap();
         let cache = cache_for(&exe);
-        assert!(cache.block_count() >= 1);
-        assert_eq!(cache.text_start(), exe.text_range().start);
-        assert_eq!(cache.text_bytes(), exe.text_bytes());
+        assert_eq!(cache.block_count(), 1);
+        let text = exe.text_range();
         for range in cache.block_ranges() {
-            assert!(range.start >= cache.text_start());
-            assert!(range.end <= cache.text_start() + cache.text_bytes().len() as u64);
+            assert!(range.start >= text.start && range.end <= text.end, "{range:?}");
         }
+    }
+
+    /// The start addresses of `cache`'s blocks.
+    fn block_starts(cache: &BlockCache) -> Vec<u64> {
+        cache.block_ranges().map(|r| r.start).collect()
+    }
+
+    #[test]
+    fn a_function_reached_only_indirectly_starts_a_block_at_its_symbol() {
+        // `helper` follows `svc 0`, which ends no block, and is reached
+        // only through `callr`: only its `Func` symbol makes it a leader.
+        let exe = assemble_and_link(
+            "    .global _start
+             _start:
+                 mov r4, helper
+                 callr r4
+                 svc 0
+             helper:
+                 mov r1, 7
+                 ret
+",
+        )
+        .unwrap();
+        let helper = exe.symbol("helper").unwrap().addr;
+        let cache = BlockCache::for_executable(&exe).expect("text decodes");
+        assert!(block_starts(&cache).contains(&helper));
+        let stripped = BlockCache::for_executable(&exe.stripped()).expect("text decodes");
+        assert!(!block_starts(&stripped).contains(&helper), "only the symbol makes it a leader");
+        let (reference, _) = interp_reference(&exe, &[], 100);
+        assert_eq!(reference.outcome, RunOutcome::Exited { code: 7 });
+        let mut m = Machine::new(&exe, &[]);
+        let mut stats = BlockStats::default();
+        assert_eq!(m.run_uops(&cache, 100, &mut stats), reference);
+        assert_eq!(stats.blocks_redecoded, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn undecodable_bytes_in_the_text_do_not_stop_the_sweep() {
+        // Bytes that decode as nothing sit between two functions; the
+        // binary is stripped, so only the sweep finds `second` and the
+        // loop inside it.
+        let exe = assemble_and_link(
+            "    .global _start
+             _start:
+                 mov r4, second
+                 callr r4
+                 svc 0
+                 .byte 0xff, 0xff, 0xff
+             second:
+                 mov r1, 3
+             .loop:
+                 sub r1, 1
+                 cmp r1, 0
+                 jne .loop
+                 ret
+",
+        )
+        .unwrap();
+        assert!(decode(&[0xff]).is_err(), "the padding does not decode");
+        let second = exe.symbol("second").unwrap().addr;
+        let head = exe.symbol(".loop").unwrap().addr;
+        let exe = exe.stripped();
+        let cache = BlockCache::for_executable(&exe).expect("text decodes");
+        let starts = block_starts(&cache);
+        assert!(starts.contains(&second), "the first instruction after the bytes: {starts:x?}");
+        assert!(starts.contains(&head), "a branch target after the bytes: {starts:x?}");
+        let (reference, _) = interp_reference(&exe, &[], 100);
+        assert_eq!(reference.outcome, RunOutcome::Exited { code: 0 });
+        let mut m = Machine::new(&exe, &[]);
+        let mut stats = BlockStats::default();
+        assert_eq!(m.run_uops(&cache, 100, &mut stats), reference);
+        assert_eq!(stats.blocks_redecoded, 0, "{stats:?}");
+        assert_eq!(stats.interp_steps, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_symbol_outside_the_text_is_ignored() {
+        let mut exe = assemble_and_link(
+            "    .global _start
+             _start:
+                 mov r1, 0
+                 svc 0
+                 .data
+             value:
+                 .quad 0
+",
+        )
+        .unwrap();
+        let plain = block_starts(&BlockCache::for_executable(&exe).expect("text decodes"));
+        // The data object's symbol, retagged as a function.
+        let mut bogus = exe.symbol("value").unwrap().clone();
+        assert!(!exe.text_range().contains(&bogus.addr));
+        bogus.kind = SymbolKind::Func;
+        exe.symbols.push(bogus);
+        let cache = BlockCache::for_executable(&exe).expect("text decodes");
+        assert_eq!(block_starts(&cache), plain);
     }
 }

@@ -26,11 +26,13 @@
 //! body — pre-extracted operands, fused compare-and-branch pairs, lazy
 //! NZCV materialization — with no fetch/decode on the hot path. Flags
 //! are recomputed only when a consumer or a block exit reads them, so
-//! architectural state is exact at every observable point. Code the
-//! cache cannot serve (rewritten by a fault or a store, or not covered by
-//! a leader) runs from blocks the call decodes out of the machine's own
-//! memory the same way. Both tiers are bit-identical; the uop tier is the
-//! default for replay campaigns.
+//! architectural state is exact at every observable point. The cache's
+//! block leaders come from one linear sweep of `.text`
+//! ([`BlockCache::for_executable`]). Code the cache cannot serve
+//! (rewritten by a fault or a store, or a pc the sweep did not reach as
+//! an instruction start) runs from blocks the call decodes out of the
+//! machine's own memory the same way. Both tiers are bit-identical; the
+//! uop tier is the default for replay campaigns.
 //!
 //! The interpreter can watch a run for a provable hang
 //! ([`Machine::run_detecting`]): a [`HangDetector`] finds a candidate

@@ -876,24 +876,6 @@ mod tests {
         BlockCache::build(exe, [exe.entry]).expect("text decodes")
     }
 
-    /// A cache over the program's real basic-block starts — the entry,
-    /// every direct branch or call target, and every instruction after a
-    /// block terminator — so a shared block serves every pc the program
-    /// reaches.
-    fn cfg_cache_for(exe: &Executable) -> BlockCache {
-        let mut leaders = vec![exe.entry];
-        for (pc, insn, len) in text_instrs(exe) {
-            let next = pc + len as u64;
-            if let Some(rel) = insn.rel_target() {
-                leaders.push(next.wrapping_add(rel as i64 as u64));
-            }
-            if insn.is_block_terminator() {
-                leaders.push(next);
-            }
-        }
-        BlockCache::build(exe, leaders).expect("text decodes")
-    }
-
     fn assert_state_matches(label: &str, got: &Machine, want: &Machine) {
         assert_eq!(got.pc(), want.pc(), "{label}: pc");
         assert_eq!(got.flags(), want.flags(), "{label}: flags");
@@ -982,7 +964,7 @@ mod tests {
         // so only the final block exit materializes, far below the count
         // of flag-setting instructions executed.
         let exe = assemble_and_link(FORWARDY).unwrap();
-        let cache = cfg_cache_for(&exe);
+        let cache = BlockCache::for_executable(&exe).expect("text decodes");
         let mut m = Machine::new(&exe, &[]);
         let mut stats = BlockStats::default();
         let result = m.run_uops(&cache, 10_000, &mut stats);
@@ -1020,7 +1002,7 @@ mod tests {
     fn compiled_bodies_are_shared_across_machines() {
         let exe = assemble_and_link(LOOPY).unwrap();
         // Shared blocks cover every pc LOOPY reaches.
-        let cache = cfg_cache_for(&exe);
+        let cache = BlockCache::for_executable(&exe).expect("text decodes");
         let mut first_stats = BlockStats::default();
         Machine::new(&exe, &[]).run_uops(&cache, 10_000, &mut first_stats);
         assert_eq!(first_stats.blocks_redecoded, 0, "{first_stats:?}");
@@ -1078,7 +1060,7 @@ mod tests {
     #[test]
     fn poked_compiled_code_runs_from_redecoded_blocks() {
         let exe = assemble_and_link(LOOPY).unwrap();
-        let cache = cfg_cache_for(&exe);
+        let cache = BlockCache::for_executable(&exe).expect("text decodes");
         let (sub, ..) = text_instrs(&exe)
             .into_iter()
             .find(|&(_, insn, _)| matches!(insn, Instr::AluRI { op: AluOp::Sub, .. }))
@@ -1228,7 +1210,7 @@ mod tests {
     #[test]
     fn compile_is_deterministic_and_fuses_cmp_jcc() {
         let exe = assemble_and_link(LOOPY).unwrap();
-        let cache = cfg_cache_for(&exe);
+        let cache = BlockCache::for_executable(&exe).expect("text decodes");
         let text = exe.text_range();
         let text_at = |pc: u64| exe.text_bytes().get((pc - text.start) as usize..);
         let instrs = text_instrs(&exe);

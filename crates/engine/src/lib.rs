@@ -16,7 +16,11 @@
 //!   plus at most `k` forward steps — O(T·√T) for a whole exhaustive
 //!   campaign instead of O(T²). [`ReplayEngine::run`] executes those
 //!   steps, and any continuation a consumer runs from a restored
-//!   machine, on the tier the recording ran on.
+//!   machine, on the tier the recording ran on
+//!   ([`ReplayConfig::exec`]). On the uop tier the recording decodes the
+//!   executable's text into the block cache it owns
+//!   ([`rr_emu::BlockCache::for_executable`]), so every run of the
+//!   recording shares one set of micro-op bodies.
 //! * [`shard`] provides the parallel scheduler, [`shard::run_bucketed`]:
 //!   work items grouped by the checkpoint they restore from, so each
 //!   group pays one restore, dealt to OS threads by work stealing and
@@ -59,9 +63,7 @@
 
 #![forbid(unsafe_code)]
 
-mod blockcache;
 mod replay;
 pub mod shard;
 
-pub use blockcache::{build_block_cache, rebuild_block_cache};
 pub use replay::{Checkpoint, ExecMode, ReplayConfig, ReplayEngine, ReplayError, ReplayFootprint};

@@ -9,17 +9,16 @@ use rr_obj::Executable;
 use rr_telemetry::{Counter, Gauge, SpanKind, Telemetry};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// How recorded and replayed instructions execute.
 ///
 /// Both modes are bit-identical — same traces, same outcomes, same
 /// architectural state at every observable point (pinned by the emu
 /// proptests and the campaign equivalence suites) — so the choice is
-/// purely a speed knob, surfaced as `--exec` on the CLI. A session
-/// builds a block cache ([`crate::build_block_cache`]) exactly when
-/// [`ExecMode::uses_block_cache`] holds; a present
-/// [`ReplayConfig::block_cache`] then means the uop tier.
+/// purely a speed knob, surfaced as `--exec` on the CLI. Under
+/// [`ExecMode::Uops`], [`ReplayEngine::record`] decodes the executable's
+/// text into the block cache it runs on
+/// ([`rr_emu::BlockCache::for_executable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Per-step fetch/decode interpretation everywhere (the reference
@@ -31,13 +30,6 @@ pub enum ExecMode {
     /// machine's own memory.
     #[default]
     Uops,
-}
-
-impl ExecMode {
-    /// Whether this mode executes through a pre-decoded block cache.
-    pub fn uses_block_cache(self) -> bool {
-        self != ExecMode::Interp
-    }
 }
 
 impl fmt::Display for ExecMode {
@@ -83,13 +75,12 @@ pub struct ReplayConfig {
     /// retained-byte gauges). The default handle is disabled and costs a
     /// pointer check per event.
     pub telemetry: Telemetry,
-    /// Pre-decoded superblocks over the executable's text (see
-    /// [`crate::build_block_cache`]). When set, the recording run and
-    /// every [`ReplayEngine::run`] execute through the uop tier
+    /// The tier the recording run and every [`ReplayEngine::run`] execute
+    /// on. Under [`ExecMode::Uops`] they run through the uop tier
     /// ([`rr_emu::Machine::run_uops`]) — bit-identical to the
     /// interpreter, but without per-step fetch/decode outside injection
-    /// and capture fences. `None` runs the plain interpreter.
-    pub block_cache: Option<Arc<BlockCache>>,
+    /// and capture fences. Defaults to the interpreter.
+    pub exec: ExecMode,
 }
 
 impl Default for ReplayConfig {
@@ -99,7 +90,7 @@ impl Default for ReplayConfig {
             max_retained_bytes: 256 << 20,
             record_snapshots: true,
             telemetry: Telemetry::default(),
-            block_cache: None,
+            exec: ExecMode::Interp,
         }
     }
 }
@@ -215,17 +206,17 @@ pub struct ReplayEngine {
     /// Whether periodic snapshots were captured (engine hint; `false`
     /// means only the initial state exists and replay is from step 0).
     snapshots: bool,
-    /// Block cache the recording ran under; [`ReplayEngine::run`]
-    /// executes through it (in the uop tier) when present.
-    block_cache: Option<Arc<BlockCache>>,
+    /// Block cache the recording ran under ([`ExecMode::Uops`]);
+    /// [`ReplayEngine::run`] executes through it (in the uop tier) when
+    /// present.
+    cache: Option<BlockCache>,
     telemetry: Telemetry,
 }
 
-/// The adaptive checkpoint-capture schedule of [`ReplayEngine::record`],
-/// factored out so the interpreter and block-cached drivers follow the
-/// identical policy: the interpreter asks [`Recorder::should_capture`]
-/// before every step, the block driver asks [`Recorder::next_fence`] for
-/// the step it must stop at.
+/// The adaptive checkpoint-capture schedule of [`ReplayEngine::record`]:
+/// the recording asks [`Recorder::should_capture`] at the start of each
+/// segment and [`Recorder::next_fence`] for the step the segment must
+/// stop at.
 struct Recorder<'a> {
     config: &'a ReplayConfig,
     interval: u64,
@@ -261,9 +252,9 @@ impl<'a> Recorder<'a> {
     }
 
     /// The next step strictly after `step` at which
-    /// [`Recorder::should_capture`] holds — where the block-cached
-    /// driver must fence. Recomputed per segment because thinning can
-    /// widen the interval mid-run.
+    /// [`Recorder::should_capture`] holds — where the recording must
+    /// fence. Recomputed per segment because thinning can widen the
+    /// interval mid-run.
     fn next_fence(&self, step: u64) -> Option<u64> {
         self.config.record_snapshots.then(|| (step / self.interval + 1) * self.interval)
     }
@@ -297,26 +288,18 @@ impl<'a> Recorder<'a> {
     }
 }
 
-/// Drives one recorded execution under `recorder`'s capture schedule:
-/// the interpreter path checks the schedule before every step; the
-/// block-cached path executes fence-to-fence segments through
-/// [`Machine::run_uops_traced`], paying the schedule check once per
-/// segment instead of once per instruction.
+/// Drives one recorded execution under `recorder`'s capture schedule in
+/// fence-to-fence segments, each on the recording's tier: the uop tier
+/// ([`Machine::run_uops_traced`]) under `cache`, the interpreter
+/// otherwise. The schedule is checked once per segment, not once per
+/// instruction.
 fn run_recorded(
     machine: &mut Machine,
     recorder: &mut Recorder<'_>,
+    cache: Option<&BlockCache>,
     trace: &mut Vec<u64>,
 ) -> RunResult {
     let config = recorder.config;
-    let Some(cache) = config.block_cache.as_deref() else {
-        return machine.run_with(config.max_steps, |m| {
-            let step = trace.len() as u64;
-            if recorder.should_capture(step) {
-                recorder.capture(m, step);
-            }
-            trace.push(m.pc());
-        });
-    };
     let mut stats = BlockStats::default();
     let result = loop {
         let step = trace.len() as u64;
@@ -330,7 +313,10 @@ fn run_recorded(
             recorder.capture(machine, step);
         }
         let fence = recorder.next_fence(step).map_or(config.max_steps, |f| f.min(config.max_steps));
-        machine.run_uops_traced(cache, fence - step, &mut stats, trace);
+        match cache {
+            Some(cache) => machine.run_uops_traced(cache, fence - step, &mut stats, trace),
+            None => machine.run_with(fence - step, |m| trace.push(m.pc())),
+        };
     };
     flush_block_stats(&config.telemetry, stats);
     result
@@ -375,12 +361,25 @@ impl ReplayEngine {
     /// widens (thinning recorded checkpoints) whenever the running total
     /// would exceed the byte budget. Retained checkpoints therefore
     /// always sit at the multiples of [`ReplayEngine::interval`].
+    ///
+    /// Under [`ExecMode::Uops`] the recording first decodes `exe`'s text
+    /// into the block cache it and every [`ReplayEngine::run`] execute
+    /// through ([`BlockCache::for_executable`], counted into
+    /// [`Counter::BlocksDecoded`]). When nothing decodes, it runs on the
+    /// interpreter.
     pub fn record(exe: &Executable, input: &[u8], config: &ReplayConfig) -> ReplayEngine {
+        let cache = match config.exec {
+            ExecMode::Interp => None,
+            ExecMode::Uops => BlockCache::for_executable(exe),
+        };
+        if let Some(cache) = &cache {
+            config.telemetry.count(Counter::BlocksDecoded, cache.block_count() as u64);
+        }
         let record_span = config.telemetry.span(SpanKind::Record);
         let mut machine = Machine::new(exe, input);
         let mut recorder = Recorder::new(&machine, config);
         let mut trace = Vec::new();
-        let result = run_recorded(&mut machine, &mut recorder, &mut trace);
+        let result = run_recorded(&mut machine, &mut recorder, cache.as_ref(), &mut trace);
         let execution = Execution {
             outcome: result.outcome,
             output: machine.take_output(),
@@ -393,7 +392,7 @@ impl ReplayEngine {
             execution,
             interval: recorder.interval,
             snapshots: config.record_snapshots,
-            block_cache: config.block_cache.clone(),
+            cache,
             telemetry: config.telemetry.clone(),
         };
         engine.publish_footprint();
@@ -539,7 +538,7 @@ impl ReplayEngine {
     /// continuations through it, so every run after the recording shares
     /// the micro-op bodies in the cache.
     pub fn run(&self, machine: &mut Machine, max_steps: u64) -> RunResult {
-        let Some(cache) = &self.block_cache else {
+        let Some(cache) = &self.cache else {
             return machine.run(max_steps);
         };
         let mut stats = BlockStats::default();
@@ -559,16 +558,10 @@ impl ReplayEngine {
         detector: &mut HangDetector,
     ) -> RunResult {
         let result = machine.run_detecting(max_steps, detector);
-        if self.block_cache.is_some() {
+        if self.cache.is_some() {
             self.telemetry.count(Counter::InterpSteps, result.steps + detector.proof_steps());
         }
         result
-    }
-
-    /// The block cache the recording ran under, if any — a campaign
-    /// seed carries it to the next session of an incremental loop.
-    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
-        self.block_cache.as_ref()
     }
 }
 
@@ -875,15 +868,9 @@ mod tests {
         }
     }
 
-    /// The accelerated config for an executable: the same
-    /// `ReplayConfig` with a cache built from the recovered CFG.
-    fn accel(config: &ReplayConfig, exe: &Executable) -> ReplayConfig {
-        ReplayConfig {
-            block_cache: Some(
-                crate::build_block_cache(exe, &config.telemetry).expect("sample decodes"),
-            ),
-            ..config.clone()
-        }
+    /// The same `ReplayConfig` on the uop tier.
+    fn accel(config: &ReplayConfig) -> ReplayConfig {
+        ReplayConfig { exec: ExecMode::Uops, ..config.clone() }
     }
 
     #[test]
@@ -894,7 +881,7 @@ mod tests {
             ReplayConfig { record_snapshots: false, ..ReplayConfig::default() },
         ] {
             let interp = ReplayEngine::record(&exe, &[], &base);
-            let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe));
+            let fast = ReplayEngine::record(&exe, &[], &accel(&base));
             assert_eq!(interp.execution(), fast.execution());
             assert_eq!(interp.trace(), fast.trace());
             assert_eq!(interp.interval(), fast.interval());
@@ -911,7 +898,7 @@ mod tests {
         let base = ReplayConfig::default();
         let interp = ReplayEngine::record(&exe, &[], &base);
         let interval = interp.interval();
-        let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe));
+        let fast = ReplayEngine::record(&exe, &[], &accel(&base));
         let total = interp.trace().len() as u64;
         for step in [0, 1, interval - 1, interval, interval + 1, 100, total - 1, total] {
             let a = interp.machine_at(step).unwrap();
@@ -931,13 +918,15 @@ mod tests {
         for uops in [false, true] {
             let telemetry = Telemetry::counters();
             let base = ReplayConfig { telemetry: telemetry.clone(), ..ReplayConfig::default() };
-            let config = if uops { accel(&base, &exe) } else { base };
+            let config = if uops { accel(&base) } else { base };
             let engine = ReplayEngine::record(&exe, &[], &config);
             let tier_steps = || {
                 let m = telemetry.metrics().unwrap();
                 m.counter(Counter::UopSteps) + m.counter(Counter::InterpSteps)
             };
             let recorded = tier_steps();
+            let decoded = telemetry.metrics().unwrap().counter(Counter::BlocksDecoded);
+            assert_eq!(decoded > 0, uops, "only the uop tier decodes a cache: {decoded}");
             let mut machine = engine.machine_at(0).unwrap();
             let result = engine.run(&mut machine, 1_000_000);
             assert_eq!(result.outcome, engine.execution().outcome, "uops={uops}");
@@ -960,7 +949,7 @@ mod tests {
         let budget = free.retained_bytes() / 4;
         let base = ReplayConfig { max_retained_bytes: budget, ..ReplayConfig::default() };
         let interp = ReplayEngine::record(&exe, &[], &base);
-        let fast = ReplayEngine::record(&exe, &[], &accel(&base, &exe));
+        let fast = ReplayEngine::record(&exe, &[], &accel(&base));
         assert_eq!(interp.execution(), fast.execution());
         assert_eq!(interp.interval(), fast.interval());
         let steps_a: Vec<u64> = interp.checkpoints.iter().map(|c| c.step).collect();
@@ -978,7 +967,5 @@ mod tests {
         assert_eq!(ExecMode::default(), ExecMode::Uops, "uops is the default tier");
         assert_eq!(ExecMode::Interp.to_string(), "interp");
         assert_eq!(ExecMode::Uops.to_string(), "uops");
-        assert!(!ExecMode::Interp.uses_block_cache());
-        assert!(ExecMode::Uops.uses_block_cache());
     }
 }

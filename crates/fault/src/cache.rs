@@ -76,12 +76,6 @@ pub struct CampaignSeed {
     pub(crate) oracle_fingerprint: Option<u64>,
     /// The prior session's faulted-run step budget (timeout boundary).
     pub(crate) faulted_budget: u64,
-    /// The prior session's pre-decoded block cache, carried so the next
-    /// session can account rewrite invalidations against it
-    /// ([`rr_engine::rebuild_block_cache`]) — and reuse it outright when
-    /// the rewrite left the text bytes unchanged. `None` for
-    /// interpreter-mode sessions.
-    pub(crate) block_cache: Option<std::sync::Arc<rr_emu::BlockCache>>,
 }
 
 /// The cache key: a plan's injections remapped onto the new session's
@@ -332,7 +326,6 @@ mod tests {
             reports: vec![CampaignReport::new("instruction-skip", results)],
             oracle_fingerprint: Some(7),
             faulted_budget: 10_000,
-            block_cache: None,
         }
     }
 
@@ -484,7 +477,6 @@ mod tests {
             reports: vec![CampaignReport::new("mixed", results)],
             oracle_fingerprint: Some(7),
             faulted_budget: 10_000,
-            block_cache: None,
         };
         let cache = plan(&seed, &delta, &new_trace, Some(7), 10_000, &Telemetry::default());
 
@@ -516,7 +508,6 @@ mod tests {
             )],
             oracle_fingerprint: Some(7),
             faulted_budget: 10_000,
-            block_cache: None,
         };
         let pair_cache =
             plan(&pair_seed, &delta, &new_trace, Some(7), 10_000, &Telemetry::default());

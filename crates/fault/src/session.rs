@@ -276,23 +276,6 @@ impl CampaignSessionBuilder {
             }
         }
 
-        // Pre-decode the text into superblocks once per session. A
-        // seeded session accounts the rewrite's invalidations against
-        // the prior session's cache (and reuses it outright when the
-        // text bytes are unchanged).
-        let block_cache = if config.exec.uses_block_cache() {
-            match &self.seed {
-                Some((seed, delta)) => rr_engine::rebuild_block_cache(
-                    seed.block_cache.as_ref(),
-                    delta,
-                    &self.exe,
-                    &self.telemetry,
-                ),
-                None => rr_engine::build_block_cache(&self.exe, &self.telemetry),
-            }
-        } else {
-            None
-        };
         let replay = ReplayEngine::record(
             &self.exe,
             &bad_input,
@@ -301,7 +284,7 @@ impl CampaignSessionBuilder {
                 max_retained_bytes: config.max_retained_bytes,
                 record_snapshots: config.engine == CampaignEngine::Checkpointed,
                 telemetry: self.telemetry.clone(),
-                block_cache,
+                exec: config.exec,
             },
         );
         let golden_bad = replay.execution().clone();
@@ -521,7 +504,6 @@ impl CampaignSession {
             reports: reports.to_vec(),
             oracle_fingerprint: self.oracle.fingerprint(),
             faulted_budget: self.faulted_budget,
-            block_cache: self.replay.block_cache().cloned(),
         }
     }
 

@@ -14,12 +14,6 @@
 //!   to a fault-response block on mismatch. An attacker must corrupt both
 //!   comparison evaluations identically to slip through.
 //!
-//! * [`FullDuplication`] — the classic "duplicate everything" baseline
-//!   the paper compares against (§V-C: "duplicating every instruction …
-//!   implies at least 300% overhead"): every pure computation is executed
-//!   twice, differences are accumulated, and each block verifies the
-//!   accumulator before transferring control.
-//!
 //! ## Example
 //!
 //! ```no_run
@@ -40,7 +34,5 @@
 #![forbid(unsafe_code)]
 
 mod branch;
-mod duplicate;
 
 pub use branch::{BranchHardening, HardeningReport};
-pub use duplicate::FullDuplication;

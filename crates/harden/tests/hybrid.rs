@@ -4,7 +4,7 @@
 
 use rr_emu::execute;
 use rr_fault::{CampaignSession, Collect, FaultClass, FaultModel, InstructionSkip};
-use rr_harden::{BranchHardening, FullDuplication};
+use rr_harden::BranchHardening;
 use rr_ir::PassManager;
 use rr_lower::compile;
 use rr_obj::Executable;
@@ -55,24 +55,6 @@ fn branch_hardening_with_optimizations_preserves_behavior() {
             assert!(original.same_behavior(&result), "{}", w.name);
         }
     }
-}
-
-#[test]
-fn full_duplication_preserves_behavior() {
-    let w = pincheck();
-    let exe = w.build().unwrap();
-    let dup = hybrid(&w, |pm| {
-        pm.add(FullDuplication);
-    });
-    for input in [&w.good_input, &w.bad_input] {
-        let original = execute(&exe, input, 1_000_000);
-        let result = execute(&dup, input, BUDGET);
-        assert!(original.same_behavior(&result));
-    }
-    // The duplication baseline costs more code than the plain round trip.
-    let lifted = rr_lift::lift(&exe).unwrap();
-    let plain = compile(&lifted).unwrap();
-    assert!(dup.code_size() > plain.code_size());
 }
 
 /// Paper §V-C, Hybrid approach: the conditional-branch hardening must

@@ -2,7 +2,7 @@
 //! *interpreted* behaviour of a lifted module unchanged — checked directly
 //! on the IR with `rr_ir::interp`, independently of the lowering backend.
 
-use rr_harden::{BranchHardening, FullDuplication};
+use rr_harden::BranchHardening;
 use rr_ir::interp::{Interp, InterpOutcome};
 use rr_ir::passes::{DeadCodeElimination, PromoteCells};
 use rr_ir::{Module, Pass};
@@ -87,11 +87,6 @@ fn branch_hardening_is_behavior_preserving() {
     assert_pass_preserves(&BranchHardening::default());
     assert_pass_preserves(&BranchHardening::with_copies(1));
     assert_pass_preserves(&BranchHardening::with_copies(3));
-}
-
-#[test]
-fn full_duplication_is_behavior_preserving() {
-    assert_pass_preserves(&FullDuplication);
 }
 
 #[test]

@@ -75,10 +75,9 @@ fn instruction_skip_is_invariant_across_all_workloads() {
 }
 
 /// Accelerated execution survives the harden loop: every iteration's
-/// rewrite shifts the text, the carried cache is invalidated through the
-/// patch's listing delta and rebuilt (dropping the stale micro-op bodies
-/// with their blocks), and the loop still classifies, patches, and
-/// converges bit-identically to the interpreter.
+/// rewrite shifts the text, each session's recording decodes its own
+/// block cache from the rewritten binary, and the loop still classifies,
+/// patches, and converges bit-identically to the interpreter.
 #[test]
 fn exec_mode_is_invariant_across_harden_iterations() {
     use rr_fault::{CampaignConfig, ExecMode};
@@ -112,19 +111,11 @@ fn exec_mode_is_invariant_across_harden_iterations() {
         assert_eq!(interp.residual_vulnerabilities, fast.residual_vulnerabilities, "{context}");
         assert_eq!(interp.campaigns, fast.campaigns, "{context}");
 
-        // The accelerated path really ran: text was decoded into blocks,
-        // uop steps exist, and each post-rewrite campaign invalidated the
-        // stale blocks of the carried cache before rebuilding.
+        // The accelerated path really ran: text was decoded into blocks
+        // and uop steps exist.
         let metrics = telemetry.metrics().expect("counters attached");
         assert!(metrics.counter(Counter::BlocksDecoded) > 0, "{context}: no blocks decoded");
         assert!(metrics.counter(Counter::UopSteps) > 0, "{context}: no uop steps");
-        if fast.campaigns >= 2 {
-            assert!(
-                metrics.counter(Counter::BlockInvalidations) > 0,
-                "{context}: {} campaigns without a cache invalidation",
-                fast.campaigns
-            );
-        }
     }
 }
 

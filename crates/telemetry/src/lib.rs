@@ -168,8 +168,6 @@ pub enum Counter {
     /// under a hang check, and the steps its proofs re-execute to check a
     /// candidate period.
     InterpSteps,
-    /// Cached blocks invalidated by a rewrite's listing delta.
-    BlockInvalidations,
     /// Always 0: blocks are decoded straight into micro-ops (counted in
     /// `BlocksDecoded` and `BlocksRedecoded`). Kept only because the
     /// committed end-to-end benchmark reads it; it goes with the next
@@ -183,9 +181,10 @@ pub enum Counter {
     /// idioms never count here).
     FlagMaterializations,
     /// Blocks the uop tier decoded out of a machine's own memory for pcs
-    /// the shared block cache could not serve: code a bit flip or a
-    /// store rewrote, and code no block leader covers. They run and
-    /// count their steps like cached blocks.
+    /// the block cache could not serve: code a bit flip or a store
+    /// rewrote, and a pc the cache's sweep did not reach as an
+    /// instruction start, such as a jump into the middle of an
+    /// instruction. They run and count their steps like cached blocks.
     BlocksRedecoded,
     /// Always 0: nothing increments it. Kept only because the committed
     /// end-to-end benchmark reads it; it goes with the next benchmark
@@ -216,7 +215,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 25;
     /// Every counter, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::PlansExecuted,
@@ -233,7 +232,6 @@ impl Counter {
         Counter::BlocksDecoded,
         Counter::BlockSteps,
         Counter::InterpSteps,
-        Counter::BlockInvalidations,
         Counter::BlocksCompiled,
         Counter::UopSteps,
         Counter::FlagMaterializations,
@@ -264,7 +262,6 @@ impl Counter {
             Counter::BlocksDecoded => "blocks_decoded",
             Counter::BlockSteps => "block_steps",
             Counter::InterpSteps => "interp_steps",
-            Counter::BlockInvalidations => "block_invalidations",
             Counter::BlocksCompiled => "blocks_compiled",
             Counter::UopSteps => "uop_steps",
             Counter::FlagMaterializations => "flag_materializations",
