@@ -48,10 +48,12 @@ pub struct Machine {
 /// output, and stopped status.
 ///
 /// Snapshots are cheap: memory pages, the input stream, and the output
-/// buffer are all copy-on-write, so a capture is O(pages) reference
-/// bumps — no byte is copied — and the pages a later run dirties are
-/// unshared 4 KiB at a time, so a retained snapshot's footprint is
-/// proportional to the bytes its interval actually touched
+/// buffer are all copy-on-write, so a capture is O(touched pages)
+/// reference bumps — no byte is copied, and a page the machine never
+/// loaded or wrote has no entry to copy (a read is still one index) —
+/// and the pages a later run dirties are unshared 4 KiB at a time, so a
+/// retained snapshot's footprint is proportional to the bytes its
+/// interval actually touched
 /// ([`Snapshot::dirtied_since`] measures exactly that). They are also
 /// [`Send`] + [`Sync`], so a recording pass can publish snapshots that
 /// many replay workers restore concurrently — the foundation of the
@@ -102,8 +104,8 @@ impl Machine {
         }
     }
 
-    /// Captures the machine's complete state. O(pages) reference bumps
-    /// thanks to page-granular copy-on-write memory and output; the
+    /// Captures the machine's complete state. O(touched pages) reference
+    /// bumps thanks to page-granular copy-on-write memory and output; the
     /// returned [`Snapshot`] stays valid no matter how this machine runs
     /// on.
     pub fn snapshot(&self) -> Snapshot {
@@ -120,7 +122,7 @@ impl Machine {
 
     /// Materializes a fresh machine from a snapshot (equivalent to
     /// rebuilding the original machine and replaying it to the capture
-    /// point, but O(pages)).
+    /// point, but O(touched pages)).
     pub fn from_snapshot(snapshot: &Snapshot) -> Machine {
         snapshot.0.clone()
     }

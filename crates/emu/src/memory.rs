@@ -2,16 +2,20 @@
 //! copy-on-write storage.
 //!
 //! Each region is a two-level structure: a page table of fixed-size
-//! [`PAGE_SIZE`]-byte pages, each either the shared all-zero page (the
-//! fast path that makes the untouched 1 MiB stack cost nothing) or an
-//! [`Arc`]-shared data page. Cloning a `Memory` (and therefore
-//! snapshotting a machine) is O(pages) reference-count bumps; a write
-//! after a clone copies only the touched 4 KiB page via
-//! [`Arc::make_mut`], not the whole region. Both the first-write cost
-//! after a snapshot restore and the retained footprint of a checkpoint
-//! are therefore proportional to the bytes actually dirtied — the
-//! property the `rr-engine` checkpointed replay engine's byte-budget
-//! retention ([`ReplayConfig::max_retained_bytes`] there) is built on.
+//! [`PAGE_SIZE`]-byte pages, each either the shared all-zero page or an
+//! [`Arc`]-shared data page. The table is a *window* over the region's
+//! pages: it starts as the region's initialized-data pages (empty for the
+//! stack), grows to cover each page a write materializes, and every page
+//! outside it reads as the shared zero page, so a read stays one index
+//! into the window. Cloning a `Memory` (and therefore snapshotting a
+//! machine) is O(touched pages) reference-count bumps — the untouched
+//! 1 MiB stack costs no entry at all; a write after a clone copies only
+//! the touched 4 KiB page via [`Arc::make_mut`], not the whole region.
+//! Both the first-write cost after a snapshot restore and the retained
+//! footprint of a checkpoint are therefore proportional to the bytes
+//! actually dirtied — the property the `rr-engine` checkpointed replay
+//! engine's byte-budget retention ([`ReplayConfig::max_retained_bytes`]
+//! there) is built on.
 //!
 //! ## Contiguous reads over paged storage
 //!
@@ -25,15 +29,15 @@
 //! mirrors coherent (a write into the first bytes of a page also updates
 //! the tail of its predecessor). Reads longer than the tail succeed only
 //! when they do not cross a page-buffer boundary; no emulator or
-//! campaign path issues one (use [`Memory::read_bytes`] for an owned
-//! gather of arbitrary length).
+//! campaign path issues one.
 //!
 //! ## Dirty accounting
 //!
 //! [`Memory::stats`] reports residency (materialized vs zero pages) and
 //! [`Memory::delta`] compares two memories of the same layout by page
 //! *identity*, counting pages whose backing is no longer shared: the
-//! private footprint a checkpoint retains over its predecessor.
+//! private footprint a checkpoint retains over its predecessor. Both walk
+//! the windows, not the mappings.
 
 use rr_isa::{MAX_INSTR_LEN, STACK_SIZE, STACK_TOP};
 use rr_obj::{Executable, SegmentPerms};
@@ -53,6 +57,9 @@ const PAGE_STORE: usize = PAGE_SIZE + STRADDLE_TAIL;
 
 /// Backing store for every [`Page::Zero`] read.
 static ZERO_STORE: [u8; PAGE_STORE] = [0; PAGE_STORE];
+
+/// Every page outside a region's window.
+static ZERO_PAGE: Page = Page::Zero;
 
 const _: () = assert!(MAX_INSTR_LEN <= STRADDLE_TAIL, "fetch must fit the straddle window");
 
@@ -117,21 +124,25 @@ impl std::fmt::Debug for Page {
 #[derive(Debug, Clone)]
 struct Region {
     start: u64,
-    /// Mapped length in bytes (the page table may cover slightly more).
+    /// Mapped length in bytes (the last page may cover slightly more).
     len: usize,
     perms: SegmentPerms,
+    /// Page index of `pages[0]`.
+    lo: usize,
+    /// The window: pages `lo..lo + pages.len()`, the span of the pages the
+    /// region was loaded with or has written. Every page outside it is the
+    /// zero page, so a clone copies the span, not one entry per mapped
+    /// page.
     pages: Vec<Page>,
 }
 
 impl Region {
-    /// Builds a region from initial contents zero-extended to `mem_size`.
+    /// Builds a region from initial contents zero-extended to `mem_size`;
+    /// the window holds the initialized-data pages.
     fn new(start: u64, perms: SegmentPerms, data: &[u8], mem_size: usize) -> Region {
-        let pages = (0..mem_size.div_ceil(PAGE_SIZE))
+        let pages = (0..data.len().min(mem_size).div_ceil(PAGE_SIZE))
             .map(|p| {
                 let base = p * PAGE_SIZE;
-                if base >= data.len() {
-                    return Page::Zero;
-                }
                 // The buffer takes PAGE_STORE bytes starting at the page
                 // base, which seeds the mirror tail from the next page's
                 // data in the same copy.
@@ -145,7 +156,31 @@ impl Region {
                 }
             })
             .collect();
-        Region { start, len: mem_size, perms, pages }
+        Region { start, len: mem_size, perms, lo: 0, pages }
+    }
+
+    /// Page `p`: one index into the window, or the zero page outside it.
+    fn page(&self, p: usize) -> &Page {
+        self.pages.get(p.wrapping_sub(self.lo)).unwrap_or(&ZERO_PAGE)
+    }
+
+    /// Page indices of the window.
+    fn window(&self) -> Range<usize> {
+        self.lo..self.lo + self.pages.len()
+    }
+
+    /// The pages of `self` and `other`, a region of the same layout, side
+    /// by side over the union of their windows: outside it both are zero.
+    fn page_pairs<'a>(&'a self, other: &'a Region) -> impl Iterator<Item = (&'a Page, &'a Page)> {
+        let (a, b) = (self.window(), other.window());
+        let union = if a.is_empty() {
+            b
+        } else if b.is_empty() {
+            a
+        } else {
+            a.start.min(b.start)..a.end.max(b.end)
+        };
+        union.map(move |p| (self.page(p), other.page(p)))
     }
 
     fn end(&self) -> u64 {
@@ -169,13 +204,23 @@ impl Region {
         }
         let page = offset / PAGE_SIZE;
         let in_page = offset % PAGE_SIZE;
-        self.pages[page].as_slice().get(in_page..in_page + len)
+        self.page(page).as_slice().get(in_page..in_page + len)
     }
 
-    /// Mutable access to page `p`, materializing zero pages and copying
-    /// shared ones (the page-granular copy-on-write step).
+    /// Mutable access to page `p`, growing the window to cover it,
+    /// materializing zero pages and copying shared ones (the page-granular
+    /// copy-on-write step).
     fn page_mut(&mut self, p: usize) -> &mut [u8; PAGE_STORE] {
-        let page = &mut self.pages[p];
+        if self.pages.is_empty() {
+            self.lo = p;
+        } else if p < self.lo {
+            self.pages.splice(0..0, std::iter::repeat_n(Page::Zero, self.lo - p));
+            self.lo = p;
+        }
+        if p >= self.lo + self.pages.len() {
+            self.pages.resize(p - self.lo + 1, Page::Zero);
+        }
+        let page = &mut self.pages[p - self.lo];
         if let Page::Zero = page {
             *page = Page::Data(Arc::new([0u8; PAGE_STORE]));
         }
@@ -204,7 +249,7 @@ impl Region {
             let lo = offset.max(base);
             let hi = end.min(base + PAGE_SIZE);
             let chunk = &data[lo - offset..hi - offset];
-            if matches!(self.pages[p], Page::Zero) && chunk.iter().all(|&b| b == 0) {
+            if matches!(self.page(p), Page::Zero) && chunk.iter().all(|&b| b == 0) {
                 continue;
             }
             self.page_mut(p)[lo - base..hi - base].copy_from_slice(chunk);
@@ -217,7 +262,7 @@ impl Region {
             let hi = end.min(base + STRADDLE_TAIL);
             if lo < hi {
                 let chunk = &data[lo - offset..hi - offset];
-                if matches!(self.pages[p - 1], Page::Zero) && chunk.iter().all(|&b| b == 0) {
+                if matches!(self.page(p - 1), Page::Zero) && chunk.iter().all(|&b| b == 0) {
                     continue;
                 }
                 self.page_mut(p - 1)[PAGE_SIZE + lo - base..PAGE_SIZE + hi - base]
@@ -288,8 +333,8 @@ impl Memory {
     /// Builds the address space for `exe`: every segment, zero-extended to
     /// its `mem_size`, plus a zeroed read-write stack of [`STACK_SIZE`]
     /// bytes ending at [`STACK_TOP`]. The stack (and every zero tail)
-    /// starts on the shared zero page, costing no allocation until
-    /// written.
+    /// starts on the shared zero page, costing no allocation and no
+    /// page-table entry until written.
     pub fn for_executable(exe: &Executable) -> Memory {
         let mut regions: Vec<Region> = exe
             .segments
@@ -448,38 +493,16 @@ impl Memory {
         region.read((addr - region.start) as usize, len)
     }
 
-    /// Owned read of arbitrary length ignoring permissions, gathering
-    /// across pages — for inspection paths that need more than the
-    /// [`STRADDLE_TAIL`] zero-copy window.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Option<Vec<u8>> {
-        let region = self.region(addr)?;
-        let offset = (addr - region.start) as usize;
-        if offset.checked_add(len)? > region.len {
-            return None;
-        }
-        let mut out = Vec::with_capacity(len);
-        let mut at = offset;
-        while at < offset + len {
-            let chunk = (offset + len - at).min(PAGE_SIZE - at % PAGE_SIZE);
-            out.extend_from_slice(region.read(at, chunk)?);
-            at += chunk;
-        }
-        Some(out)
-    }
-
     /// Residency of this memory (see [`MemoryStats`]).
     pub fn stats(&self) -> MemoryStats {
         let mut stats = MemoryStats::default();
         for region in &self.regions {
             stats.mapped_bytes += region.len as u64;
-            stats.total_pages += region.pages.len() as u64;
-            for page in &region.pages {
-                match page {
-                    Page::Zero => stats.zero_pages += 1,
-                    Page::Data(_) => stats.resident_pages += 1,
-                }
-            }
+            stats.total_pages += region.len.div_ceil(PAGE_SIZE) as u64;
+            stats.resident_pages +=
+                region.pages.iter().filter(|page| matches!(page, Page::Data(_))).count() as u64;
         }
+        stats.zero_pages = stats.total_pages - stats.resident_pages;
         stats.resident_bytes = stats.resident_pages * PAGE_SIZE as u64;
         stats
     }
@@ -493,7 +516,7 @@ impl Memory {
         self.regions.len() == other.regions.len()
             && self.regions.iter().zip(&other.regions).all(|(a, b)| {
                 (a.start, a.len, a.perms) == (b.start, b.len, b.perms)
-                    && a.pages.iter().zip(&b.pages).all(|(pa, pb)| {
+                    && a.page_pairs(b).all(|(pa, pb)| {
                         pa.same_backing(pb)
                             || pa.as_slice()[..PAGE_SIZE] == pb.as_slice()[..PAGE_SIZE]
                     })
@@ -507,8 +530,7 @@ impl Memory {
         let mut delta = MemoryDelta::default();
         for (a, b) in self.regions.iter().zip(&baseline.regions) {
             assert_eq!((a.start, a.len), (b.start, b.len), "memory layouts differ");
-            delta.pages +=
-                a.pages.iter().zip(&b.pages).filter(|(pa, pb)| !pa.same_backing(pb)).count() as u64;
+            delta.pages += a.page_pairs(b).filter(|(pa, pb)| !pa.same_backing(pb)).count() as u64;
         }
         delta.bytes = delta.pages * PAGE_SIZE as u64;
         delta
@@ -792,17 +814,41 @@ mod tests {
     }
 
     #[test]
-    fn read_bytes_gathers_across_pages() {
-        let mem = paged_memory();
-        let base = 0x10000u64;
-        let all = mem.read_bytes(base, 2 * PAGE_SIZE + 32).unwrap();
-        assert_eq!(all.len(), 2 * PAGE_SIZE + 32);
-        for (i, b) in all.iter().enumerate() {
-            let expected = if i < 2 * PAGE_SIZE { (i % 251) as u8 } else { 0 };
-            assert_eq!(*b, expected, "byte {i}");
-        }
-        // Out-of-range gathers fail like peeks.
-        assert!(mem.read_bytes(base, 4 * PAGE_SIZE).is_none());
-        assert!(mem.read_bytes(0x9999_0000, 1).is_none());
+    fn a_segment_zero_extended_to_the_stack_holds_only_its_touched_pages() {
+        // An 8-byte segment whose mem_size reaches the stack base, the
+        // largest size the loader accepts.
+        let (addr, stack_base) = (0x1000u64, STACK_TOP - STACK_SIZE);
+        let exe = Executable {
+            segments: vec![Segment {
+                addr,
+                data: vec![0xAB; 8],
+                mem_size: stack_base - addr,
+                perms: SegmentPerms::RW,
+                section: SectionKind::Data,
+            }],
+            entry: addr,
+            symbols: vec![],
+        };
+        let entries = |mem: &Memory| mem.regions.iter().map(|r| r.pages.len()).collect::<Vec<_>>();
+        let mut mem = Memory::for_executable(&exe);
+        // The segment holds its one data page and the stack none, in the
+        // memory and in its clone.
+        assert_eq!(entries(&mem), [1, 0]);
+        assert_eq!(entries(&mem.clone()), [1, 0]);
+        // The first stack write adds one entry.
+        mem.write_u64(STACK_TOP - 8, 1).unwrap();
+        assert_eq!(entries(&mem), [1, 1]);
+        // A write at the segment's last byte grows only its window.
+        let segment_pages = ((stack_base - addr) as usize).div_ceil(PAGE_SIZE);
+        mem.write_u8(stack_base - 1, 7).unwrap();
+        assert_eq!(entries(&mem), [segment_pages, 1]);
+        assert_eq!(
+            (mem.read_u8(stack_base - 1), mem.read_u64(addr)),
+            (Ok(7), Ok(0xABAB_ABAB_ABAB_ABAB))
+        );
+        // Residency still counts every mapped page.
+        let stats = mem.stats();
+        assert_eq!(stats.total_pages, (segment_pages + STACK_SIZE as usize / PAGE_SIZE) as u64);
+        assert_eq!((stats.resident_pages, stats.zero_pages), (3, stats.total_pages - 3));
     }
 }

@@ -50,7 +50,7 @@ fn layout_exe() -> Executable {
 // The flat reference memory: a port of the pre-paging implementation.
 // ---------------------------------------------------------------------
 
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct FlatRegion {
     start: u64,
     perms: SegmentPerms,
@@ -67,7 +67,7 @@ impl FlatRegion {
     }
 }
 
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct FlatMemory {
     regions: Vec<FlatRegion>,
 }
@@ -315,6 +315,8 @@ proptest! {
     /// Arbitrary op interleavings are observationally identical on the
     /// paged and the flat memory, and every retained snapshot pair stays
     /// identical too (copy-on-write never leaks later writes backward).
+    /// Between any two of them, `same_contents` agrees with flat
+    /// equality, and a clone has no page delta.
     #[test]
     fn paged_memory_matches_flat_reference(
         ops in proptest::collection::vec(op_strategy(), 0..160),
@@ -326,9 +328,13 @@ proptest! {
         for op in &ops {
             apply(op, &mut paged, &mut flat, &mut snapshots);
         }
-        assert_same_contents(&paged, &flat);
+        snapshots.push((paged, flat));
         for (p, f) in &snapshots {
             assert_same_contents(p, f);
+            prop_assert!(p.delta(&p.clone()).is_empty());
+            for (q, g) in &snapshots {
+                prop_assert_eq!(p.same_contents(q), f == g);
+            }
         }
     }
 

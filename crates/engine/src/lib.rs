@@ -12,11 +12,11 @@
 //! * [`ReplayEngine`] records one pass over the golden run, capturing a
 //!   [`rr_emu::Snapshot`] every `k` steps on one adaptive schedule that
 //!   lands `k` near √T without knowing T in advance. Restoring a machine
-//!   at an arbitrary trace step then costs O(pages) for the snapshot
-//!   plus at most `k` forward steps — O(T·√T) for a whole exhaustive
-//!   campaign instead of O(T²). [`ReplayEngine::run`] executes those
-//!   steps, and any continuation a consumer runs from a restored
-//!   machine, on the tier the recording ran on
+//!   at an arbitrary trace step then costs O(touched pages) for the
+//!   snapshot plus at most `k` forward steps — O(T·√T) for a whole
+//!   exhaustive campaign instead of O(T²). [`ReplayEngine::run`]
+//!   executes those steps, and any continuation a consumer runs from a
+//!   restored machine, on the tier the recording ran on
 //!   ([`ReplayConfig::exec`]). On the uop tier the recording decodes the
 //!   executable's text into the block cache it owns
 //!   ([`rr_emu::BlockCache::for_executable`]), so every run of the
@@ -27,9 +27,10 @@
 //!   collected in item order.
 //!
 //! Snapshots are copy-on-write at *page* granularity
-//! ([`rr_emu::Memory`] shares fixed 4 KiB pages, with a zero-page fast
-//! path for untouched memory), so a checkpoint pays only for the bytes
-//! its interval actually dirtied — a stack-writing interval retains the
+//! ([`rr_emu::Memory`] shares fixed 4 KiB pages, and a page never
+//! written reads as a shared zero page with no page-table entry, while a
+//! read stays one index), so a checkpoint pays only for the bytes its
+//! interval actually dirtied — a stack-writing interval retains the
 //! few stack pages it touched, not the whole 1 MiB region — and worker
 //! threads restore from the same snapshots concurrently without
 //! copying. Retention is budgeted in those terms, and that budget is the

@@ -479,8 +479,8 @@ mod tests {
         assert_eq!(ObjectFile::from_bytes(&bytes), Err(FormatError::UnexpectedEof));
     }
 
-    /// Segment 0's `mem_size` (file bytes 24..32) set to 2^46: loading
-    /// would size a page table for it.
+    /// Segment 0's `mem_size` (file bytes 24..32) set to 2^46: the
+    /// segment would pass the stack base.
     #[test]
     fn huge_segment_is_rejected() {
         let mut bytes = link(&[rich_object()]).unwrap().to_bytes();

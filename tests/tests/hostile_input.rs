@@ -11,7 +11,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rr_emu::{BlockCache, BlockStats, Machine};
-use rr_fault::{Analysis, CampaignConfig, CampaignSession, Collect, FaultModel, InstructionSkip};
+use rr_fault::{
+    Analysis, CampaignConfig, CampaignEngine, CampaignReport, CampaignSession, Collect, FaultModel,
+    InstructionSkip, SingleBitFlip,
+};
 use rr_isa::{STACK_SIZE, STACK_TOP};
 use rr_obj::{Executable, SectionKind};
 use rr_workloads::Workload;
@@ -187,4 +190,40 @@ otp_secret:
     .space 1072685028
 ";
     assert!(listing.contains(expected), "{listing}");
+}
+
+#[test]
+fn a_bss_mapped_to_the_stack_campaigns_identically_on_both_engines() {
+    // pincheck's `.bss` mapped up to the stack base, the largest size the
+    // loader accepts: every machine carries a ~1 GiB segment of which the
+    // program touches one page.
+    let w = rr_workloads::pincheck();
+    let original = w.build().expect("workload builds");
+    let mut exe = original.clone();
+    let bss = exe.segments.iter_mut().find(|s| s.section == SectionKind::Bss).unwrap();
+    bss.mem_size = STACK_TOP - STACK_SIZE - bss.addr;
+    let wide = Executable::from_bytes(&exe.to_bytes()).expect("the loader accepts the size");
+    assert_eq!(wide, exe);
+    let campaign = |exe: &Executable, engine| -> Vec<CampaignReport> {
+        let config = CampaignConfig { engine, ..CampaignConfig::default() };
+        CampaignSession::builder(exe.clone())
+            .good_input(&w.good_input[..])
+            .bad_input(&w.bad_input[..])
+            .config(config)
+            .build()
+            .expect("session builds")
+            .run(&[&InstructionSkip as &dyn FaultModel, &SingleBitFlip], Collect)
+    };
+    let naive = campaign(&wide, CampaignEngine::Naive);
+    let checkpointed = campaign(&wide, CampaignEngine::Checkpointed);
+    for (n, c) in naive.iter().zip(&checkpointed) {
+        assert_eq!(n.results, c.results, "{}", n.model);
+    }
+    // A skip cannot tell the sizes apart; a flipped address bit can, as
+    // it now lands in mapped memory.
+    let unmodified = campaign(&original, CampaignEngine::Checkpointed);
+    assert_eq!(checkpointed[0].results, unmodified[0].results);
+    let successes = |r: &CampaignReport| (r.summary().success, r.summary().total);
+    assert_eq!(successes(&checkpointed[0]), (3, 147));
+    assert_eq!((successes(&unmodified[1]).0, successes(&checkpointed[1]).0), (20, 22));
 }
