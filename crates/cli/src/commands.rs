@@ -247,8 +247,8 @@ fn plan_header(plan: &PlanConfig) -> String {
 /// scheduling pass. `--streaming` folds classifications straight into
 /// per-model summaries without materializing per-fault results — memory
 /// bounded by the sampled sites plus one batch of plans (order ≥ 2 adds
-/// each sampled site's single faults), no matter how many plans the
-/// models enumerate, for million-fault campaigns.
+/// one model's faults at each sampled site at a time), no matter how
+/// many plans the models enumerate, for million-fault campaigns.
 /// `--oracle crash` and `--oracle prefix:TEXT` run golden-good-free
 /// campaigns (no `--good` needed). `--order 2` opens the multi-fault
 /// plan space (double faults); the header echoes the plan space and

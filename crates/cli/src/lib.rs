@@ -96,10 +96,10 @@ pub fn usage() -> &'static str {
      either way). Every command rejects an option it does not declare.\n\
      All --model entries share one scheduling pass; --streaming\n\
      folds results into per-model summaries, holding only the sampled\n\
-     sites plus one batch of plans (order >= 2 adds each site's single\n\
-     faults), for million-fault campaigns. The default golden oracle\n\
-     needs --good; --oracle crash and --oracle prefix:TEXT campaign a\n\
-     single input.\n\
+     sites plus one batch of plans (order >= 2 adds one model's faults\n\
+     at each site at a time), for million-fault campaigns. The default\n\
+     golden oracle needs --good; --oracle crash and --oracle prefix:TEXT\n\
+     campaign a single input.\n\
      --order 2 evaluates double-fault plans too (--pair-window bounds the\n\
      step gap between the two injections; --plan-budget caps each order\n\
      by seeded sampling, --seed makes the sample reproducible and is\n\

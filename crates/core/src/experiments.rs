@@ -401,10 +401,7 @@ impl VulnReduction {
     }
 }
 
-pub(crate) use crate::pipeline::measurement_campaign_config as campaign_config;
-
-/// Trace-site cap for statistical sampling on long (hybrid) traces.
-pub(crate) const MAX_SITES: usize = 4_000;
+pub(crate) use crate::pipeline::{measurement_campaign_config as campaign_config, MAX_SITES};
 
 fn count_sites(
     exe: &Executable,
@@ -454,8 +451,8 @@ pub fn vuln_reduction(
             let hybrid = harden_hybrid(&exe, &HybridConfig::default())?.hardened;
             // The hybrid binary's traces are long; sample sites like the
             // measurement campaigns do (same rounding as
-            // Campaign::sample_sites, derived from one golden run since
-            // the loop rebuilds its campaigns per iteration).
+            // CampaignSession::sample_sites, derived from one golden run
+            // since the loop rebuilds its campaigns per iteration).
             let golden = rr_emu::execute(&hybrid, &w.bad_input, campaign_config().golden_max_steps);
             let stride = (golden.steps as usize).div_ceil(MAX_SITES).max(1);
             let config = HardenConfig {
@@ -470,15 +467,11 @@ pub fn vuln_reduction(
     let sites_after = count_sites(&hardened, w, model)?;
     Ok(VulnReduction {
         workload: w.name.to_owned(),
-        model: model_name(model),
+        model: model.name(),
         approach,
         sites_before,
         sites_after,
     })
-}
-
-fn model_name(model: &dyn FaultModel) -> &'static str {
-    model.name()
 }
 
 // ———————————————————————— Figures 2 & 5 ————————————————————————

@@ -45,6 +45,4 @@ pub use pipeline::{
     harden_hybrid, harden_hybrid_verified, lift_lower_roundtrip, HybridConfig, HybridError,
     HybridOutcome, VerifiedHybridOutcome,
 };
-pub use rr_engine::{ReplayConfig, ReplayEngine};
-pub use rr_fault::CampaignEngine;
 pub use rr_patch::{FaulterPatcher, HardenConfig, HardenError, LoopOutcome};

@@ -147,10 +147,11 @@ pub(crate) fn measurement_campaign_config() -> CampaignConfig {
     }
 }
 
-/// Trace-site cap for the verification campaign; hybrid binaries multiply
-/// trace lengths, so longer traces are sampled (statistical fault
-/// injection, as in the paper's evaluation).
-const VERIFY_MAX_SITES: usize = 4_000;
+/// Trace-site cap of the verification campaign and of the experiments'
+/// measurement campaigns; hybrid binaries multiply trace lengths, so
+/// longer traces are sampled (statistical fault injection, as in the
+/// paper's evaluation).
+pub(crate) const MAX_SITES: usize = 4_000;
 
 /// Runs the Hybrid pipeline, then *verifies* the hardened binary by
 /// fault-simulating it with the checkpointed campaign engine and
@@ -179,7 +180,7 @@ pub fn harden_hybrid_verified(
         .config(measurement_campaign_config())
         .build()
         .map_err(HybridError::Verify)?;
-    let stride = session.sample_sites(VERIFY_MAX_SITES);
+    let stride = session.sample_sites(MAX_SITES);
     let residual =
         session.run(&[model], Stream).pop().expect("one model in, one summary out").summary;
     Ok(VerifiedHybridOutcome { hybrid, residual, stride })

@@ -35,11 +35,12 @@
 //!   otherwise); [`OutputPrefixOracle`] and [`CrashTriageOracle`] run
 //!   campaigns that need no good input at all.
 //! * [`CampaignSession::run`] is the one entry point: any number of
-//!   models share a single scheduling pass, and the sink argument picks
-//!   the consumption — [`Collect`] materializes a [`CampaignReport`] per
-//!   model, [`Stream`] folds straight into a [`ModelSummary`] per model,
-//!   holding the sampled sites plus one batch of plans (order ≥ 2 also
-//!   holds each sampled site's single faults).
+//!   models share one plan walk and one scheduling pass, and the sink
+//!   argument picks the consumption — [`Collect`] materializes a
+//!   [`CampaignReport`] per model, [`Stream`] folds straight into a
+//!   [`ModelSummary`] per model, holding the sampled sites plus one
+//!   batch of plans (order ≥ 2 also holds one model's faults at each
+//!   sampled site at a time).
 //!
 //! Both engines classify every fault identically — determinism is the
 //! emulator's contract, and `crates/fault/tests/engine_equiv.rs`
@@ -96,10 +97,16 @@
 //! reaches its trace step, wherever the earlier fault diverted control —
 //! and a run that ends early simply never receives them.
 //!
-//! Every campaign, through either sink, schedules its plans in buckets
-//! ([`rr_engine::shard::run_bucketed`]). A checkpointed session buckets
-//! plans by **checkpoint neighbourhood** — plans whose earliest
-//! injections share a retained checkpoint — and sweeps each bucket,
+//! Every campaign, through either sink, takes its plans from one lazy
+//! walk — every model's singletons site by site, each site's faults
+//! generated when it is reached, then each model's higher orders in
+//! canonical order, from a plan space built when the walk reaches the
+//! model — and schedules them in buckets
+//! ([`rr_engine::shard::run_bucketed`]), through one batch loop: the
+//! whole campaign at once for [`Collect`], 1024 plans at a time for
+//! [`Stream`]. A checkpointed session buckets plans by **checkpoint
+//! neighbourhood** — plans whose earliest injections share a retained
+//! checkpoint — and sweeps each bucket,
 //! restoring the checkpoint once and cloning the in-flight machine
 //! (cheap, COW) at each injection point, instead of paying
 //! restore-plus-forward-replay per plan. A naive session buckets plans
@@ -171,8 +178,8 @@ pub use analysis::{fault_verdict, plan_is_benign, Analysis, StaticVerdict};
 pub use cache::{CampaignSeed, ClassificationCache, ReuseStats, REUSE_GUARD_WINDOW};
 pub use config::{CampaignConfig, CampaignEngine, ExecMode};
 pub use model::{
-    enumerate_plans, enumerate_plans_pruned, FaultModel, FlagFlip, InstructionSkip, PairPolicy,
-    PlanConfig, PlanSet, RegisterBitFlip, SingleBitFlip,
+    enumerate_plans_pruned, FaultModel, FlagFlip, InstructionSkip, PairPolicy, PlanConfig, PlanSet,
+    RegisterBitFlip, SingleBitFlip,
 };
 pub use oracle::{Behavior, CrashTriageOracle, GoldenPairOracle, Oracle, OutputPrefixOracle};
 pub use report::{CampaignReport, FaultResult, ModelSummary, Summary};

@@ -1,12 +1,12 @@
-//! Fault models: enumerating concrete faults at a trace site, and the
-//! plan combinators that expand them into multi-fault injection plans.
+//! Fault models: enumerating concrete faults at a trace site, and the one
+//! plan walk that expands them into (multi-fault) injection plans.
 
 use crate::analysis::{fault_verdict, Analysis, StaticVerdict};
 use crate::site::{Fault, FaultEffect, FaultPlan, FaultSite};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rr_isa::Reg;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// A fault model enumerates the concrete faults an attacker with a given
 /// physical capability could inject at one execution-trace site.
@@ -192,30 +192,17 @@ pub struct PlanSet {
 }
 
 /// Expands `model`'s faults over `sites` into the plan space `config`
-/// describes: every fault as a singleton plan (site order — identical to
-/// the classic single-fault campaign), plus, for each order `m` in
-/// `2..=config.order`, every `m`-tuple of faults at strictly increasing
-/// trace steps admitted by the pair policy (two injections never share a
-/// step: two glitches at the same instant are physically one glitch).
+/// describes, minus what static pruning removes: every fault as a
+/// singleton plan (site order — identical to the classic single-fault
+/// campaign), plus, for each order `m` in `2..=config.order`, every
+/// `m`-tuple of faults at strictly increasing trace steps admitted by the
+/// pair policy (two injections never share a step: two glitches at the
+/// same instant are physically one glitch).
 ///
 /// Each order above 1 is budget-capped independently: when its
 /// exhaustive count exceeds `config.budget`, that many plans are drawn
 /// uniformly without replacement using a generator seeded from
 /// `config.seed` — the same seed always selects the same plans.
-///
-/// # Panics
-///
-/// When the space's count overflows `u128`, which a campaign session
-/// rejects up front ([`crate::CampaignError::PlanSpaceOverflow`]).
-pub fn enumerate_plans(
-    model: &dyn FaultModel,
-    sites: &[&FaultSite],
-    config: &PlanConfig,
-) -> PlanSet {
-    enumerate_plans_pruned(model, sites, config, None)
-}
-
-/// [`enumerate_plans`] with static pruning.
 ///
 /// The pruning rule is the only compositionally sound one: a plan is
 /// dropped **iff every one of its faults** is proved
@@ -227,226 +214,191 @@ pub fn enumerate_plans(
 /// are counted and any sampling budget is normalized, so the budget is
 /// spent entirely on plans that could matter. The removed counts per
 /// order are reported in [`PlanSet::pruned_by_order`]. With
-/// `analysis == None` this is exactly [`enumerate_plans`].
+/// `analysis == None` nothing is pruned.
+///
+/// The plans are the ones a campaign session evaluates for `model`, in
+/// the same order: both come from one walk over the plan space.
 ///
 /// # Panics
 ///
-/// Like [`enumerate_plans`], when the space's count overflows `u128`.
+/// When the space's count overflows `u128`, which a campaign session
+/// rejects up front ([`crate::CampaignError::PlanSpaceOverflow`]).
 pub fn enumerate_plans_pruned(
     model: &dyn FaultModel,
     sites: &[&FaultSite],
     config: &PlanConfig,
     analysis: Option<&Analysis>,
 ) -> PlanSet {
-    let faults = model_faults(model, sites);
-    // One fused pass for the singles: the per-site mask vectors are only
-    // materialized when an order ≥ 2 counting DP actually needs them —
-    // order-1 campaigns on long traces are latency-sensitive.
-    let mut plans: Vec<FaultPlan> = Vec::new();
-    let mut pruned_singles = 0u128;
-    for site_faults in &faults {
-        for fault in site_faults {
-            if analysis.is_some_and(|a| fault_verdict(a, fault) == StaticVerdict::Benign) {
-                pruned_singles += 1;
-            } else {
-                plans.push(FaultPlan::single(*fault));
-            }
+    let models = [model];
+    let mut walk = PlanWalk::new(&models, sites, config, analysis);
+    let plans = walk.by_ref().map(|(_, plan)| plan).collect();
+    let counts = walk.counts().pop().expect("one model in, one count out");
+    PlanSet {
+        plans,
+        total_by_order: counts.iter().map(|&(order, kept, _)| (order, kept)).collect(),
+        pruned_by_order: counts.iter().map(|&(order, _, pruned)| (order, pruned)).collect(),
+        sampled: counts.iter().any(|&(order, kept, _)| config.visited(order, kept) < kept),
+    }
+}
+
+impl PlanConfig {
+    /// How many of an order's `kept` plans a walk visits: all of them, or
+    /// above order 1 at most `budget`, drawn from them.
+    pub(crate) fn visited(&self, order: usize, kept: u128) -> u128 {
+        match self.budget {
+            Some(budget) if order >= 2 => kept.min(budget as u128),
+            _ => kept,
         }
     }
-    let mut total_by_order = vec![(1, plans.len() as u128)];
-    let mut pruned_by_order = vec![(1, pruned_singles)];
-    let mut sampled = false;
-    if config.order >= 2 {
-        let benign = benign_mask(&faults, analysis);
-        let space = counted(sites, faults, benign, config);
-        sampled = append_higher_orders(
-            &space,
+}
+
+/// The one walk over the plans of several models — the plan source of
+/// every campaign, through either sink, and of
+/// [`enumerate_plans_pruned`]. Yields `(model index, plan)` pairs: first
+/// every model's singletons site by site, the models interleaved at each
+/// site and each site's faults generated when it is reached; then, model
+/// by model, orders 2..=`config.order` in canonical order from the
+/// model's [`PlanSpace`], built when the walk reaches the model and
+/// dropped when it moves on. It panics when a space overflows a 128-bit
+/// count, which a campaign session checks first.
+pub(crate) struct PlanWalk<'a> {
+    models: &'a [&'a dyn FaultModel],
+    sites: &'a [&'a FaultSite],
+    config: &'a PlanConfig,
+    analysis: Option<&'a Analysis>,
+    /// Each model's kept and pruned singletons at the sites reached.
+    tallies: Vec<(u128, u128)>,
+    /// The next site whose singletons are queued.
+    site: usize,
+    /// The queued singletons, not yet yielded.
+    singles: VecDeque<(usize, FaultPlan)>,
+    /// The counts per order of each model whose space the walk has built.
+    counted: Vec<Vec<(usize, u128, u128)>>,
+    /// The last space's plans, not yet yielded.
+    higher: Box<dyn Iterator<Item = FaultPlan>>,
+}
+
+impl<'a> PlanWalk<'a> {
+    /// Starts the walk.
+    pub(crate) fn new(
+        models: &'a [&'a dyn FaultModel],
+        sites: &'a [&'a FaultSite],
+        config: &'a PlanConfig,
+        analysis: Option<&'a Analysis>,
+    ) -> PlanWalk<'a> {
+        PlanWalk {
+            models,
+            sites,
             config,
-            &mut plans,
-            &mut total_by_order,
-            &mut pruned_by_order,
-        );
-    }
-    PlanSet { plans, total_by_order, pruned_by_order, sampled }
-}
-
-/// Plan counts per order, `(order, kept, pruned)`, without enumerating
-/// a plan: `kept` is the space enumeration draws from (before any
-/// sampling budget) and `pruned` what static pruning removes — singleton
-/// benign faults at order 1, all-benign chains above; zero without an
-/// `analysis`. Order 1 counts each site's faults as they are generated,
-/// holding one site's list at a time; higher orders run the counting DP
-/// over a [`PlanSpace`], which holds every site's faults. The DP is
-/// O(order × sites); cheap next to executing even one plan.
-pub(crate) fn plan_counts_by_order(
-    model: &dyn FaultModel,
-    sites: &[&FaultSite],
-    config: &PlanConfig,
-    analysis: Option<&Analysis>,
-) -> Vec<(usize, u128, u128)> {
-    if config.order >= 2 {
-        let space = plan_space(model, sites, config, analysis);
-        return (1..=config.order)
-            .map(|order| (order, space.total(order), space.pruned_total(order)))
-            .collect();
-    }
-    let (mut kept, mut pruned) = (0u128, 0u128);
-    for site in sites {
-        for fault in model.faults_at(site) {
-            if analysis.is_some_and(|a| fault_verdict(a, &fault) == StaticVerdict::Benign) {
-                pruned += 1;
-            } else {
-                kept += 1;
-            }
+            analysis,
+            tallies: vec![(0, 0); models.len()],
+            site: 0,
+            singles: VecDeque::new(),
+            counted: Vec::new(),
+            higher: Box::new(std::iter::empty()),
         }
     }
-    vec![(1, kept, pruned)]
-}
 
-/// The higher-order (2..=`config.order`) plans alone — for consumers
-/// that stream the singleton portion separately. Only call with a
-/// sampling budget set: the materialized list is then at most
-/// `budget × (order − 1)` plans. Unbudgeted consumers should fold over
-/// [`plan_space`] + [`PlanSpace::for_each_starting_at`] instead, which
-/// never materializes the cross-product.
-pub(crate) fn higher_order_plans(
-    model: &dyn FaultModel,
-    sites: &[&FaultSite],
-    config: &PlanConfig,
-    analysis: Option<&Analysis>,
-) -> Vec<FaultPlan> {
-    let faults = model_faults(model, sites);
-    let benign = benign_mask(&faults, analysis);
-    let mut plans = Vec::new();
-    if config.order >= 2 {
-        let space = counted(sites, faults, benign, config);
-        append_higher_orders(&space, config, &mut plans, &mut Vec::new(), &mut Vec::new());
+    /// `model`'s multi-fault space over the walk's sites.
+    fn space(&self, model: &dyn FaultModel) -> PlanSpace {
+        PlanSpace::new(model, self.sites, self.config, self.analysis).unwrap_or_else(|| {
+            panic!("the order-{} plan space overflows a 128-bit count", self.config.order)
+        })
     }
-    plans
-}
 
-/// Builds the counting/enumeration machinery for `model` over `sites`
-/// — the lazy counterpart of [`higher_order_plans`] for streaming
-/// consumers.
-pub(crate) fn plan_space(
-    model: &dyn FaultModel,
-    sites: &[&FaultSite],
-    config: &PlanConfig,
-    analysis: Option<&Analysis>,
-) -> PlanSpace {
-    let faults = model_faults(model, sites);
-    let benign = benign_mask(&faults, analysis);
-    counted(sites, faults, benign, config)
-}
-
-/// Whether `model`'s plan space over `sites`, every order up to
-/// `config.order` and all of them together, counts in `u128` — the
-/// precondition of every enumeration and count above. Order 1 always
-/// fits.
-pub(crate) fn plan_space_fits(
-    model: &dyn FaultModel,
-    sites: &[&FaultSite],
-    config: &PlanConfig,
-) -> bool {
-    let faults = model_faults(model, sites);
-    let benign = benign_mask(&faults, None);
-    PlanSpace::new(sites, faults, benign, config.policy, config.order).is_some()
-}
-
-/// Counts a plan space whose fit [`plan_space_fits`] established.
-fn counted(
-    sites: &[&FaultSite],
-    faults: Vec<Vec<Fault>>,
-    benign: Vec<Vec<bool>>,
-    config: &PlanConfig,
-) -> PlanSpace {
-    PlanSpace::new(sites, faults, benign, config.policy, config.order).unwrap_or_else(|| {
-        panic!("the order-{} plan space overflows a 128-bit count", config.order)
-    })
-}
-
-/// Each site's full fault list, aligned to `sites`.
-fn model_faults(model: &dyn FaultModel, sites: &[&FaultSite]) -> Vec<Vec<Fault>> {
-    sites.iter().map(|site| model.faults_at(site)).collect()
-}
-
-/// Per-fault benign flags aligned to `faults`; all `false` without an
-/// analysis.
-fn benign_mask(faults: &[Vec<Fault>], analysis: Option<&Analysis>) -> Vec<Vec<bool>> {
-    match analysis {
-        Some(analysis) => faults
-            .iter()
-            .map(|site_faults| {
-                site_faults
-                    .iter()
-                    .map(|fault| fault_verdict(analysis, fault) == StaticVerdict::Benign)
-                    .collect()
-            })
-            .collect(),
-        None => faults.iter().map(|site_faults| vec![false; site_faults.len()]).collect(),
-    }
-}
-
-/// Appends orders 2..=`config.order` to `plans` (and their kept/pruned
-/// totals to `total_by_order`/`pruned_by_order`), sampling any order
-/// whose kept space exceeds the budget. Returns whether sampling kicked
-/// in.
-fn append_higher_orders(
-    space: &PlanSpace,
-    config: &PlanConfig,
-    plans: &mut Vec<FaultPlan>,
-    total_by_order: &mut Vec<(usize, u128)>,
-    pruned_by_order: &mut Vec<(usize, u128)>,
-) -> bool {
-    let mut sampled = false;
-    for order in 2..=config.order {
-        let total = space.total(order);
-        total_by_order.push((order, total));
-        pruned_by_order.push((order, space.pruned_total(order)));
-        match config.budget.map(|b| b as u128) {
-            Some(budget) if total > budget => {
-                sampled = true;
-                // Draw distinct plan indices uniformly; the BTreeSet
-                // both deduplicates and yields them in ascending
-                // (canonical) order. Seeded per order so adding an
-                // order never reshuffles the ones below it.
-                let mut rng = StdRng::seed_from_u64(config.seed ^ order as u64);
-                let mut drawn: BTreeSet<u128> = BTreeSet::new();
-                while (drawn.len() as u128) < budget {
-                    let wide = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
-                    drawn.insert(wide % total);
+    /// Every model's plan counts per order, `(order, kept, pruned)`:
+    /// `kept` is the space the walk draws from (before any sampling
+    /// budget), `pruned` what static pruning removes. Above order 1 they
+    /// come from each model's space, counted now for the models not
+    /// reached yet; at order 1 from the walk's tallies, plus a judging
+    /// pass over the sites not reached yet. A finished walk counts
+    /// nothing again.
+    pub(crate) fn counts(&self) -> Vec<Vec<(usize, u128, u128)>> {
+        if self.config.order >= 2 {
+            let ahead = self.models[self.counted.len()..].iter().map(|m| self.space(*m).counts());
+            return self.counted.iter().cloned().chain(ahead).collect();
+        }
+        let ahead =
+            self.models.iter().zip(&self.tallies).map(|(model, &(mut kept, mut pruned))| {
+                for fault in self.sites[self.site..].iter().flat_map(|site| model.faults_at(site)) {
+                    if is_benign(self.analysis, &fault) {
+                        pruned += 1;
+                    } else {
+                        kept += 1;
+                    }
                 }
-                plans.extend(drawn.into_iter().map(|index| space.unrank(order, index)));
+                vec![(1, kept, pruned)]
+            });
+        ahead.collect()
+    }
+}
+
+impl Iterator for PlanWalk<'_> {
+    type Item = (usize, FaultPlan);
+
+    fn next(&mut self) -> Option<(usize, FaultPlan)> {
+        // Queue the kept singletons of the next site that has any.
+        while self.singles.is_empty() && self.site < self.sites.len() {
+            let site = self.sites[self.site];
+            self.site += 1;
+            for (m, model) in self.models.iter().enumerate() {
+                for fault in model.faults_at(site) {
+                    let (kept, pruned) = &mut self.tallies[m];
+                    if is_benign(self.analysis, &fault) {
+                        *pruned += 1;
+                    } else {
+                        *kept += 1;
+                        self.singles.push_back((m, FaultPlan::single(fault)));
+                    }
+                }
             }
-            _ => space.generate_all(order, plans),
+        }
+        if let Some(single) = self.singles.pop_front() {
+            return Some(single);
+        }
+        loop {
+            if let Some(plan) = self.higher.next() {
+                return Some((self.counted.len() - 1, plan));
+            }
+            self.higher = Box::new(std::iter::empty()); // drops the last space
+            if self.config.order < 2 || self.counted.len() == self.models.len() {
+                return None;
+            }
+            let space = self.space(self.models[self.counted.len()]);
+            self.counted.push(space.counts());
+            self.higher = space.into_plans(self.config);
         }
     }
-    sampled
+}
+
+/// Whether the analysis proves `fault` benign; never without one.
+fn is_benign(analysis: Option<&Analysis>, fault: &Fault) -> bool {
+    analysis.is_some_and(|a| fault_verdict(a, fault) == StaticVerdict::Benign)
 }
 
 /// Counting/unranking machinery over the multi-fault cross-product,
 /// minus the statically-pruned (all-benign) chains.
 ///
-/// `counts[t-1][i]` is the number of `t`-injection chains whose earliest
-/// injection sits at site `i` — in `u128`, since pair and triple spaces
-/// overflow `u64` on long traces — and `benign_counts[t-1][i]` the
-/// subset built from benign faults only. The *kept* space every public
-/// query works over is their difference: a chain survives pruning iff at
-/// least one member is non-benign. Counting lets budgeted sampling draw
-/// uniform kept plans by *index* and materialize only the drawn ones, so
-/// the exhaustive cross-product is never held in memory; streaming
-/// consumers visit plans one at a time through
-/// [`PlanSpace::for_each_starting_at`]. Without an analysis the benign
-/// DP is identically zero and the kept space is the full one.
+/// The counting DP finds, per order `t`, the number of `t`-injection
+/// chains whose earliest injection sits at each site — in `u128`, since
+/// pair and triple spaces overflow `u64` on long traces — and the subset
+/// built from benign faults only, and keeps their suffix sums. The
+/// *kept* space every query works over is their difference: a chain
+/// survives pruning iff at least one member is non-benign. Counting lets
+/// budgeted sampling draw uniform kept plans by *index* and materialize
+/// only the drawn ones; an exhaustive walk visits plans one at a time
+/// ([`PlanSpace::into_plans`]), so the cross-product is never held in
+/// memory. Without an analysis the benign DP is identically zero and the
+/// kept space is the full one.
 pub(crate) struct PlanSpace {
     steps: Vec<u64>,
     faults: Vec<Vec<Fault>>,
     benign: Vec<Vec<bool>>,
     policy: PairPolicy,
-    counts: Vec<Vec<u128>>,
-    benign_counts: Vec<Vec<u128>>,
-    /// `suffix[t][i]` = Σ_{j ≥ i} `counts[t][j]` (length n+1 per level).
+    /// `suffix[t-1][i]`: the order-`t` chains whose earliest injection
+    /// sits at site `i` or later (length n+1 per order).
     suffix: Vec<Vec<u128>>,
+    /// The same, counting chains of benign faults only.
     benign_suffix: Vec<Vec<u128>>,
 }
 
@@ -460,62 +412,79 @@ fn suffix_sums(row: &[u128]) -> Option<Vec<u128>> {
     Some(out)
 }
 
+/// Where a walk over one order's kept plans stands: the drawn indices
+/// not unranked yet, or a depth-first chain walk's frames.
+enum Cursor {
+    Drawn(std::collections::btree_set::IntoIter<u128>),
+    Chain(Vec<Frame>),
+}
+
+/// One injection of a depth-first chain walk: its site, the index after
+/// its chosen fault, one past the last site it ranges over, and whether
+/// the injections before it hold a non-benign fault.
+struct Frame {
+    site: usize,
+    next: usize,
+    end: usize,
+    carried: bool,
+}
+
 impl PlanSpace {
-    /// Counts the space; `None` when any order's count, or the count of
-    /// all orders together, overflows `u128` (every total and sum the
-    /// space reports then fits).
-    fn new(
+    /// Counts `model`'s space over `sites` up to `config.order`, its
+    /// faults judged by `analysis`; `None` when any order's count, or the
+    /// count of all orders together, overflows `u128` (every total and sum
+    /// the space reports then fits). Order 1 always fits.
+    pub(crate) fn new(
+        model: &dyn FaultModel,
         sites: &[&FaultSite],
-        faults: Vec<Vec<Fault>>,
-        benign: Vec<Vec<bool>>,
-        policy: PairPolicy,
-        max_order: usize,
+        config: &PlanConfig,
+        analysis: Option<&Analysis>,
     ) -> Option<PlanSpace> {
-        let steps: Vec<u64> = sites.iter().map(|s| s.step).collect();
+        let faults: Vec<Vec<Fault>> = sites.iter().map(|site| model.faults_at(site)).collect();
+        let benign: Vec<Vec<bool>> = faults
+            .iter()
+            .map(|site_faults| site_faults.iter().map(|f| is_benign(analysis, f)).collect())
+            .collect();
+        let singles: Vec<u128> = faults.iter().map(|f| f.len() as u128).collect();
+        let benign_singles: Vec<u128> =
+            benign.iter().map(|m| m.iter().filter(|&&b| b).count() as u128).collect();
         let mut space = PlanSpace {
-            counts: vec![faults.iter().map(|f| f.len() as u128).collect()],
-            benign_counts: vec![benign
-                .iter()
-                .map(|m| m.iter().filter(|&&b| b).count() as u128)
-                .collect()],
-            suffix: Vec::new(),
-            benign_suffix: Vec::new(),
-            steps,
+            steps: sites.iter().map(|s| s.step).collect(),
             faults,
             benign,
-            policy,
+            policy: config.policy,
+            suffix: Vec::new(),
+            benign_suffix: Vec::new(),
         };
-        let n = space.steps.len();
-        while space.counts.len() < max_order {
+        let (mut all, mut ben) = (singles.clone(), benign_singles.clone());
+        loop {
+            space.suffix.push(suffix_sums(&all)?);
+            space.benign_suffix.push(suffix_sums(&ben)?);
+            if space.suffix.len() >= config.order {
+                break;
+            }
             // A chain at site i continues to any site in
-            // (i, successor_end(i)], so its continuation count is a
+            // (i, window_end(i)), so its continuation count is a
             // suffix-sum difference — for the full DP and the
             // benign-only DP alike.
-            let all = suffix_sums(space.counts.last().expect("order-1 counts seed the DP"))?;
-            let ben = suffix_sums(space.benign_counts.last().expect("benign DP seeded too"))?;
-            let (mut next_all, mut next_ben) = (Vec::with_capacity(n), Vec::with_capacity(n));
-            for i in 0..n {
-                let end = space.successor_end(i) + 1;
-                next_all.push(space.counts[0][i].checked_mul(all[i + 1] - all[end])?);
-                next_ben.push(space.benign_counts[0][i] * (ben[i + 1] - ben[end]));
+            let level = space.suffix.len() - 1;
+            for i in 0..singles.len() {
+                let (win_all, win_ben) = space.window(level, i);
+                all[i] = singles[i].checked_mul(win_all)?;
+                ben[i] = benign_singles[i] * win_ben;
             }
-            space.counts.push(next_all);
-            space.benign_counts.push(next_ben);
         }
-        space.suffix = space.counts.iter().map(|row| suffix_sums(row)).collect::<Option<_>>()?;
         space.suffix.iter().try_fold(0u128, |sum, row| sum.checked_add(row[0]))?;
-        space.benign_suffix =
-            space.benign_counts.iter().map(|row| suffix_sums(row)).collect::<Option<_>>()?;
         Some(space)
     }
 
-    /// Index of the last site a chain at site `i` may continue to.
-    fn successor_end(&self, i: usize) -> usize {
+    /// One past the last site a chain at site `i` may continue to.
+    fn window_end(&self, i: usize) -> usize {
         match self.policy {
-            PairPolicy::Pairs => self.steps.len().saturating_sub(1),
+            PairPolicy::Pairs => self.steps.len(),
             PairPolicy::WithinWindow { max_gap } => {
                 let limit = self.steps[i].saturating_add(max_gap);
-                self.steps.partition_point(|&s| s <= limit) - 1
+                self.steps.partition_point(|&s| s <= limit)
             }
         }
     }
@@ -523,7 +492,7 @@ impl PlanSpace {
     /// Continuation counts through site `i`'s window at DP level
     /// `level` (0-based): `(all, benign-only)`.
     fn window(&self, level: usize, i: usize) -> (u128, u128) {
-        let end = self.successor_end(i) + 1;
+        let end = self.window_end(i);
         (
             self.suffix[level][i + 1] - self.suffix[level][end],
             self.benign_suffix[level][i + 1] - self.benign_suffix[level][end],
@@ -535,9 +504,11 @@ impl PlanSpace {
         self.suffix[order - 1][0] - self.benign_suffix[order - 1][0]
     }
 
-    /// Number of statically pruned (all-benign) order-`order` plans.
-    fn pruned_total(&self, order: usize) -> u128 {
-        self.benign_suffix[order - 1][0]
+    /// `(order, kept, pruned)` for every order the space counts; pruned
+    /// plans are the all-benign ones.
+    fn counts(&self) -> Vec<(usize, u128, u128)> {
+        let count = |order| (order, self.total(order), self.benign_suffix[order - 1][0]);
+        (1..=self.suffix.len()).map(count).collect()
     }
 
     /// The `index`-th *kept* order-`order` plan, in the canonical
@@ -550,15 +521,13 @@ impl PlanSpace {
         let mut from = 0;
         let mut carried = false;
         for level in (1..=order).rev() {
+            let (all, ben) = (&self.suffix[level - 1], &self.benign_suffix[level - 1]);
             let mut site = from;
             // Linear scan from the window start; plans cluster near their
             // predecessor, so the scan is short for windowed policies.
             loop {
-                let site_kept = if carried {
-                    self.counts[level - 1][site]
-                } else {
-                    self.counts[level - 1][site] - self.benign_counts[level - 1][site]
-                };
+                let benign = if carried { 0 } else { ben[site] - ben[site + 1] };
+                let site_kept = all[site] - all[site + 1] - benign;
                 if index < site_kept {
                     break;
                 }
@@ -590,78 +559,75 @@ impl PlanSpace {
         FaultPlan::new(faults)
     }
 
-    /// Appends every kept order-`order` plan in canonical order.
-    fn generate_all(&self, order: usize, out: &mut Vec<FaultPlan>) {
-        let mut chain = Vec::with_capacity(order);
-        self.generate_from(
-            order,
-            0,
-            self.steps.len().saturating_sub(1),
-            false,
-            &mut chain,
-            &mut |plan| out.push(plan),
-        );
+    /// The kept plans of orders 2..=`config.order`, order by order, each
+    /// in canonical order and visited lazily: every one, a chain at a
+    /// time ([`PlanSpace::next_kept`]), or, when they exceed the budget,
+    /// `budget` of them drawn by index from the seed and unranked in
+    /// turn. The iterator owns the space and drops it when done.
+    fn into_plans(self, config: &PlanConfig) -> Box<dyn Iterator<Item = FaultPlan>> {
+        let config = *config;
+        let mut order = 1;
+        let mut cursor = Cursor::Chain(Vec::new());
+        Box::new(std::iter::from_fn(move || loop {
+            let plan = match &mut cursor {
+                Cursor::Drawn(indices) => indices.next().map(|index| self.unrank(order, index)),
+                Cursor::Chain(stack) => self.next_kept(order, stack),
+            };
+            if plan.is_some() || order >= config.order {
+                return plan;
+            }
+            order += 1;
+            cursor = self.cursor(order, &config);
+        }))
     }
 
-    /// Visits every kept plan of every order in `2..=max_order` whose
-    /// **earliest** injection sits at `site`, one at a time — nothing is
-    /// materialized, so a streaming consumer walking the first-injection
-    /// sites covers the kept multi-fault space (each plan exactly once)
-    /// in O(1) extra memory.
-    pub(crate) fn for_each_starting_at(
-        &self,
-        max_order: usize,
-        site: usize,
-        visit: &mut impl FnMut(FaultPlan),
-    ) {
-        let mut chain = Vec::with_capacity(max_order);
-        for order in 2..=max_order {
-            for index in 0..self.faults[site].len() {
-                chain.push(self.faults[site][index]);
-                self.generate_from(
-                    order - 1,
-                    site + 1,
-                    self.successor_end(site),
-                    !self.benign[site][index],
-                    &mut chain,
-                    visit,
-                );
-                chain.pop();
-            }
+    /// The start of a walk over the kept order-`order` plans: every one,
+    /// or, when they exceed the budget, `budget` indices drawn uniformly
+    /// without replacement.
+    fn cursor(&self, order: usize, config: &PlanConfig) -> Cursor {
+        let total = self.total(order);
+        let budget = config.visited(order, total);
+        if budget == total {
+            let root = Frame { site: 0, next: 0, end: self.steps.len(), carried: false };
+            return Cursor::Chain(vec![root]);
         }
+        // Draw distinct plan indices uniformly; the BTreeSet both
+        // deduplicates and yields them in ascending (canonical) order.
+        // Seeded per order so adding an order never reshuffles the ones
+        // below it.
+        let mut rng = StdRng::seed_from_u64(config.seed ^ order as u64);
+        let mut drawn = BTreeSet::new();
+        while (drawn.len() as u128) < budget {
+            let wide = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
+            drawn.insert(wide % total);
+        }
+        Cursor::Drawn(drawn.into_iter())
     }
 
-    fn generate_from(
-        &self,
-        remaining: usize,
-        from: usize,
-        to: usize,
-        carried: bool,
-        chain: &mut Vec<Fault>,
-        visit: &mut impl FnMut(FaultPlan),
-    ) {
-        if remaining == 0 {
-            // All-benign chains are the pruned ones; emit the rest.
-            if carried {
-                visit(FaultPlan::new(chain.iter().copied()));
+    /// The kept order-`order` plan after `stack`'s in canonical order,
+    /// advancing it; `None` once the order is exhausted. A frame's chosen
+    /// fault is the one before its `next`, and each frame ranges over its
+    /// predecessor's window. All-benign chains are the pruned ones, and
+    /// are passed over.
+    fn next_kept(&self, order: usize, stack: &mut Vec<Frame>) -> Option<FaultPlan> {
+        loop {
+            let depth = stack.len();
+            let frame = stack.last_mut()?;
+            while frame.site < frame.end && frame.next == self.faults[frame.site].len() {
+                (frame.site, frame.next) = (frame.site + 1, 0);
             }
-            return;
-        }
-        if from > to || from >= self.steps.len() {
-            return;
-        }
-        for site in from..=to {
-            for index in 0..self.faults[site].len() {
-                chain.push(self.faults[site][index]);
-                self.generate_from(
-                    remaining - 1,
-                    site + 1,
-                    self.successor_end(site),
-                    carried || !self.benign[site][index],
-                    chain,
-                    visit,
-                );
-                chain.pop();
+            if frame.site == frame.end {
+                stack.pop();
+                continue;
+            }
+            let carried = frame.carried || !self.benign[frame.site][frame.next];
+            frame.next += 1;
+            if depth < order {
+                let site = frame.site;
+                stack.push(Frame { site: site + 1, next: 0, end: self.window_end(site), carried });
+            } else if carried {
+                let chain = stack.iter().map(|frame| self.faults[frame.site][frame.next - 1]);
+                return Some(FaultPlan::new(chain));
             }
         }
     }
@@ -719,7 +685,8 @@ mod tests {
     #[test]
     fn order_one_enumeration_matches_the_flat_fault_list() {
         let sites = sites_at(&[0, 1, 2, 5]);
-        let set = enumerate_plans(&SingleBitFlip, &refs(&sites), &PlanConfig::default());
+        let set =
+            enumerate_plans_pruned(&SingleBitFlip, &refs(&sites), &PlanConfig::default(), None);
         let flat: Vec<Fault> = sites.iter().flat_map(|s| SingleBitFlip.faults_at(s)).collect();
         assert_eq!(set.plans.len(), flat.len());
         assert!(!set.sampled);
@@ -734,7 +701,7 @@ mod tests {
     fn pairs_cover_the_cross_product_of_distinct_steps() {
         let sites = sites_at(&[0, 1, 2, 3]);
         let config = PlanConfig { order: 2, ..PlanConfig::default() };
-        let set = enumerate_plans(&InstructionSkip, &refs(&sites), &config);
+        let set = enumerate_plans_pruned(&InstructionSkip, &refs(&sites), &config, None);
         // 4 singletons + C(4,2) = 6 pairs.
         assert_eq!(set.plans.len(), 4 + 6);
         assert_eq!(set.total_by_order, vec![(1, 4), (2, 6)]);
@@ -757,7 +724,7 @@ mod tests {
             policy: PairPolicy::WithinWindow { max_gap: 2 },
             ..PlanConfig::default()
         };
-        let set = enumerate_plans(&InstructionSkip, &refs(&sites), &config);
+        let set = enumerate_plans_pruned(&InstructionSkip, &refs(&sites), &config, None);
         let pairs: Vec<Vec<u64>> = set
             .plans
             .iter()
@@ -776,7 +743,7 @@ mod tests {
             policy: PairPolicy::WithinWindow { max_gap: 1 },
             ..PlanConfig::default()
         };
-        let set = enumerate_plans(&InstructionSkip, &refs(&sites), &config);
+        let set = enumerate_plans_pruned(&InstructionSkip, &refs(&sites), &config, None);
         let triples: Vec<Vec<u64>> = set
             .plans
             .iter()
@@ -793,18 +760,19 @@ mod tests {
     #[test]
     fn budget_sampling_is_deterministic_and_within_the_space() {
         let sites = sites_at(&(0..40).collect::<Vec<u64>>());
-        let exhaustive = enumerate_plans(
+        let exhaustive = enumerate_plans_pruned(
             &InstructionSkip,
             &refs(&sites),
             &PlanConfig { order: 2, ..PlanConfig::default() },
+            None,
         );
         let full: std::collections::HashSet<FaultPlan> =
             exhaustive.plans.iter().filter(|p| p.order() == 2).cloned().collect();
         assert_eq!(full.len(), 40 * 39 / 2);
 
         let config = PlanConfig { order: 2, budget: Some(50), seed: 7, ..PlanConfig::default() };
-        let a = enumerate_plans(&InstructionSkip, &refs(&sites), &config);
-        let b = enumerate_plans(&InstructionSkip, &refs(&sites), &config);
+        let a = enumerate_plans_pruned(&InstructionSkip, &refs(&sites), &config, None);
+        let b = enumerate_plans_pruned(&InstructionSkip, &refs(&sites), &config, None);
         assert!(a.sampled);
         assert_eq!(a.plans, b.plans, "same seed, same sample");
         let sampled: Vec<&FaultPlan> = a.plans.iter().filter(|p| p.order() == 2).collect();
@@ -816,14 +784,19 @@ mod tests {
         let unique: std::collections::HashSet<&FaultPlan> = sampled.iter().copied().collect();
         assert_eq!(unique.len(), 50);
 
-        let other =
-            enumerate_plans(&InstructionSkip, &refs(&sites), &PlanConfig { seed: 8, ..config });
+        let other = enumerate_plans_pruned(
+            &InstructionSkip,
+            &refs(&sites),
+            &PlanConfig { seed: 8, ..config },
+            None,
+        );
         assert_ne!(a.plans, other.plans, "a different seed draws a different sample");
         // A budget at or above the space size enumerates exhaustively.
-        let roomy = enumerate_plans(
+        let roomy = enumerate_plans_pruned(
             &InstructionSkip,
             &refs(&sites),
             &PlanConfig { budget: Some(10_000), ..config },
+            None,
         );
         assert!(!roomy.sampled);
         assert_eq!(roomy.plans.len(), exhaustive.plans.len());
@@ -832,12 +805,12 @@ mod tests {
     #[test]
     fn empty_and_tiny_site_lists_degrade_gracefully() {
         let config = PlanConfig { order: 2, ..PlanConfig::default() };
-        let set = enumerate_plans(&InstructionSkip, &[], &config);
+        let set = enumerate_plans_pruned(&InstructionSkip, &[], &config, None);
         assert!(set.plans.is_empty());
         assert_eq!(set.total_by_order, vec![(1, 0), (2, 0)]);
         // One site: a singleton plan, no pairs.
         let sites = sites_at(&[3]);
-        let set = enumerate_plans(&InstructionSkip, &refs(&sites), &config);
+        let set = enumerate_plans_pruned(&InstructionSkip, &refs(&sites), &config, None);
         assert_eq!(set.plans.len(), 1);
         assert_eq!(set.total_by_order, vec![(1, 1), (2, 0)]);
     }
@@ -846,10 +819,10 @@ mod tests {
     fn unranked_samples_match_exhaustive_enumeration_order() {
         // Sampling with a budget of the full space size must reproduce
         // the exhaustive enumeration exactly (every index drawn, emitted
-        // ascending) — pins unrank() against generate_all().
+        // ascending) — pins unrank() against the exhaustive chain walk.
         let sites = sites_at(&[0, 1, 2, 5, 6, 9]);
         let bitflip_pairs = |budget| {
-            enumerate_plans(
+            enumerate_plans_pruned(
                 &FlagFlip,
                 &refs(&sites),
                 &PlanConfig {
@@ -858,6 +831,7 @@ mod tests {
                     budget,
                     seed: 3,
                 },
+                None,
             )
         };
         let exhaustive = bitflip_pairs(None);

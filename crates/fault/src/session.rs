@@ -16,20 +16,20 @@
 //! * the **sink** argument selects consumption: [`Collect`] materializes
 //!   one [`CampaignReport`] per model, [`Stream`] folds classifications
 //!   straight into one [`ModelSummary`] per model, holding the sampled
-//!   sites plus one batch of plans (order ≥ 2 also holds each sampled
-//!   site's single faults, the space its plans are drawn from);
-//! * all models passed to one `run` call share a single scheduling pass:
-//!   both sinks hand their plans to one scheduler,
-//!   [`rr_engine::shard::run_bucketed`], which a checkpointed session
-//!   keys by the checkpoint preceding each plan's earliest injection.
+//!   sites plus one batch of plans (order ≥ 2 also holds one model's
+//!   faults at each sampled site at a time, the space its plans are
+//!   drawn from);
+//! * all models passed to one `run` call share one plan walk and one
+//!   batch loop, which hands the plans to one scheduler,
+//!   [`rr_engine::shard::run_bucketed`]; a checkpointed session keys
+//!   them by the checkpoint preceding each plan's earliest injection.
+//!   The sinks differ only in the batch, the whole campaign or 1024
+//!   plans, and in how they fold the results.
 
-use crate::analysis::{fault_verdict, plan_is_benign, Analysis, StaticVerdict};
+use crate::analysis::{plan_is_benign, Analysis};
 use crate::cache::{self, CampaignSeed, ClassificationCache, ReuseStats};
 use crate::config::{CampaignConfig, CampaignEngine};
-use crate::model::{
-    enumerate_plans_pruned, higher_order_plans, plan_counts_by_order, plan_space, plan_space_fits,
-    FaultModel, InstructionSkip,
-};
+use crate::model::{FaultModel, InstructionSkip, PlanSpace, PlanWalk};
 use crate::oracle::{Behavior, GoldenPairOracle, Oracle};
 use crate::report::{CampaignReport, FaultResult, ModelSummary, Summary};
 use crate::site::{Fault, FaultClass, FaultEffect, FaultPlan, FaultSite};
@@ -336,7 +336,7 @@ impl CampaignSessionBuilder {
             .collect();
         if config.plan.order >= 2 {
             let all_sites: Vec<&FaultSite> = sites.iter().collect();
-            if !plan_space_fits(&InstructionSkip, &all_sites, &config.plan) {
+            if PlanSpace::new(&InstructionSkip, &all_sites, &config.plan, None).is_none() {
                 return Err(CampaignError::PlanSpaceOverflow { order: config.plan.order });
             }
         }
@@ -549,8 +549,9 @@ impl CampaignSession {
     /// * [`Collect`] → one [`CampaignReport`] per model (site order);
     /// * [`Stream`] → one [`ModelSummary`] per model, without ever
     ///   materializing per-fault results — the sampled sites plus one
-    ///   batch of plans in memory (order ≥ 2 adds each sampled site's
-    ///   single faults), no matter how many plans the models produce.
+    ///   batch of plans in memory (order ≥ 2 adds one model's faults at
+    ///   each sampled site at a time), no matter how many plans the
+    ///   models produce.
     ///
     /// The engine and thread count come from the session's
     /// [`CampaignConfig`]. Classifications are identical across engines,
@@ -584,15 +585,12 @@ impl CampaignSession {
     /// [`CampaignError::PlanSpaceOverflow`] for the first model that
     /// does not fit.
     pub fn check_plan_space(&self, models: &[&dyn FaultModel]) -> Result<(), CampaignError> {
-        if self.config.plan.order < 2 {
-            return Ok(());
+        let (plan, sampled) = (&self.config.plan, self.sampled_sites());
+        let fits = |model: &&dyn FaultModel| PlanSpace::new(*model, &sampled, plan, None).is_some();
+        if plan.order >= 2 && !models.iter().all(fits) {
+            return Err(CampaignError::PlanSpaceOverflow { order: plan.order });
         }
-        let sampled = self.sampled_sites();
-        if models.iter().all(|model| plan_space_fits(*model, &sampled, &self.config.plan)) {
-            Ok(())
-        } else {
-            Err(CampaignError::PlanSpaceOverflow { order: self.config.plan.order })
-        }
+        Ok(())
     }
 
     /// The static fault-effect analysis backing pruning and auditing —
@@ -600,18 +598,6 @@ impl CampaignSession {
     /// not be recovered.
     pub fn analysis(&self) -> Option<&Analysis> {
         self.analysis.as_ref()
-    }
-
-    /// The analysis enumeration prunes with: `None` under
-    /// `--no-static-prune` (nothing is dropped) *and* under
-    /// `--audit-analysis` (the audit must execute the statically-benign
-    /// plans it cross-checks).
-    fn pruning_analysis(&self) -> Option<&Analysis> {
-        if self.config.static_prune && !self.config.audit_analysis {
-            self.analysis.as_ref()
-        } else {
-            None
-        }
     }
 
     /// The sites `run` evaluates: every `site_stride`-th trace site.
@@ -846,10 +832,53 @@ impl CampaignSession {
         self.oracle.classify(faulted)
     }
 
-    /// Evaluates every `(model, plan)` pair — the one scheduling pass
-    /// both sinks share ([`run_bucketed`]). A checkpointed session groups
-    /// plans by the checkpoint preceding their earliest injection and
-    /// sweeps each neighbourhood from one restore
+    /// The one batch loop both sinks share. It takes `models`' plans
+    /// over the sampled sites from one [`PlanWalk`], `batch` at a time,
+    /// as `(model index, plan)` pairs, evaluates each batch in one
+    /// scheduling pass ([`CampaignSession::evaluate_all`]), and hands it
+    /// to `fold` with its classes. Before the first batch is evaluated it
+    /// announces the plans the walk visits ([`Gauge::PlansTotal`]) and
+    /// the plans static pruning removed ([`Counter::PlansPrunedStatic`]),
+    /// each clamped at `u64::MAX`. Returns every model's plan counts per
+    /// order, `(order, kept, pruned)`.
+    fn evaluate_walk(
+        &self,
+        models: &[&dyn FaultModel],
+        batch: usize,
+        mut fold: impl FnMut(Vec<(usize, FaultPlan)>, Vec<FaultClass>),
+    ) -> Vec<Vec<(usize, u128, u128)>> {
+        let (sampled, plan) = (self.sampled_sites(), &self.config.plan);
+        // Nothing is pruned under `--no-static-prune`, nor under
+        // `--audit-analysis`: the audit executes the statically-benign
+        // plans it cross-checks.
+        let prune = self.config.static_prune && !self.config.audit_analysis;
+        let mut walk = PlanWalk::new(models, &sampled, plan, self.analysis().filter(|_| prune));
+        let mut plans: Vec<(usize, FaultPlan)> = walk.by_ref().take(batch).collect();
+        // A batch that holds the whole walk leaves nothing to count ahead.
+        let counts = walk.counts();
+        let (mut total, mut pruned) = (0u128, 0u128);
+        for &(order, kept, dropped) in counts.iter().flatten() {
+            total = total.saturating_add(plan.visited(order, kept));
+            pruned = pruned.saturating_add(dropped);
+        }
+        let clamped = |count: u128| u64::try_from(count).unwrap_or(u64::MAX);
+        if pruned > 0 {
+            self.telemetry.count(Counter::PlansPrunedStatic, clamped(pruned));
+        }
+        self.telemetry.gauge(Gauge::PlansTotal, clamped(total));
+        let names: Vec<&'static str> = models.iter().map(|model| model.name()).collect();
+        while !plans.is_empty() {
+            let classes = self.evaluate_all(&names, &plans);
+            fold(plans, classes);
+            plans = walk.by_ref().take(batch).collect();
+        }
+        counts
+    }
+
+    /// Evaluates every `(model index, plan)` pair, the models named by
+    /// `names`, in one scheduling pass ([`run_bucketed`]). A checkpointed
+    /// session groups plans by the checkpoint preceding their earliest
+    /// injection and sweeps each neighbourhood from one restore
     /// ([`CampaignSession::evaluate_bucket`]); that wins for singleton
     /// plans too, since one restore plus one forward walk serves every
     /// fault enumerated in the neighbourhood, such as the `8 × len`
@@ -860,7 +889,11 @@ impl CampaignSession {
     /// checkpoint key would make a single bucket, which `run_bucketed`
     /// keeps on one thread until it holds dozens of plans.
     /// Classifications are identical either way.
-    fn evaluate_all(&self, plans: &[(&'static str, FaultPlan)]) -> Vec<FaultClass> {
+    fn evaluate_all(
+        &self,
+        names: &[&'static str],
+        plans: &[(usize, FaultPlan)],
+    ) -> Vec<FaultClass> {
         let engine = self.config.engine;
         run_bucketed(
             plans,
@@ -872,12 +905,12 @@ impl CampaignSession {
                 CampaignEngine::Naive => plan.earliest_step(),
             },
             |&key, indices| match engine {
-                CampaignEngine::Checkpointed => self.evaluate_bucket(key, plans, indices),
+                CampaignEngine::Checkpointed => self.evaluate_bucket(key, names, plans, indices),
                 CampaignEngine::Naive => indices
                     .iter()
                     .map(|&index| {
-                        let (name, plan) = &plans[index];
-                        self.evaluate(name, plan)
+                        let (model, plan) = &plans[index];
+                        self.evaluate(names[*model], plan)
                     })
                     .collect(),
             },
@@ -895,7 +928,8 @@ impl CampaignSession {
     fn evaluate_bucket(
         &self,
         checkpoint_step: u64,
-        plans: &[(&'static str, FaultPlan)],
+        names: &[&'static str],
+        plans: &[(usize, FaultPlan)],
         indices: &[usize],
     ) -> Vec<FaultClass> {
         // The bucket-sweep span wraps the whole sweep, so the restore,
@@ -912,8 +946,8 @@ impl CampaignSession {
         let mut cursor: Option<(Machine, u64)> = None;
         let mut diverged = false;
         for k in order {
-            let (name, plan) = &plans[indices[k]];
-            if let Some(class) = self.cache.lookup(name, plan) {
+            let (model, plan) = &plans[indices[k]];
+            if let Some(class) = self.cache.lookup(names[*model], plan) {
                 self.reused.fetch_add(1, Ordering::Relaxed);
                 self.note_plan(plan, class, true);
                 out[k] = Some(class);
@@ -1012,7 +1046,9 @@ pub trait Sink: sealed::Sealed {
 }
 
 /// Materialize every [`FaultResult`]: [`CampaignSession::run`] returns
-/// one [`CampaignReport`] per model, results in site order.
+/// one [`CampaignReport`] per model — its singletons in site order, then
+/// each higher order in canonical order. The whole campaign is evaluated
+/// in one scheduling pass, and the results are regrouped per model.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Collect;
 
@@ -1020,56 +1056,42 @@ impl Sink for Collect {
     type Output = Vec<CampaignReport>;
 
     fn drive(session: &CampaignSession, models: &[&dyn FaultModel]) -> Vec<CampaignReport> {
-        let sampled = session.sampled_sites();
-        // A Collect run materializes every result anyway, so enumerating
-        // the plans up front costs the same memory — and lets the one
-        // scheduling pass cover exactly the plans, so models whose
-        // faults cluster on few sites pay no per-site scheduling
-        // overhead. Per model, singleton plans stay in site order,
-        // followed by each higher order in canonical enumeration order.
-        let pruning = session.pruning_analysis();
-        let mut counts = Vec::with_capacity(models.len());
-        let mut pruned_orders = Vec::with_capacity(models.len());
-        let mut plans: Vec<(&'static str, FaultPlan)> = Vec::new();
-        for model in models {
-            let before = plans.len();
-            let name = model.name();
-            let set = enumerate_plans_pruned(*model, &sampled, &session.config.plan, pruning);
-            let pruned: u128 = set.pruned_by_order.iter().map(|&(_, n)| n).sum();
-            if pruned > 0 {
-                session.telemetry.count(Counter::PlansPrunedStatic, pruned as u64);
+        let mut results: Vec<Vec<FaultResult>> = models.iter().map(|_| Vec::new()).collect();
+        let counts = session.evaluate_walk(models, usize::MAX, |mut plans, classes| {
+            // The one batch is the whole campaign. Each model's results
+            // are allocated at their exact sizes, once the batch drops
+            // its growth slack.
+            plans.shrink_to_fit();
+            let size = |m| plans.iter().filter(|&&(model, _)| model == m).count();
+            results = (0..models.len()).map(|m| Vec::with_capacity(size(m))).collect();
+            for ((model, plan), class) in plans.into_iter().zip(classes) {
+                results[model].push(FaultResult { plan, class });
             }
-            pruned_orders.push(set.pruned_by_order);
-            plans.extend(set.plans.into_iter().map(|plan| (name, plan)));
-            counts.push(plans.len() - before);
-        }
-        session.telemetry.gauge(Gauge::PlansTotal, plans.len() as u64);
-        let classes = session.evaluate_all(&plans);
-        let mut rest: Vec<FaultResult> = plans
-            .into_iter()
-            .zip(classes)
-            .map(|((_, plan), class)| FaultResult { plan, class })
-            .collect();
-        let mut reports = Vec::with_capacity(models.len());
-        for ((model, count), pruned_by_order) in models.iter().zip(counts).zip(pruned_orders) {
-            let tail = rest.split_off(count);
-            let audit_failures = match (&session.analysis, session.config.audit_analysis) {
-                (Some(analysis), true) => rest
-                    .iter()
-                    .filter(|r| r.class != FaultClass::Benign && plan_is_benign(analysis, &r.plan))
-                    .cloned()
-                    .collect(),
-                _ => Vec::new(),
-            };
-            reports.push(CampaignReport {
-                model: model.name(),
-                results: rest,
-                pruned_by_order,
-                audit_failures,
-            });
-            rest = tail;
-        }
-        reports
+        });
+        models
+            .iter()
+            .zip(results)
+            .zip(counts)
+            .map(|((model, results), counts)| {
+                let audit_failures = match (&session.analysis, session.config.audit_analysis) {
+                    (Some(analysis), true) => results
+                        .iter()
+                        .filter(|r| {
+                            r.class != FaultClass::Benign && plan_is_benign(analysis, &r.plan)
+                        })
+                        .cloned()
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                let pruned_by_order = counts.iter().map(|&(order, _, pruned)| (order, pruned));
+                CampaignReport {
+                    model: model.name(),
+                    results,
+                    pruned_by_order: pruned_by_order.collect(),
+                    audit_failures,
+                }
+            })
+            .collect()
     }
 }
 
@@ -1077,14 +1099,11 @@ impl Sink for Collect {
 /// [`CampaignSession::run`] returns one [`ModelSummary`] per model,
 /// holding the sampled sites plus one batch of plans no matter how many
 /// plans the campaign evaluates — for campaigns too large to keep every
-/// [`FaultResult`]. Order ≥ 2 also holds each sampled site's single
-/// faults, which the higher-order plan space counts and enumerates
-/// over. Plans are enumerated lazily: every site's singletons
-/// first, then per model either the sampled higher orders, when a
-/// budget ([`crate::PlanConfig::budget`]) is set, or the exhaustive
-/// higher orders one first-injection site at a time (the cross-product
-/// is never materialized). Each batch of up to 1024 plans goes through
-/// the same bucketed scheduling pass as a [`Collect`] run.
+/// [`FaultResult`]. Order ≥ 2 also holds one model's faults at each
+/// sampled site at a time, which its higher-order plan space counts and
+/// walks over. The plans come from the same walk as a [`Collect`] run's,
+/// and each batch of up to 1024 goes through the same bucketed
+/// scheduling pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Stream;
 
@@ -1099,102 +1118,17 @@ impl Sink for Stream {
     type Output = Vec<ModelSummary>;
 
     fn drive(session: &CampaignSession, models: &[&dyn FaultModel]) -> Vec<ModelSummary> {
-        let sampled = session.sampled_sites();
-        let plan = &session.config.plan;
-        let pruning = session.pruning_analysis();
-        // Streamed runs materialize no PlanSet: account the pruned space
-        // and announce the plan total up front, from the counting DP.
-        let (mut total, mut pruned) = (0u128, 0u128);
-        for model in models {
-            for (order, kept, dropped) in plan_counts_by_order(*model, &sampled, plan, pruning) {
-                total = total.saturating_add(match plan.budget {
-                    Some(budget) if order >= 2 => kept.min(budget as u128),
-                    _ => kept,
-                });
-                pruned = pruned.saturating_add(dropped);
+        let mut summaries = vec![Summary::default(); models.len()];
+        session.evaluate_walk(models, STREAM_BATCH, |plans, classes| {
+            for (&(model, _), class) in plans.iter().zip(classes) {
+                summaries[model].record(class);
             }
-        }
-        if pruned > 0 {
-            session.telemetry.count(Counter::PlansPrunedStatic, pruned as u64);
-        }
-        session.telemetry.gauge(Gauge::PlansTotal, total as u64);
-        let mut batch = StreamBatch {
-            session,
-            plans: Vec::with_capacity(STREAM_BATCH),
-            owners: Vec::with_capacity(STREAM_BATCH),
-            summaries: vec![Summary::default(); models.len()],
-        };
-        for site in &sampled {
-            for (m, model) in models.iter().enumerate() {
-                for fault in model.faults_at(site) {
-                    if pruning.is_some_and(|a| fault_verdict(a, &fault) == StaticVerdict::Benign) {
-                        continue;
-                    }
-                    batch.push(m, model.name(), FaultPlan::single(fault));
-                }
-            }
-        }
-        if plan.order >= 2 {
-            for (m, model) in models.iter().enumerate() {
-                if plan.budget.is_some() {
-                    // Budgeted: at most `budget` plans per order survive
-                    // sampling, so materializing them costs bounded
-                    // memory.
-                    for higher in higher_order_plans(*model, &sampled, plan, pruning) {
-                        batch.push(m, model.name(), higher);
-                    }
-                } else {
-                    // Unbudgeted: the exhaustive pair/k-tuple space can be
-                    // quadratic and larger — visit it lazily, one
-                    // first-injection site at a time.
-                    let space = plan_space(*model, &sampled, plan, pruning);
-                    for site in 0..sampled.len() {
-                        space.for_each_starting_at(plan.order, site, &mut |higher| {
-                            batch.push(m, model.name(), higher);
-                        });
-                    }
-                }
-            }
-        }
-        batch.flush();
+        });
         models
             .iter()
-            .zip(batch.summaries)
+            .zip(summaries)
             .map(|(model, summary)| ModelSummary { model: model.name(), summary })
             .collect()
-    }
-}
-
-/// The plans a [`Stream`] run has enumerated but not yet evaluated, and
-/// the per-model summaries evaluated plans fold into.
-struct StreamBatch<'s> {
-    session: &'s CampaignSession,
-    plans: Vec<(&'static str, FaultPlan)>,
-    /// Index of the model each of `plans` belongs to.
-    owners: Vec<usize>,
-    summaries: Vec<Summary>,
-}
-
-impl StreamBatch<'_> {
-    /// Queues one plan of model `model`, evaluating the batch once it
-    /// holds [`STREAM_BATCH`] plans.
-    fn push(&mut self, model: usize, name: &'static str, plan: FaultPlan) {
-        self.plans.push((name, plan));
-        self.owners.push(model);
-        if self.plans.len() == STREAM_BATCH {
-            self.flush();
-        }
-    }
-
-    /// Evaluates the queued plans and folds their classes into the
-    /// summaries.
-    fn flush(&mut self) {
-        let classes = self.session.evaluate_all(&self.plans);
-        for (&model, class) in self.owners.iter().zip(classes) {
-            self.summaries[model].record(class);
-        }
-        self.plans.clear();
-        self.owners.clear();
     }
 }
 
@@ -1400,20 +1334,33 @@ mod tests {
 
     #[test]
     fn multiple_models_share_one_pass_and_match_solo_runs() {
-        let session = pincheck_session();
+        use crate::model::{PairPolicy, PlanConfig};
         let models: [&dyn FaultModel; 3] = [&InstructionSkip, &FlagFlip, &SingleBitFlip];
-        let combined = session.run(&models, Collect);
-        assert_eq!(combined.len(), 3);
-        for (model, combined_report) in models.iter().zip(&combined) {
-            let solo = run_one(&session, *model);
-            assert_eq!(combined_report.model, solo.model);
-            assert_eq!(combined_report.results, solo.results, "{}", solo.model);
-        }
-        // The streaming sink agrees model-by-model.
-        let streamed = session.run(&models, Stream);
-        for (report, summary) in combined.iter().zip(&streamed) {
-            assert_eq!(report.summary(), summary.summary, "{}", report.model);
-            assert_eq!(report.model, summary.model);
+        let window = |max_gap| PairPolicy::WithinWindow { max_gap };
+        let cases = [
+            (PlanConfig::default(), &models[..]),
+            // Sampled pairs.
+            (PlanConfig { order: 2, policy: window(3), budget: Some(40), seed: 5 }, &models[..]),
+            // Exhaustive triples: both sinks walk them order by order.
+            (PlanConfig { order: 3, policy: window(1), budget: None, seed: 0 }, &models[..2]),
+        ];
+        for (plan, models) in cases {
+            let session =
+                pincheck_session_with(CampaignConfig { plan, ..CampaignConfig::default() });
+            let combined = session.run(models, Collect);
+            assert_eq!(combined.len(), models.len());
+            for (model, combined_report) in models.iter().zip(&combined) {
+                let solo = run_one(&session, *model);
+                assert_eq!(combined_report.model, solo.model);
+                assert_eq!(combined_report.results, solo.results, "{} {plan:?}", solo.model);
+                assert_eq!(combined_report.pruned_by_order, solo.pruned_by_order);
+            }
+            // The streaming sink agrees model-by-model.
+            let streamed = session.run(models, Stream);
+            for (report, summary) in combined.iter().zip(&streamed) {
+                assert_eq!(report.summary(), summary.summary, "{} {plan:?}", report.model);
+                assert_eq!(report.model, summary.model);
+            }
         }
     }
 
@@ -1480,6 +1427,36 @@ mod tests {
             assert_eq!(metrics.gauge(Gauge::PlansTotal), executed, "order {}", plan.order);
             let collected = run_one(&pincheck_session_with(config), &InstructionSkip);
             assert_eq!(executed, collected.results.len() as u64, "order {}", plan.order);
+        }
+    }
+
+    #[test]
+    fn plan_counts_beyond_u64_saturate_in_telemetry() {
+        use crate::model::PlanConfig;
+        // Up to order 16, static pruning removes about 5.8e28 of
+        // pincheck's flag-flip plans, more than a u64 holds: both sinks
+        // report u64::MAX instead of a wrapped count.
+        let plan = PlanConfig { order: 16, budget: Some(10), ..PlanConfig::default() };
+        for streaming in [false, true] {
+            let w = pincheck();
+            let telemetry = Telemetry::counters();
+            let session = CampaignSession::builder(w.build().unwrap())
+                .good_input(&w.good_input[..])
+                .bad_input(&w.bad_input[..])
+                .config(CampaignConfig { plan, ..CampaignConfig::default() })
+                .telemetry(telemetry.clone())
+                .build()
+                .unwrap();
+            let executed = if streaming {
+                session.run(&[&FlagFlip as &dyn FaultModel], Stream)[0].summary.total
+            } else {
+                let report = run_one(&session, &FlagFlip);
+                assert!(report.plans_pruned_static() > u128::from(u64::MAX));
+                report.results.len()
+            };
+            let metrics = telemetry.metrics().unwrap();
+            assert_eq!(metrics.counter(Counter::PlansPrunedStatic), u64::MAX, "{streaming}");
+            assert_eq!(metrics.gauge(Gauge::PlansTotal), executed as u64, "{streaming}");
         }
     }
 
