@@ -36,9 +36,10 @@
 //!
 //! The interpreter can watch a run for a provable hang
 //! ([`Machine::run_detecting`]): a [`HangDetector`] finds a candidate
-//! period before every step and proves it with a one-period taint slice,
-//! and [`Period::extrapolate`] then gives the run's behaviour at its step
-//! budget without executing it.
+//! period before every step and proves it with a one-period taint slice
+//! that follows counting registers and a growing stack up to the step
+//! budget, and [`Period::extrapolate`] then gives the run's behaviour at
+//! that budget without executing it.
 //!
 //! ## Program I/O
 //!

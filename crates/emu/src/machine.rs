@@ -144,23 +144,24 @@ impl Machine {
 
     /// Compares this machine with the state `snapshot` captured, except
     /// for the output: `None` when they differ in the program counter,
-    /// the stop state, the input cursor or stream, the stack pointer or
-    /// memory contents, otherwise the registers and NZCV bits that
-    /// differ. Compares cheapest first and memory last.
+    /// the stop state, the input cursor or stream, or memory contents
+    /// outside the bytes between the two stack pointers, otherwise the
+    /// registers and NZCV bits that differ. Compares cheapest first and
+    /// memory last.
     ///
-    /// [`Machine::same_state`] is the empty difference, and a hung run's
+    /// [`Machine::same_state`] is the empty difference (its stack
+    /// pointers are equal, so all memory compares), and a hung run's
     /// candidate period a nonempty one (see
-    /// [`HangDetector`](crate::HangDetector)), where a stack pointer that
-    /// moves is never a candidate.
+    /// [`HangDetector`](crate::HangDetector)), where a stack that grew or
+    /// shrank by the period differs only in the slots it moved over.
     pub(crate) fn register_diff(&self, snapshot: &Snapshot) -> Option<StateDiff> {
         let other = &snapshot.0;
-        let sp = Reg::SP.index() as usize;
+        let (sp, other_sp) = (self.reg(Reg::SP), other.reg(Reg::SP));
         let same_place = self.pc == other.pc
             && self.stopped == other.stopped
             && self.input_pos == other.input_pos
-            && self.regs[sp] == other.regs[sp]
             && (Arc::ptr_eq(&self.input, &other.input) || self.input == other.input)
-            && self.memory.same_contents(&other.memory);
+            && self.memory.same_contents_outside(&other.memory, sp.min(other_sp)..sp.max(other_sp));
         if !same_place {
             return None;
         }

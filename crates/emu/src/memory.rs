@@ -170,8 +170,12 @@ impl Region {
     }
 
     /// The pages of `self` and `other`, a region of the same layout, side
-    /// by side over the union of their windows: outside it both are zero.
-    fn page_pairs<'a>(&'a self, other: &'a Region) -> impl Iterator<Item = (&'a Page, &'a Page)> {
+    /// by side with their page index over the union of their windows:
+    /// outside it both are zero.
+    fn page_pairs<'a>(
+        &'a self,
+        other: &'a Region,
+    ) -> impl Iterator<Item = (usize, &'a Page, &'a Page)> {
         let (a, b) = (self.window(), other.window());
         let union = if a.is_empty() {
             b
@@ -180,7 +184,7 @@ impl Region {
         } else {
             a.start.min(b.start)..a.end.max(b.end)
         };
-        union.map(move |p| (self.page(p), other.page(p)))
+        union.map(move |p| (p, self.page(p), other.page(p)))
     }
 
     fn end(&self) -> u64 {
@@ -513,12 +517,29 @@ impl Memory {
     /// exec-dirty list is bookkeeping, not contents, and is ignored:
     /// equal bytes execute identically.
     pub fn same_contents(&self, other: &Memory) -> bool {
+        self.same_contents_outside(other, 0..0)
+    }
+
+    /// Like [`Memory::same_contents`], but the bytes at addresses in
+    /// `skip` may differ.
+    pub(crate) fn same_contents_outside(&self, other: &Memory, skip: Range<u64>) -> bool {
         self.regions.len() == other.regions.len()
             && self.regions.iter().zip(&other.regions).all(|(a, b)| {
                 (a.start, a.len, a.perms) == (b.start, b.len, b.perms)
-                    && a.page_pairs(b).all(|(pa, pb)| {
-                        pa.same_backing(pb)
-                            || pa.as_slice()[..PAGE_SIZE] == pb.as_slice()[..PAGE_SIZE]
+                    && a.page_pairs(b).all(|(p, pa, pb)| {
+                        if pa.same_backing(pb) {
+                            return true;
+                        }
+                        let (x, y) = (&pa.as_slice()[..PAGE_SIZE], &pb.as_slice()[..PAGE_SIZE]);
+                        // The skipped bytes of this page, as page offsets.
+                        let page = a.start + (p * PAGE_SIZE) as u64;
+                        let offset = |addr: u64| addr.saturating_sub(page).min(PAGE_SIZE as u64);
+                        let (lo, hi) = (offset(skip.start) as usize, offset(skip.end) as usize);
+                        if lo >= hi {
+                            x == y
+                        } else {
+                            x[..lo] == y[..lo] && x[hi..] == y[hi..]
+                        }
                     })
             })
     }
@@ -530,7 +551,8 @@ impl Memory {
         let mut delta = MemoryDelta::default();
         for (a, b) in self.regions.iter().zip(&baseline.regions) {
             assert_eq!((a.start, a.len), (b.start, b.len), "memory layouts differ");
-            delta.pages += a.page_pairs(b).filter(|(pa, pb)| !pa.same_backing(pb)).count() as u64;
+            delta.pages +=
+                a.page_pairs(b).filter(|(_, pa, pb)| !pa.same_backing(pb)).count() as u64;
         }
         delta.bytes = delta.pages * PAGE_SIZE as u64;
         delta

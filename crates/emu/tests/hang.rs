@@ -10,8 +10,10 @@
 //! window but before the budget, through one sink: a branch on a
 //! counter, a counter stored and read back, printed, pushed, used as a
 //! divisor, as an address or as a jump target, flags pushed with
-//! `pushf`, and a stack pointer that moves. Were that sink not checked,
-//! the proof would go through and the extrapolated run would differ.
+//! `pushf`, a stack pointer that moves, a counter's flags that change
+//! inside the horizon, a stack that runs out, and a stack that grows into
+//! a slot the loop reads. Were that sink not checked, the proof would go
+//! through and the extrapolated run would differ.
 
 use rr_asm::assemble_and_link;
 use rr_emu::{Execution, HangDetector, Machine, RunOutcome};
@@ -31,7 +33,7 @@ fn build(body: &str) -> Executable {
 /// length.
 fn checked(exe: &Executable) -> (Execution, Option<u64>) {
     let mut m = Machine::new(exe, &[]);
-    let mut detector = HangDetector::default();
+    let mut detector = HangDetector::new(BUDGET);
     let head = m.run_detecting(WINDOW, &mut detector);
     if let Some(period) = detector.proof() {
         assert!(head.steps <= WINDOW && head.outcome == RunOutcome::TimedOut);
@@ -116,9 +118,217 @@ fn taint_left_outside_the_difference_grows_it_to_a_fixpoint() {
     assert_eq!(check(body), Some(4));
 }
 
+#[test]
+fn a_print_loop_alternating_between_two_bytes_is_extrapolated() {
+    // A bit flip turns `print_str`'s `add r6, 1` into `xor r6, 1`. Every
+    // 6 steps the state differs in r6, an address, so that candidate is
+    // refuted; every 12 the state repeats exactly.
+    let body = "    mov r6, msg\n\
+                .loop:\n\
+                    loadb r1, [r6]\n\
+                    cmp r1, 0\n\
+                    je .done\n\
+                    svc 1\n\
+                    xor r6, 1\n\
+                    jmp .loop\n\
+                .done:\n\
+                    mov r1, 7\n\
+                    svc 0\n\
+                    .data\n\
+                msg:\n\
+                    .asciiz \"hi\"\n";
+    assert_eq!(check(body), Some(12));
+}
+
+#[test]
+fn a_print_loop_branching_on_its_counter_wrapping_is_extrapolated() {
+    // A bit flip turns `print_str`'s load and compare into `nop`s, so
+    // its `jeq` reads the Z flag of the counting `add`: the loop ends
+    // only when r6 wraps at 2^64.
+    let body = "    mov r1, '.'\n\
+                    mov r6, msg\n\
+                .loop:\n\
+                    nop\n\
+                    nop\n\
+                    nop\n\
+                    nop\n\
+                    je .done\n\
+                    svc 1\n\
+                    add r6, 1\n\
+                    jmp .loop\n\
+                .done:\n\
+                    mov r1, 7\n\
+                    svc 0\n\
+                    .data\n\
+                msg:\n\
+                    .asciiz \"hi\"\n";
+    assert_eq!(check(body), Some(8));
+}
+
+#[test]
+fn a_call_loop_growing_the_stack_is_extrapolated() {
+    // A bit flip turns `print_str`'s `jmp` back into its caller, which
+    // calls it again: every period prints a byte and pushes a return
+    // address 8 bytes further down, and nothing reads them.
+    let body = "main:\n\
+                    mov r6, msg\n\
+                    call print_str\n\
+                    mov r1, 7\n\
+                    svc 0\n\
+                print_str:\n\
+                    loadb r1, [r6]\n\
+                    cmp r1, 0\n\
+                    je .done\n\
+                    svc 1\n\
+                    add r6, 1\n\
+                    jmp main\n\
+                .done:\n\
+                    ret\n\
+                    .data\n\
+                msg:\n\
+                    .asciiz \"hi\"\n";
+    assert_eq!(check(body), Some(8));
+}
+
+#[test]
+fn a_counter_whose_zero_flag_fires_just_past_the_budget_is_extrapolated() {
+    // The `add` that reaches 0 would run at step 20,000, the first one
+    // past the budget.
+    assert_eq!(check(&counter_reaching_zero(-6667)), Some(3));
+}
+
+#[test]
+fn a_clean_read_between_the_stack_pointers_waits_for_a_later_save_point() {
+    // The loop stores 1 into the slot just below the first stack pointer
+    // and reads it back. The save point at the first loop head still
+    // holds 0 there, and the candidate one period later differs only
+    // between the two stack pointers, so the candidate is taken; the read
+    // refutes it. A later save point, after the store, proves the period.
+    let body = "    mov r14, sp\n\
+                    sub r14, 8\n\
+                    mov r0, 1\n\
+                    mov r1, 0\n\
+                    nop\n\
+                    nop\n\
+                    nop\n\
+                .loop:\n\
+                    load r1, [r14]\n\
+                    svc 3\n\
+                    store [r14], r0\n\
+                    sub sp, 8\n\
+                    jmp .loop\n";
+    assert_eq!(check(body), Some(5));
+}
+
 // ---------------------------------------------------------------------
 // Loops the proof must refuse, one sink each
 // ---------------------------------------------------------------------
+
+/// Prints `!` once r6, counting up from `start`, reaches 0, and exits.
+fn counter_reaching_zero(start: i64) -> String {
+    format!(
+        "    mov r1, '!'\n\
+             mov r6, {start}\n\
+         .loop:\n\
+             add r6, 1\n\
+             je .done\n\
+             jmp .loop\n\
+         .done:\n\
+             svc 1\n\
+             mov r1, 7\n\
+             svc 0\n"
+    )
+}
+
+#[test]
+fn a_counter_whose_zero_flag_fires_in_the_last_period_is_refused() {
+    // The `add` that reaches 0 runs at step 19,997, and the `!` is the
+    // run's last step.
+    let body = counter_reaching_zero(-6666);
+    refused(&body, |outcome| outcome == RunOutcome::TimedOut);
+    assert_eq!(rr_emu::execute(&build(&body), &[], BUDGET).output, b"!");
+}
+
+#[test]
+fn a_counter_wrapped_by_a_mask_is_refused() {
+    // r6 counts by 7, but the `and` makes it wrap at 4096, so it reaches
+    // 100 after 2212 loops: it is no induction register. The compare's
+    // flags were taken as steady before the `and` was seen, so the slice
+    // must run again without r6; the last compare leaves no tainted
+    // flag to do that on its own.
+    let body = "    mov r6, 1000\n\
+                    mov r5, 0\n\
+                .loop:\n\
+                    cmp r6, 100\n\
+                    je .done\n\
+                    add r6, 7\n\
+                    and r6, 4095\n\
+                    cmp r5, 3\n\
+                    jmp .loop\n\
+                .done:\n\
+                    mov r1, 7\n\
+                    svc 0\n";
+    refused(body, exits);
+}
+
+#[test]
+fn a_counter_whose_zero_flag_fires_inside_the_horizon_is_refused() {
+    // As the print loop branching on its counter wrapping, but the
+    // counter starts 2000 below 2^64.
+    let body = "    mov r1, '.'\n\
+                    mov r6, -2000\n\
+                .loop:\n\
+                    nop\n\
+                    je .done\n\
+                    svc 1\n\
+                    add r6, 1\n\
+                    jmp .loop\n\
+                .done:\n\
+                    mov r1, 7\n\
+                    svc 0\n";
+    refused(body, exits);
+}
+
+#[test]
+fn a_counter_whose_negative_flag_flips_inside_the_horizon_is_refused() {
+    // The counter starts 2000 below 2^63, so its sign bit sets inside the
+    // horizon and `jl` (N != V) fires on the next count.
+    let body = "    mov r6, 9223372036854773808\n\
+                .loop:\n\
+                    add r6, 1\n\
+                    jl .done\n\
+                    jmp .loop\n\
+                .done:\n\
+                    mov r1, 7\n\
+                    svc 0\n";
+    refused(body, exits);
+}
+
+#[test]
+fn a_stack_growing_until_it_runs_out_is_refused() {
+    // Each period moves sp 1008 bytes down, so the 1 MiB stack runs out
+    // after about 1040 periods.
+    let body = ".loop:\n    sub sp, 1000\n    call .loop\n";
+    refused(body, crashes);
+}
+
+#[test]
+fn a_clean_load_from_a_slot_the_stack_reaches_is_refused() {
+    // r9 points 2000 slots below the top of the stack. The loop reads it
+    // at a clean address while each period pushes a return address one
+    // slot further down, until one lands in it.
+    let body = "    mov r9, sp\n\
+                    sub r9, 16000\n\
+                .loop:\n\
+                    load r1, [r9]\n\
+                    cmp r1, 0\n\
+                    jne .done\n\
+                    call .loop\n\
+                .done:\n\
+                    mov r1, 7\n\
+                    svc 0\n";
+    refused(body, exits);
+}
 
 #[test]
 fn a_counter_a_branch_tests_is_refused() {

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use rr_asm::assemble_and_link;
 use rr_emu::{execute, BlockCache, BlockStats, Execution, HangDetector, Machine, RunOutcome};
+use rr_isa::{Reg, STACK_SIZE};
 use rr_obj::Executable;
 
 /// Random but *assemblable* straight-line programs over safe instructions
@@ -245,7 +246,7 @@ fn hang_program(lines: &[String], exit_at: Option<u16>) -> String {
 /// proven (reported as `true`).
 fn run_extrapolated(exe: &Executable, window: u64, budget: u64) -> (Execution, bool) {
     let mut m = Machine::new(exe, &[]);
-    let mut detector = HangDetector::default();
+    let mut detector = HangDetector::new(budget);
     let head = m.run_detecting(window, &mut detector);
     if let Some(period) = detector.proof() {
         return (period.extrapolate(m.take_output(), head.steps, budget), true);
@@ -293,4 +294,98 @@ fn extrapolated_hangs_match_running_to_the_budget() {
     }
     assert!(proven >= CASES / 10, "{proven} of {CASES} programs proven");
     assert!(refused >= CASES / 10, "{refused} of {CASES} programs refused");
+}
+
+/// Loop-body lines for hangs that count and grow the stack: the safe
+/// lines, a counter in r12 stepped by constants and compared with
+/// immediates, branches to the exit on the flags, calls to the next line
+/// (`call` here) and pushes that grow the stack, `sub sp`, loads from and
+/// stores at sp, loads from r14 (a clean pointer into the stack), and
+/// output.
+fn counting_line() -> impl Strategy<Value = String> {
+    let reg = (0u8..12).prop_map(|i| format!("r{i}"));
+    let cc = ["eq", "ne", "lt", "le", "gt", "ge", "b", "be", "a", "ae"];
+    prop_oneof![
+        safe_line(),
+        (any::<bool>(), 1i32..9)
+            .prop_map(|(up, c)| format!("{} r12, {c}", ["sub", "add"][up as usize])),
+        (any::<bool>(), 1i32..9, 0..cc.len()).prop_map(move |(up, c, i)| {
+            format!("{} r12, {c}\n    j{} .exit", ["sub", "add"][up as usize], cc[i])
+        }),
+        (-60i32..60, 0..cc.len())
+            .prop_map(move |(imm, i)| format!("cmp r12, {imm}\n    j{} .exit", cc[i])),
+        Just("call".to_owned()),
+        reg.clone().prop_map(|r| format!("push {r}")),
+        (0usize..3).prop_map(|i| format!("sub sp, {}", [8, 64, 512][i])),
+        reg.clone().prop_map(|r| format!("load {r}, [r14]")),
+        reg.clone().prop_map(|r| format!("load {r}, [sp+8]")),
+        reg.clone().prop_map(|r| format!("store [sp+16], {r}")),
+        reg.prop_map(|r| format!("mov r1, {r}\n    svc 1")),
+    ]
+}
+
+/// A loop around `lines` that runs until a branch takes it to the exit.
+/// r12 starts at `start`, r14 points `probe` bytes below the top of the
+/// stack, and sp starts `lower` bytes below it.
+fn counting_program(lines: &[String], start: u64, probe: u64, lower: u64) -> String {
+    let mut src = format!(
+        "    .global _start\n_start:\n    mov r12, {}\n    mov r14, sp\n    sub r14, {probe}\n    sub sp, {lower}\n.loop:\n",
+        start as i64
+    );
+    for (i, line) in lines.iter().enumerate() {
+        match line.as_str() {
+            "call" => src.push_str(&format!("    call .next{i}\n.next{i}:\n")),
+            line => src.push_str(&format!("    {line}\n")),
+        }
+    }
+    src.push_str("    jmp .loop\n.exit:\n    mov r1, 7\n    svc 0\n");
+    src
+}
+
+/// As [`extrapolated_hangs_match_running_to_the_budget`], over loops whose
+/// proofs need the horizon: counters whose flags a branch reads, starting
+/// near where those flags change, and stacks that grow toward their end
+/// or into a slot the loop reads. Among the proven loops, some grow the
+/// stack and some branch on a moving counter, so both induction rules are
+/// exercised.
+#[test]
+fn extrapolated_counting_and_stack_loops_match_running_to_the_budget() {
+    const CASES: usize = 400;
+    const WINDOW: u64 = 256;
+    const BUDGET: u64 = 3_000;
+    const HALF: u64 = 1 << 63;
+    let starts = [0, 40, 300, 0u64.wrapping_sub(300), 0u64.wrapping_sub(40), HALF - 300, HALF + 40];
+    let programs =
+        (proptest::collection::vec(counting_line(), 1..10), 0..starts.len(), 0usize..3, 0usize..3);
+    let mut rng = proptest::TestRng::deterministic(
+        "extrapolated_counting_and_stack_loops_match_running_to_the_budget",
+    );
+    let (mut proven, mut refused, mut grew, mut counted) = (0, 0, 0, 0);
+    for _ in 0..CASES {
+        let (lines, start, probe, lower) = programs.generate(&mut rng);
+        let (probe, lower) = ([16, 2048, 16384][probe], [0, 4096, STACK_SIZE - 20_000][lower]);
+        let src = counting_program(&lines, starts[start], probe, lower);
+        let exe = assemble_and_link(&src).expect("program builds");
+        let want = execute(&exe, &[], BUDGET);
+        let (got, was_proven) = run_extrapolated(&exe, WINDOW, BUDGET);
+        assert_eq!(got, want, "{src}");
+        if was_proven {
+            proven += 1;
+            // Run one more period past the proof to see what it moves.
+            let mut m = Machine::new(&exe, &[]);
+            let mut detector = HangDetector::new(BUDGET);
+            m.run_detecting(WINDOW, &mut detector);
+            let period = detector.proof().expect("proven again").steps();
+            let (sp, r12) = (m.reg(Reg::SP), m.reg(Reg::R12));
+            m.run(period);
+            grew += usize::from(m.reg(Reg::SP) != sp);
+            counted += usize::from(m.reg(Reg::R12) != r12 && src.contains(" .exit"));
+        } else if want.outcome == RunOutcome::TimedOut || want.steps > WINDOW {
+            refused += 1;
+        }
+    }
+    assert!(proven >= CASES / 10, "{proven} of {CASES} programs proven");
+    assert!(refused >= CASES / 10, "{refused} of {CASES} programs refused");
+    assert!(grew >= CASES / 20, "{grew} proven programs grow the stack");
+    assert!(counted >= CASES / 20, "{counted} proven programs count toward a branch");
 }

@@ -54,8 +54,8 @@
 //! twice the golden run's steps once an `rr_emu::HangDetector` proves
 //! it repeats one period until its step budget: such a run would time
 //! out, and its output and step count at the budget are extrapolated
-//! exactly. Under bit flips, the model whose faults loop forever, most
-//! `TimedOut` plans end this way. The naive engine takes neither
+//! exactly. Under bit flips, the model whose faults loop forever, every
+//! `TimedOut` plan of the four bundled workloads ends this way. The naive engine takes neither
 //! shortcut and stays the reference; `tests/tests/steps_exact.rs`
 //! compares the two under oracles that read the steps and output of
 //! every run.

@@ -736,11 +736,12 @@ impl CampaignSession {
     /// A run still going at [`HANG_CHECK_FROM`] times the golden bad
     /// run's steps, counted from its start, may hang. For the next
     /// [`HANG_CHECK_WINDOW`] steps it runs on the interpreter under a
-    /// [`HangDetector`]; when that proves the run repeats one period
-    /// until the budget, the behaviour is the one running to the budget
-    /// gives: `TimedOut`, `budget` steps, and the output so far followed
-    /// by the output of every period left and of the first steps of one
-    /// more ([`rr_emu::Period::extrapolate`]). Every oracle therefore
+    /// [`HangDetector`] whose horizon is the budget left; when that
+    /// proves the run repeats one period until the budget, the behaviour
+    /// is the one running to the budget gives: `TimedOut`, `budget`
+    /// steps, and the output so far followed by the output of every
+    /// period left and of the first steps of one more
+    /// ([`rr_emu::Period::extrapolate`]). Every oracle therefore
     /// classifies identically, one that reads the output of a timed-out
     /// run included. An unproven run continues unchecked to the budget.
     ///
@@ -805,7 +806,7 @@ impl CampaignSession {
                 used += self.replay.run(machine, from - used).steps;
             }
             if used < budget && machine.stopped().is_none() {
-                let mut detector = HangDetector::default();
+                let mut detector = HangDetector::new(budget - used);
                 let window = HANG_CHECK_WINDOW.min(budget - used);
                 used += self.replay.run_detecting(machine, window, &mut detector).steps;
                 if let Some(period) = detector.proof() {

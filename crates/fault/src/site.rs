@@ -113,25 +113,39 @@ impl FaultPlan {
 
     /// Builds a plan from any number of injections, sorting them into
     /// canonical (trace-step) order. Same-step injections keep their
-    /// given sequence.
+    /// given sequence. Injections that come in step order, as every plan
+    /// walk builds them, are stored as they come: the first two without
+    /// touching the heap.
     ///
     /// # Panics
     ///
     /// An empty plan is not a plan: at least one injection is required.
     pub fn new(faults: impl IntoIterator<Item = Fault>) -> FaultPlan {
-        let mut faults: Vec<Fault> = faults.into_iter().collect();
-        assert!(!faults.is_empty(), "a fault plan needs at least one injection");
-        faults.sort_by_key(|f| f.step);
-        if faults.len() <= PLAN_INLINE {
-            let mut inline = [faults[0]; PLAN_INLINE];
-            inline[..faults.len()].copy_from_slice(&faults);
-            FaultPlan { inline, len: faults.len() as u8, spill: Vec::new() }
-        } else {
-            let spill = faults.split_off(PLAN_INLINE);
-            let mut inline = [faults[0]; PLAN_INLINE];
-            inline.copy_from_slice(&faults);
-            FaultPlan { inline, len: PLAN_INLINE as u8, spill }
+        let mut faults = faults.into_iter();
+        let first = faults.next().expect("a fault plan needs at least one injection");
+        let (mut inline, mut len, mut spill) = ([first; PLAN_INLINE], 1, Vec::new());
+        let (mut last, mut sorted) = (first.step, true);
+        for fault in faults {
+            sorted &= last <= fault.step;
+            last = fault.step;
+            if len < PLAN_INLINE {
+                inline[len] = fault;
+                len += 1;
+            } else {
+                spill.push(fault);
+            }
         }
+        if !sorted {
+            return FaultPlan::sorted(inline[..len].iter().copied().chain(spill).collect());
+        }
+        FaultPlan { inline, len: len as u8, spill }
+    }
+
+    /// The plan of `faults` after a stable sort into step order.
+    #[cold]
+    fn sorted(mut faults: Vec<Fault>) -> FaultPlan {
+        faults.sort_by_key(|f| f.step);
+        FaultPlan::new(faults)
     }
 
     /// The injections, in trace-step order.
@@ -343,5 +357,9 @@ mod tests {
         let plan = FaultPlan::new([a, b]);
         let effects: Vec<FaultEffect> = plan.iter().map(|f| f.effect).collect();
         assert_eq!(effects, vec![a.effect, b.effect], "stable sort preserves same-step order");
+        let plan = FaultPlan::new([skip(9), a, b, skip(1)]);
+        let effects: Vec<FaultEffect> = plan.iter().map(|f| f.effect).collect();
+        assert_eq!(effects, vec![skip(1).effect, a.effect, b.effect, skip(9).effect]);
+        assert_eq!(plan.iter().map(|f| f.step).collect::<Vec<_>>(), vec![1, 4, 4, 9]);
     }
 }

@@ -346,6 +346,15 @@ fn zeros<const N: usize>() -> [AtomicU64; N] {
     std::array::from_fn(|_| AtomicU64::new(0))
 }
 
+/// Adds `n` to `total`, saturating at `u64::MAX`: an add that wraps
+/// stores the maximum, and so does every later add, so a total that
+/// overflowed reads `u64::MAX` once the adds have returned.
+fn add_saturating(total: &AtomicU64, n: u64) {
+    if total.fetch_add(n, Ordering::Relaxed).checked_add(n).is_none() {
+        total.store(u64::MAX, Ordering::Relaxed);
+    }
+}
+
 struct MetricsCore {
     start: Instant,
     span_count: [AtomicU64; SpanKind::COUNT],
@@ -373,14 +382,12 @@ impl MetricsCore {
     }
 
     fn count(&self, counter: Counter, n: u64) {
-        self.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
+        add_saturating(&self.counters[counter.index()], n);
     }
 
     fn gauge(&self, gauge: Gauge, value: u64) {
         match gauge {
-            Gauge::PlansTotal => {
-                self.gauges[gauge.index()].fetch_add(value, Ordering::Relaxed);
-            }
+            Gauge::PlansTotal => add_saturating(&self.gauges[gauge.index()], value),
             _ => self.gauges[gauge.index()].store(value, Ordering::Relaxed),
         }
     }
@@ -882,7 +889,7 @@ impl Recorder for ProgressRecorder {
 
     fn gauge(&self, gauge: Gauge, value: u64) {
         if gauge == Gauge::PlansTotal {
-            self.total.fetch_add(value, Ordering::Relaxed);
+            add_saturating(&self.total, value);
         }
     }
 
@@ -935,6 +942,19 @@ mod tests {
         assert_eq!(m.successes_by_order[1], 1);
         assert_eq!(m.successes_by_order[MAX_TRACKED_ORDER - 1], 1);
         assert_eq!(m.reuse_percent(), 50.0);
+    }
+
+    #[test]
+    fn counters_and_plan_totals_saturate_instead_of_wrapping() {
+        let t = Telemetry::counters();
+        t.count(Counter::PlansPrunedStatic, u64::MAX - 1);
+        t.count(Counter::PlansPrunedStatic, 2);
+        t.count(Counter::PlansPrunedStatic, 5);
+        t.gauge(Gauge::PlansTotal, u64::MAX);
+        t.gauge(Gauge::PlansTotal, u64::MAX);
+        let m = t.metrics().unwrap();
+        assert_eq!(m.counter(Counter::PlansPrunedStatic), u64::MAX);
+        assert_eq!(m.gauge(Gauge::PlansTotal), u64::MAX);
     }
 
     #[test]

@@ -170,3 +170,34 @@ fn extrapolated_hangs_are_exact() {
         engines_agree(w.name, &exe, &w.bad_input, 1, BehaviorHashModFive, &models, counters);
     }
 }
+
+/// Every hang of an order-1 bit-flip campaign on the four workloads, at
+/// their bundled inputs, is proven and extrapolated, and the report is
+/// the naive engine's.
+#[test]
+fn every_bit_flip_hang_is_extrapolated() {
+    let timed_out = [("pincheck", 172), ("bootloader", 235), ("otp", 182), ("access", 87)];
+    for (w, (name, hangs)) in rr_workloads::all_workloads().into_iter().zip(timed_out) {
+        assert_eq!(w.name, name);
+        let exe = w.build().unwrap();
+        let run = |engine| {
+            let telemetry = Telemetry::counters();
+            let report = CampaignSession::builder(exe.clone())
+                .good_input(&w.good_input[..])
+                .bad_input(&w.bad_input[..])
+                .config(CampaignConfig { engine, ..CampaignConfig::default() })
+                .telemetry(telemetry.clone())
+                .build()
+                .unwrap()
+                .run(&[&SingleBitFlip], Collect)
+                .pop()
+                .unwrap();
+            (report, telemetry.metrics().unwrap().counter(Counter::PlansExtrapolated))
+        };
+        let (report, extrapolated) = run(CampaignEngine::Checkpointed);
+        assert_eq!(report.count(FaultClass::TimedOut), hangs, "{name}");
+        assert_eq!(extrapolated, hangs as u64, "{name}: hangs left unproven");
+        let (naive, _) = run(CampaignEngine::Naive);
+        assert_eq!(report.results, naive.results, "{name}");
+    }
+}
