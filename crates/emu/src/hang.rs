@@ -329,33 +329,7 @@ struct Step {
 fn key(insn: &Instr) -> Option<Reg> {
     match *insn {
         Instr::AluRI { rd: r, .. } | Instr::CmpRI { rs1: r, .. } => Some(r),
-        _ => access(insn).map(|access| access.base),
-    }
-}
-
-/// A memory access at `[base + disp]`.
-struct Access {
-    base: Reg,
-    disp: i64,
-    size: u64,
-    write: bool,
-}
-
-/// The data access an instruction makes, stack operations included.
-fn access(insn: &Instr) -> Option<Access> {
-    let at = |base, disp: i32, size, write| Some(Access { base, disp: disp.into(), size, write });
-    match *insn {
-        Instr::Load { base, disp, .. } | Instr::CmpRM { base, disp, .. } => {
-            at(base, disp, 8, false)
-        }
-        Instr::LoadB { base, disp, .. } => at(base, disp, 1, false),
-        Instr::Store { base, disp, .. } => at(base, disp, 8, true),
-        Instr::StoreB { base, disp, .. } => at(base, disp, 1, true),
-        Instr::Push { .. } | Instr::PushF | Instr::Call { .. } | Instr::CallR { .. } => {
-            at(Reg::SP, -8, 8, true)
-        }
-        Instr::Pop { .. } | Instr::PopF | Instr::Ret => at(Reg::SP, 0, 8, false),
-        _ => None,
+        _ => insn.mem_access().map(|access| access.base),
     }
 }
 
@@ -504,7 +478,7 @@ impl Slice {
             return Err(Stop::Demote(r));
         }
         self.reads.push(step.pc..step.pc.saturating_add(step.len));
-        if let Some(access) = access(insn) {
+        if let Some(access) = insn.mem_access() {
             let addr = step.value.wrapping_add(access.disp as u64);
             if !self.taint.regs.contains(access.base) {
                 if !access.write {

@@ -41,6 +41,12 @@
 //! budget, and [`Period::extrapolate`] then gives the run's behaviour at
 //! that budget without executing it.
 //!
+//! A faulted run that rejoins a golden recording is compared with the
+//! golden snapshot on its live state alone ([`Machine::same_live_state`]):
+//! pc, stop state, input and executable memory in full, and of the
+//! registers, NZCV bits and memory words only those the golden run reads
+//! from there on before overwriting them.
+//!
 //! ## Program I/O
 //!
 //! Programs talk to the runtime through `svc`:

@@ -3,7 +3,9 @@
 use crate::hang::StateDiff;
 use crate::memory::{AccessKind, MemResult, Memory, MemoryDelta, MemoryStats};
 use crate::outcome::{CpuFault, RunOutcome};
-use rr_isa::{decode, AluOp, Flags, Instr, Reg, RegSet, ShiftOp, MAX_INSTR_LEN, STACK_TOP};
+use rr_isa::{
+    decode, flag_bits, AluOp, Flags, Instr, Reg, RegSet, ShiftOp, MAX_INSTR_LEN, STACK_TOP,
+};
 use rr_obj::Executable;
 use std::sync::Arc;
 
@@ -71,6 +73,11 @@ impl Snapshot {
         self.0.pc
     }
 
+    /// The output written up to capture time.
+    pub fn output(&self) -> &[u8] {
+        &self.0.output
+    }
+
     /// Residency of the captured memory (materialized vs zero pages).
     pub fn memory_stats(&self) -> MemoryStats {
         self.0.memory.stats()
@@ -129,17 +136,38 @@ impl Machine {
 
     /// Whether this machine's complete architectural state equals the
     /// state `snapshot` captured, so that both run on identically from
-    /// here: the same registers, NZCV and output, then the same pc, stop
-    /// state, input and memory contents, by the comparison a hung run's
-    /// candidate period takes (see [`HangDetector`](crate::HangDetector)).
-    /// Memory compares last ([`Memory::same_contents`]: shared pages
-    /// compare without a read, and exec-dirty bookkeeping is ignored).
+    /// here: the same output, and [`Machine::same_live_state`] with every
+    /// register, NZCV bit and memory word live. Memory compares last
+    /// ([`Memory::same_contents`]: shared pages compare without a read,
+    /// and exec-dirty bookkeeping is ignored).
     pub fn same_state(&self, snapshot: &Snapshot) -> bool {
+        self.output == snapshot.0.output
+            && self.same_live_state(snapshot, RegSet::ALL, flag_bits::ALL, |_| true)
+    }
+
+    /// Whether this machine runs on exactly as the machine `snapshot`
+    /// captured does, given what that run reads before overwriting it:
+    /// of the registers only `regs`, of the NZCV bits only `flags` (a
+    /// [`flag_bits`](rr_isa::flag_bits) mask), and of data memory only
+    /// the 8-byte-aligned words `reads_word` accepts, by address. The pc,
+    /// stop state, input cursor and stream, and executable memory must be
+    /// equal, and so must every register, flag bit and word that run
+    /// reads; the rest may differ, the output included. Both runs then
+    /// end alike after the same number of steps, and each appends the
+    /// same bytes to the output it has. Memory compares last, in one page
+    /// walk that asks `reads_word` only about the words that differ.
+    pub fn same_live_state(
+        &self,
+        snapshot: &Snapshot,
+        regs: RegSet,
+        flags: u8,
+        mut reads_word: impl FnMut(u64) -> bool,
+    ) -> bool {
         let other = &snapshot.0;
-        self.regs == other.regs
-            && self.flags == other.flags
-            && self.output == other.output
-            && self.register_diff(snapshot).is_some()
+        self.same_place(other)
+            && (self.regs == other.regs || self.differing_regs(other).intersect(regs).is_empty())
+            && (self.flags.to_bits() ^ other.flags.to_bits()) as u8 & flags == 0
+            && self.memory.same_contents_except(&other.memory, 0..0, |word| !reads_word(word))
     }
 
     /// Compares this machine with the state `snapshot` captured, except
@@ -149,28 +177,37 @@ impl Machine {
     /// registers and NZCV bits that differ. Compares cheapest first and
     /// memory last.
     ///
-    /// [`Machine::same_state`] is the empty difference (its stack
-    /// pointers are equal, so all memory compares), and a hung run's
-    /// candidate period a nonempty one (see
+    /// A hung run's candidate period is such a difference (see
     /// [`HangDetector`](crate::HangDetector)), where a stack that grew or
     /// shrank by the period differs only in the slots it moved over.
     pub(crate) fn register_diff(&self, snapshot: &Snapshot) -> Option<StateDiff> {
         let other = &snapshot.0;
         let (sp, other_sp) = (self.reg(Reg::SP), other.reg(Reg::SP));
-        let same_place = self.pc == other.pc
-            && self.stopped == other.stopped
-            && self.input_pos == other.input_pos
-            && (Arc::ptr_eq(&self.input, &other.input) || self.input == other.input)
-            && self.memory.same_contents_outside(&other.memory, sp.min(other_sp)..sp.max(other_sp));
+        let same_place = self.same_place(other)
+            && self.memory.same_contents_except(
+                &other.memory,
+                sp.min(other_sp)..sp.max(other_sp),
+                |_| false,
+            );
         if !same_place {
             return None;
         }
-        let regs = if self.regs == other.regs {
-            RegSet::EMPTY
-        } else {
-            Reg::ALL.into_iter().filter(|&r| self.reg(r) != other.reg(r)).collect()
-        };
+        let regs = if self.regs == other.regs { RegSet::EMPTY } else { self.differing_regs(other) };
         Some(StateDiff { regs, flags: (self.flags.to_bits() ^ other.flags.to_bits()) as u8 })
+    }
+
+    /// The registers whose values differ between this machine and `other`.
+    fn differing_regs(&self, other: &Machine) -> RegSet {
+        Reg::ALL.into_iter().filter(|&r| self.reg(r) != other.reg(r)).collect()
+    }
+
+    /// Whether this machine is where `other` is: the same pc, stop state,
+    /// and input cursor and stream.
+    fn same_place(&self, other: &Machine) -> bool {
+        self.pc == other.pc
+            && self.stopped == other.stopped
+            && self.input_pos == other.input_pos
+            && (Arc::ptr_eq(&self.input, &other.input) || self.input == other.input)
     }
 
     /// Current program counter.

@@ -277,6 +277,46 @@ impl Region {
     }
 }
 
+/// Offers `admit`, by address and in address order, each 8-byte-aligned
+/// word holding a byte where page `x`, at address `page`, differs from
+/// page `y`, except bytes at the page offsets in `skip`. Stops at the
+/// first word `admit` refuses, and returns whether it accepted them all.
+fn admit_differences(
+    x: &[u8],
+    y: &[u8],
+    page: u64,
+    skip: Range<usize>,
+    admit: &mut impl FnMut(u64) -> bool,
+) -> bool {
+    let le_u64 = |bytes: &[u8], i: usize| {
+        u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+    };
+    let mut last = None;
+    for (block, (xb, yb)) in x.chunks_exact(64).zip(y.chunks_exact(64)).enumerate() {
+        // The bits that differ in the block's `i`-th 8 bytes.
+        let differ = |i: usize| le_u64(xb, i) ^ le_u64(yb, i);
+        if (0..8).fold(0, |any, i| any | differ(i)) == 0 {
+            continue;
+        }
+        for i in 0..8 {
+            let mut bits = differ(i);
+            while bits != 0 {
+                let at = block * 64 + i * 8 + bits.trailing_zeros() as usize / 8;
+                bits &= !(0xff << (at % 8 * 8));
+                let word = (page + at as u64) & !7;
+                if skip.contains(&at) || last == Some(word) {
+                    continue;
+                }
+                last = Some(word);
+                if !admit(word) {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
 /// The emulated address space: a small set of non-overlapping permissioned
 /// regions (program segments plus the stack).
 #[derive(Debug, Clone)]
@@ -517,12 +557,24 @@ impl Memory {
     /// exec-dirty list is bookkeeping, not contents, and is ignored:
     /// equal bytes execute identically.
     pub fn same_contents(&self, other: &Memory) -> bool {
-        self.same_contents_outside(other, 0..0)
+        self.same_contents_except(other, 0..0, |_| false)
     }
 
-    /// Like [`Memory::same_contents`], but the bytes at addresses in
-    /// `skip` may differ.
-    pub(crate) fn same_contents_outside(&self, other: &Memory, skip: Range<u64>) -> bool {
+    /// The one page walk behind [`Memory::same_contents`]: whether this
+    /// memory holds the bytes of `other` outside `skip`, except in the
+    /// words `admit` accepts. Pages sharing a backing are equal without a
+    /// read, and pages whose bytes compare equal cost one comparison;
+    /// only a page that differs is scanned for its differing bytes, and
+    /// each 8-byte-aligned word holding one outside `skip` is offered to
+    /// `admit` by address (a word the scan reaches from two pages is
+    /// offered twice). A differing byte in an executable region is never
+    /// admitted. Stops at the first word `admit` refuses.
+    pub(crate) fn same_contents_except(
+        &self,
+        other: &Memory,
+        skip: Range<u64>,
+        mut admit: impl FnMut(u64) -> bool,
+    ) -> bool {
         self.regions.len() == other.regions.len()
             && self.regions.iter().zip(&other.regions).all(|(a, b)| {
                 (a.start, a.len, a.perms) == (b.start, b.len, b.perms)
@@ -535,11 +587,14 @@ impl Memory {
                         let page = a.start + (p * PAGE_SIZE) as u64;
                         let offset = |addr: u64| addr.saturating_sub(page).min(PAGE_SIZE as u64);
                         let (lo, hi) = (offset(skip.start) as usize, offset(skip.end) as usize);
-                        if lo >= hi {
-                            x == y
-                        } else {
-                            x[..lo] == y[..lo] && x[hi..] == y[hi..]
+                        let (lo, hi) = if lo < hi { (lo, hi) } else { (0, 0) };
+                        if x[..lo] == y[..lo] && x[hi..] == y[hi..] {
+                            return true;
                         }
+                        if a.perms.exec {
+                            return false;
+                        }
+                        admit_differences(x, y, page, lo..hi, &mut admit)
                     })
             })
     }
@@ -821,6 +876,35 @@ mod tests {
         // the out-of-range side.
         let end = base + (3 * PAGE_SIZE + 100) as u64;
         assert!(!mem.poke(end - 2, &[9, 9, 9]));
+    }
+
+    #[test]
+    fn the_page_walk_offers_each_differing_data_word_once_in_address_order() {
+        let golden = paged_memory();
+        let mut mem = golden.clone();
+        // Two bytes of one word, the first byte of the next page, and the
+        // last word of that page.
+        for addr in [0x1000a, 0x1000f, 0x11000, 0x11ff9] {
+            let byte = golden.peek(addr, 1).unwrap()[0];
+            assert!(mem.poke(addr, &[byte ^ 0x10]));
+        }
+        let walk = |skip: Range<u64>, refuse: u64| {
+            let mut offered = vec![];
+            let same = mem.same_contents_except(&golden, skip, |word| {
+                offered.push(word);
+                word != refuse
+            });
+            (same, offered)
+        };
+        assert_eq!(walk(0..0, 0), (true, vec![0x10008, 0x11000, 0x11ff8]));
+        assert_eq!(walk(0..0, 0x11000), (false, vec![0x10008, 0x11000]), "stops at a refusal");
+        assert_eq!(walk(0x10000..0x11001, 0), (true, vec![0x11ff8]), "skipped bytes");
+        assert!(!mem.same_contents(&golden));
+        // A differing code byte is never admitted.
+        let code = demo_memory();
+        let mut flipped = code.clone();
+        assert!(flipped.poke(0x1000, &[0xff]));
+        assert!(!flipped.same_contents_except(&code, 0..0, |_| true));
     }
 
     #[test]

@@ -4,17 +4,20 @@
 //! changes no register outside its `defs` and no flag bit outside its
 //! `flag_defs`, and nothing it does depends on a register outside its
 //! reads (`uses` plus `address`) or a flag bit outside its `flag_uses`.
-//! Static pruning, the patcher's liveness and the symbolizer all build
-//! on those facts, so they are checked here against the interpreter, the
-//! reference semantics.
+//! [`Instr::mem_access`] promises the same of data memory: nothing
+//! depends on a byte outside the access, and a write overwrites every
+//! byte of it. Static pruning, the patcher's liveness, the symbolizer
+//! and the golden-rejoin rule all build on those facts, so they are
+//! checked here against the interpreter, the reference semantics.
 //!
 //! Random decodable instructions are stepped once from random register
 //! and flag states. Some registers point into mapped data and the stack,
 //! so memory operands and stack operations run instead of faulting. Each
 //! state is then stepped again with one unread register, or one unread
-//! flag bit, perturbed: the result must equal the unperturbed step
-//! everywhere except in that register or bit, which keeps its perturbed
-//! value unless the instruction overwrote it.
+//! flag bit, or one data byte near the memory access, perturbed: the
+//! result must equal the unperturbed step everywhere except in that
+//! register, bit or byte, which keeps its perturbed value unless the
+//! instruction overwrote it.
 
 use proptest::TestRng;
 use rr_asm::assemble_and_link;
@@ -101,6 +104,11 @@ fn operand_table_is_exact_against_one_interpreter_step() {
     let mut rng = TestRng::deterministic("operand_table_is_exact_against_one_interpreter_step");
     let mut seen = HashSet::new();
     let (mut zero_shifts, mut services, mut completed_memory_ops) = (0, [0; 4], 0);
+    // The byte perturbations draw from their own stream, so the
+    // instructions and states above stay those of the main one.
+    let mut byte_rng = TestRng::deterministic("one data byte near the memory access");
+    let (mut bytes_overwritten, mut bytes_left) = (0, 0);
+    let text = exe.text_range();
 
     for _ in 0..INSTRUCTIONS {
         let (bytes, insn, len) = random_encoding(&mut rng);
@@ -164,6 +172,38 @@ fn operand_table_is_exact_against_one_interpreter_step() {
             );
         }
 
+        // Nothing depends on a data byte outside the access, and a write
+        // overwrites every byte of it.
+        if let Some(access) = insn.mem_access().filter(|_| !faulted) {
+            let addr = before.reg(access.base).wrapping_add(access.disp as u64);
+            let at = addr.wrapping_add(byte_rng.below(access.size + 16)).wrapping_sub(8);
+            let inside = at.wrapping_sub(addr) < access.size;
+            let mapped = before.peek_bytes(at, 1).map(|b| b[0]);
+            // A byte a read reads is one the step depends on.
+            if let Some(byte) = mapped.filter(|_| (access.write || !inside) && !text.contains(&at))
+            {
+                let perturbed = byte ^ (byte_rng.below(255) as u8 + 1);
+                let mut run = before.clone();
+                assert!(run.poke_bytes(at, &[perturbed]));
+                let _ = run.step();
+                let expect = expected(&after, |m| {
+                    if !inside {
+                        assert!(m.poke_bytes(at, &[perturbed]));
+                    }
+                });
+                assert!(
+                    run.same_state(&expect),
+                    "`{insn}` at {addr:#x} depends on byte {at:#x} outside it (or did not \
+                     overwrite it)"
+                );
+                if inside {
+                    bytes_overwritten += 1;
+                } else {
+                    bytes_left += 1;
+                }
+            }
+        }
+
         // Nothing depends on an unread flag bit.
         for bit in [flag_bits::Z, flag_bits::N, flag_bits::C, flag_bits::V] {
             if ops.flag_uses & bit != 0 {
@@ -195,4 +235,6 @@ fn operand_table_is_exact_against_one_interpreter_step() {
     assert!(zero_shifts >= 10, "only {zero_shifts} zero-count shifts");
     assert!(services.iter().all(|&n| n >= 10), "services stepped: {services:?}");
     assert!(completed_memory_ops >= 1_000, "only {completed_memory_ops} memory operands ran");
+    assert!(bytes_overwritten >= 100, "only {bytes_overwritten} written bytes perturbed");
+    assert!(bytes_left >= 1_000, "only {bytes_left} bytes outside an access perturbed");
 }

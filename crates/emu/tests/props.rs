@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use rr_asm::assemble_and_link;
 use rr_emu::{execute, BlockCache, BlockStats, Execution, HangDetector, Machine, RunOutcome};
-use rr_isa::{Reg, STACK_SIZE};
+use rr_engine::{ReplayConfig, ReplayEngine};
+use rr_isa::{Flags, Reg, STACK_SIZE, STACK_TOP};
 use rr_obj::Executable;
 
 /// Random but *assemblable* straight-line programs over safe instructions
@@ -388,4 +389,113 @@ fn extrapolated_counting_and_stack_loops_match_running_to_the_budget() {
     assert!(refused >= CASES / 10, "{refused} of {CASES} programs refused");
     assert!(grew >= CASES / 20, "{grew} proven programs grow the stack");
     assert!(counted >= CASES / 20, "{counted} proven programs count toward a branch");
+}
+
+/// Lines for [`rejoin_program`]: arithmetic, compares and `set<cc>` over
+/// r0–r11, 8-byte and 1-byte loads and stores at aligned and unaligned
+/// offsets into r13's buffer, `push`/`pop` pairs, and output.
+fn rejoin_line() -> impl Strategy<Value = String> {
+    let reg = (0u8..12).prop_map(|i| format!("r{i}"));
+    let disp = (0usize..6).prop_map(|i| [0, 3, 8, 16, 21, 24][i]);
+    let cc = ["eq", "ne", "lt", "b", "a", "ge"];
+    prop_oneof![
+        (reg.clone(), any::<i32>()).prop_map(|(r, v)| format!("mov {r}, {v}")),
+        (reg.clone(), reg.clone()).prop_map(|(a, b)| format!("add {a}, {b}")),
+        (reg.clone(), reg.clone()).prop_map(|(a, b)| format!("xor {a}, {b}")),
+        (reg.clone(), -4i32..4).prop_map(|(r, v)| format!("cmp {r}, {v}")),
+        (reg.clone(), 0..cc.len()).prop_map(move |(r, i)| format!("set{} {r}", cc[i])),
+        (reg.clone(), disp.clone()).prop_map(|(r, d)| format!("store [r13+{d}], {r}")),
+        (reg.clone(), disp.clone()).prop_map(|(r, d)| format!("storeb [r13+{d}], {r}")),
+        (reg.clone(), disp.clone()).prop_map(|(r, d)| format!("load {r}, [r13+{d}]")),
+        (reg.clone(), disp).prop_map(|(r, d)| format!("loadb {r}, [r13+{d}]")),
+        (reg.clone(), reg.clone()).prop_map(|(a, b)| format!("push {a}\n    pop {b}")),
+        reg.prop_map(|r| format!("mov r1, {r}\n    svc 1")),
+    ]
+}
+
+/// `lines` in a countdown loop of `iters` iterations on r12, with r13
+/// pointing at an aligned 32-byte buffer. At the end it prints r0–r11
+/// and the buffer's four words in decimal, so a difference left in any
+/// of them shows in the output, and exits with r2.
+fn rejoin_program(lines: &[String], iters: u64) -> String {
+    let mut src =
+        format!("    .global _start\n_start:\n    mov r12, {iters}\n    mov r13, buf\n.loop:\n");
+    for line in lines {
+        src.push_str(&format!("    {line}\n"));
+    }
+    src.push_str("    sub r12, 1\n    cmp r12, 0\n    jne .loop\n");
+    for r in 0..12 {
+        src.push_str(&format!("    mov r1, r{r}\n    svc 3\n"));
+    }
+    for disp in [0, 8, 16, 24] {
+        src.push_str(&format!("    load r1, [r13+{disp}]\n    svc 3\n"));
+    }
+    src.push_str("    mov r1, r2\n    svc 0\n    .data\n    .align 8\nbuf:\n    .space 32\n");
+    src
+}
+
+/// Whenever the live-state rule ([`ReplayEngine::rejoins`]) accepts a
+/// golden machine at a checkpoint with one register, flag bit, data byte
+/// or code byte flipped, running that machine to the end gives the
+/// recording's outcome, the remainder's step count, and its own output
+/// followed by the recording's output after the checkpoint. The rule
+/// accepts and refuses each kind of data perturbation in some cases, and
+/// never accepts a flipped code byte.
+#[test]
+fn rejoined_runs_match_running_to_the_end() {
+    const CASES: usize = 300;
+    const PERTURBATIONS: usize = 8;
+    let programs = (proptest::collection::vec(rejoin_line(), 1..12), 1u64..40);
+    let mut rng = proptest::TestRng::deterministic("rejoined_runs_match_running_to_the_end");
+    let (mut accepted, mut refused) = ([0usize; 5], [0usize; 5]);
+    for _ in 0..CASES {
+        let (lines, iters) = programs.generate(&mut rng);
+        let src = rejoin_program(&lines, iters);
+        let exe = assemble_and_link(&src).expect("program builds");
+        let engine = ReplayEngine::record(&exe, &[], &ReplayConfig::default());
+        let golden = engine.execution();
+        assert!(golden.outcome.is_exit(), "{src}");
+        let buf = engine.machine_at(2).expect("in the trace").reg(Reg::R13);
+        let text = exe.text_range();
+        let checkpoints = engine.checkpoints_from(0);
+        for _ in 0..PERTURBATIONS {
+            let checkpoint = &checkpoints[rng.below(checkpoints.len() as u64) as usize];
+            let mut m = Machine::from_snapshot(checkpoint.snapshot());
+            let flip = |m: &mut Machine, addr: u64, bit: u64| {
+                let byte = m.peek_bytes(addr, 1).expect("mapped")[0];
+                assert!(m.poke_bytes(addr, &[byte ^ 1 << bit]));
+            };
+            let kind = rng.below(5) as usize;
+            match kind {
+                0 => {
+                    let r = Reg::from_index(rng.below(16) as u8);
+                    m.set_reg(r, m.reg(r) ^ 1 << rng.below(64));
+                }
+                1 => m.set_flags(Flags::from_bits(m.flags().to_bits() ^ 1 << rng.below(4))),
+                2 => flip(&mut m, buf + rng.below(32), rng.below(8)),
+                3 => flip(&mut m, STACK_TOP - 1 - rng.below(16), rng.below(8)),
+                _ => flip(&mut m, text.start + rng.below(text.end - text.start), rng.below(8)),
+            }
+            if !engine.rejoins(&m, checkpoint) {
+                refused[kind] += 1;
+                continue;
+            }
+            accepted[kind] += 1;
+            let mut spliced = m.output().to_vec();
+            spliced.extend_from_slice(engine.output_after(checkpoint));
+            let result = m.run(100_000);
+            assert_eq!(result.outcome, golden.outcome, "{src}");
+            assert_eq!(result.steps, golden.steps - checkpoint.step(), "{src}");
+            assert_eq!(m.take_output(), spliced, "{src}");
+        }
+    }
+    // A stack slot is live only between a `push` and its `pop`.
+    eprintln!("accepted {accepted:?}, refused {refused:?}");
+    for kind in 0..4 {
+        assert!(
+            accepted[kind] >= 20 && refused[kind] >= 5,
+            "kind {kind}: {accepted:?} {refused:?}"
+        );
+    }
+    assert_eq!(accepted[4], 0, "a flipped code byte never rejoins");
 }

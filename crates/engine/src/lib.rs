@@ -21,6 +21,14 @@
 //!   executable's text into the block cache it owns
 //!   ([`rr_emu::BlockCache::for_executable`]), so every run of the
 //!   recording shares one set of micro-op bodies.
+//! * A faulted run can stop early where it rejoins the recording.
+//!   [`ReplayEngine::checkpoints_from`] lists the retained checkpoints,
+//!   and [`ReplayEngine::rejoins`] decides whether a machine at one runs
+//!   on exactly as the recording did: it must hold the checkpoint's pc,
+//!   stop state, input cursor and executable memory, and every register,
+//!   NZCV bit and memory word the recorded run reads from there on
+//!   before overwriting it. The recording derives those reads once, in
+//!   one interpreter pass, when it records snapshots and its run exits.
 //! * [`shard`] provides the parallel scheduler, [`shard::run_bucketed`]:
 //!   work items grouped by the checkpoint they restore from, so each
 //!   group pays one restore, dealt to OS threads by work stealing and
@@ -64,6 +72,7 @@
 
 #![forbid(unsafe_code)]
 
+mod live;
 mod replay;
 pub mod shard;
 

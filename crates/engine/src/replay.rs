@@ -1,6 +1,7 @@
 //! Recording a golden run with periodic checkpoints and replaying to
 //! arbitrary trace steps.
 
+use crate::live::{self, LiveIn, WordIndex};
 use rr_emu::{
     BlockCache, BlockStats, Execution, HangDetector, Machine, MemoryDelta, RunOutcome, RunResult,
     Snapshot,
@@ -100,7 +101,7 @@ impl Default for ReplayConfig {
 /// [`ReplayConfig::max_retained_bytes`] budgets; this cap bounds the
 /// fixed per-checkpoint overhead on traces longer than about a million
 /// steps, where √T would exceed it.
-const MAX_CHECKPOINTS: u64 = 1024;
+pub(crate) const MAX_CHECKPOINTS: u64 = 1024;
 
 /// Why a replay request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,6 +147,10 @@ pub struct Checkpoint {
     /// checkpoint — its incremental retained footprint. Zero for the
     /// initial checkpoint (accounted via resident bytes instead).
     delta: MemoryDelta,
+    /// The registers and flags the recorded run reads from here on before
+    /// overwriting them ([`ReplayEngine::rejoins`]); all of them unless
+    /// the recording exited.
+    live: LiveIn,
 }
 
 impl Checkpoint {
@@ -210,6 +215,10 @@ pub struct ReplayEngine {
     /// [`ReplayEngine::run`] executes through it (in the uop tier) when
     /// present.
     cache: Option<BlockCache>,
+    /// The memory words the recorded run reads from each checkpoint on
+    /// before overwriting them ([`ReplayEngine::rejoins`]); `None` (every
+    /// word) unless it recorded snapshots and exited.
+    reads: Option<WordIndex>,
     telemetry: Telemetry,
 }
 
@@ -241,6 +250,7 @@ impl<'a> Recorder<'a> {
                 step: 0,
                 snapshot: machine.snapshot(),
                 delta: MemoryDelta::default(),
+                live: LiveIn::ALL,
             }],
         }
     }
@@ -272,7 +282,7 @@ impl<'a> Recorder<'a> {
             snapshot.dirtied_since(&self.checkpoints.last().expect("initial state").snapshot);
         drop(capture_span);
         self.retained_bytes += delta.bytes;
-        self.checkpoints.push(Checkpoint { step, snapshot, delta });
+        self.checkpoints.push(Checkpoint { step, snapshot, delta, live: LiveIn::ALL });
         loop {
             let grow_at = (2 * self.interval).min(MAX_CHECKPOINTS);
             let over =
@@ -367,6 +377,16 @@ impl ReplayEngine {
     /// through ([`BlockCache::for_executable`], counted into
     /// [`Counter::BlocksDecoded`]). When nothing decodes, it runs on the
     /// interpreter.
+    ///
+    /// A recording with snapshots whose run exited then runs it once more
+    /// on the interpreter, to derive what the run reads from each retained
+    /// checkpoint on before overwriting it, for
+    /// [`ReplayEngine::rejoins`]: the live registers and NZCV bits, from
+    /// the executed instructions' [`rr_isa::Instr::operands`] with the
+    /// address base counted as a read, and per 8-byte-aligned memory word
+    /// the checkpoint intervals whose first touch of it is a data read
+    /// (of any of its bytes) or a write of all 8 bytes. The pass counts
+    /// into no step counter.
     pub fn record(exe: &Executable, input: &[u8], config: &ReplayConfig) -> ReplayEngine {
         let cache = match config.exec {
             ExecMode::Interp => None,
@@ -385,14 +405,24 @@ impl ReplayEngine {
             output: machine.take_output(),
             steps: result.steps,
         };
+        let mut checkpoints = recorder.checkpoints;
+        let reads = (config.record_snapshots && result.outcome.is_exit()).then(|| {
+            let steps: Vec<u64> = checkpoints.iter().map(|c| c.step).collect();
+            let (live, reads) = live::derive(exe, input, result.steps, &steps);
+            for (checkpoint, live) in checkpoints.iter_mut().zip(live) {
+                checkpoint.live = live;
+            }
+            reads
+        });
         drop(record_span);
         let engine = ReplayEngine {
-            checkpoints: recorder.checkpoints,
+            checkpoints,
             trace,
             execution,
             interval: recorder.interval,
             snapshots: config.record_snapshots,
             cache,
+            reads,
             telemetry: config.telemetry.clone(),
         };
         engine.publish_footprint();
@@ -483,6 +513,35 @@ impl ReplayEngine {
             return &[];
         }
         &self.checkpoints[self.checkpoints.partition_point(|c| c.step < step)..]
+    }
+
+    /// Whether `machine`, about to execute trace step
+    /// [`Checkpoint::step`] of a run of the recorded executable and input,
+    /// runs on exactly as the recording did from `checkpoint`: it holds
+    /// the checkpoint's pc, stop state, input cursor and executable
+    /// memory, and every register, NZCV bit and data memory word the
+    /// recorded run reads from there on before overwriting it
+    /// ([`Machine::same_live_state`]). Its output may differ. The run
+    /// then ends with the recording's outcome after
+    /// `execution().steps − checkpoint.step()` more steps, its output
+    /// followed by [`ReplayEngine::output_after`].
+    pub fn rejoins(&self, machine: &Machine, checkpoint: &Checkpoint) -> bool {
+        let LiveIn { regs, flags } = checkpoint.live;
+        // The checkpoint's interval, looked up at the first differing word.
+        let mut interval = None;
+        machine.same_live_state(&checkpoint.snapshot, regs, flags, |word| {
+            self.reads.as_ref().is_none_or(|reads| {
+                let interval = *interval.get_or_insert_with(|| {
+                    self.checkpoints.partition_point(|c| c.step < checkpoint.step)
+                });
+                reads.read_first(word, interval)
+            })
+        })
+    }
+
+    /// The output the recorded run wrote after `checkpoint`.
+    pub fn output_after(&self, checkpoint: &Checkpoint) -> &[u8] {
+        &self.execution.output[checkpoint.snapshot.output().len()..]
     }
 
     /// Produces a machine *about to execute* trace step `step` (so

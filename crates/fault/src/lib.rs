@@ -48,9 +48,13 @@
 //! counts.
 //!
 //! A checkpointed session also skips work no classification can see.
-//! After a plan's last injection it stops a run whose state rejoins the
-//! golden bad run at a retained checkpoint, and takes the rest of the
-//! behaviour from the golden run. And it stops a run still going at
+//! After a plan's last injection it stops a run that rejoins the golden
+//! bad run at a retained checkpoint: same pc, stop state, input cursor
+//! and executable memory, and the same value in every register, NZCV bit
+//! and memory word the golden remainder reads before overwriting it
+//! (`rr_engine::ReplayEngine::rejoins`). The rest of the behaviour comes
+//! from the golden run: its outcome, its remaining steps, and its output
+//! after the checkpoint appended to the run's own. And it stops a run still going at
 //! twice the golden run's steps once an `rr_emu::HangDetector` proves
 //! it repeats one period until its step budget: such a run would time
 //! out, and its output and step count at the budget are extrapolated

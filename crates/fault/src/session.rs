@@ -558,8 +558,9 @@ impl CampaignSession {
     /// sinks, and thread counts — the emulator is deterministic, and the
     /// equivalence test suite enforces it. A checkpointed session
     /// finishes a faulted run early, with the exact behaviour executing
-    /// would have produced, once its state rejoins the golden bad run at
-    /// a retained checkpoint (counted by the `plans_converged` and
+    /// would have produced, once it rejoins the golden bad run at a
+    /// retained checkpoint, equal to it in everything the golden
+    /// remainder reads (counted by the `plans_converged` and
     /// `steps_converged` telemetry counters), or once the run is proven
     /// to repeat one period until its step budget (`plans_extrapolated`
     /// and `steps_extrapolated`).
@@ -661,9 +662,9 @@ impl CampaignSession {
     /// step budget, exactly like the single-fault case.
     ///
     /// After the last injection, a checkpointed session may finish the
-    /// run early: [`CampaignSession::run_continuation`] stops it when its
-    /// state rejoins the golden bad run at a retained checkpoint, and
-    /// takes the rest of the behaviour from the golden run, or when it is
+    /// run early: [`CampaignSession::run_continuation`] stops it when it
+    /// rejoins the golden bad run at a retained checkpoint, and takes the
+    /// rest of the behaviour from the golden run, or when it is
     /// proven to hang, and extrapolates the rest. Either is exactly what
     /// executing it would have produced.
     fn inject_and_classify(&self, mut machine: Machine, plan: &FaultPlan) -> FaultClass {
@@ -718,20 +719,26 @@ impl CampaignSession {
     ///
     /// The run goes in fence-to-fence segments that end on the golden bad
     /// run's retained checkpoints — the 1st, 2nd, 4th, 8th … at or after
-    /// the plan's golden-aligned step — and compares the machine's
-    /// complete state with each checkpoint's snapshot
-    /// ([`Machine::same_state`]). The aligned step is the first
-    /// injection's step, plus the steps executed since, plus one per
-    /// skip (a skip consumes a trace step without executing one). On a
-    /// match the rest of the run is the golden run's, so the behaviour is
-    /// the golden bad outcome and output, with the exact step count
-    /// executing would have reached: executed + (golden steps −
-    /// checkpoint step). Every oracle therefore classifies identically,
-    /// one that reads `steps` included. A total beyond the budget keeps
-    /// running, to time out as before.
+    /// the plan's golden-aligned step — and at each one asks whether the
+    /// machine rejoins the golden run there ([`ReplayEngine::rejoins`]):
+    /// the same pc, stop state, input cursor and stream and executable
+    /// memory, and the same value in every register, NZCV bit and memory
+    /// word the golden remainder reads before overwriting it. Its output
+    /// may differ. The aligned step is the first injection's step, plus
+    /// the steps executed since, plus one per skip (a skip consumes a
+    /// trace step without executing one). On a rejoin the rest of the run
+    /// does what the golden run's does, so the behaviour is the golden
+    /// bad outcome, the exact step count executing would have reached,
+    /// executed + (golden steps − checkpoint step), and the run's own
+    /// output followed by the golden output after the checkpoint
+    /// ([`ReplayEngine::output_after`]). Every oracle therefore
+    /// classifies identically, one that reads `steps` or the output
+    /// included. A total beyond the budget keeps running, to time out as
+    /// before.
     ///
-    /// Plans that flip code bits never check: their rewritten code page
-    /// never matches golden memory.
+    /// Plans that flip code bits never check: their rewritten code never
+    /// matches golden memory, and a differing byte of executable memory
+    /// never rejoins.
     ///
     /// A run still going at [`HANG_CHECK_FROM`] times the golden bad
     /// run's steps, counted from its start, may hang. For the next
@@ -779,7 +786,7 @@ impl CampaignSession {
                     };
                 }
                 aligned = checkpoint.step();
-                if machine.same_state(checkpoint.snapshot()) {
+                if self.replay.rejoins(machine, checkpoint) {
                     let remainder = self.golden_bad.steps - aligned;
                     if used + remainder > budget {
                         break;
@@ -788,7 +795,7 @@ impl CampaignSession {
                     self.telemetry.count(Counter::StepsConverged, remainder);
                     return Behavior {
                         outcome: self.golden_bad.outcome,
-                        output: self.golden_bad.output.clone(),
+                        output: [machine.output(), self.replay.output_after(checkpoint)].concat(),
                         steps: used + remainder,
                     };
                 }

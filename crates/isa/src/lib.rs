@@ -14,7 +14,8 @@
 //!
 //! It also holds the one operand table ([`Instr::operands`]): the
 //! registers ([`RegSet`]) and flag bits ([`flag_bits`]) each instruction
-//! reads and writes, exact against `rr-emu`'s interpreter. Static
+//! reads and writes, and the data memory each one accesses
+//! ([`Instr::mem_access`]), exact against `rr-emu`'s interpreter. Static
 //! pruning, the patcher's liveness and the symbolizer all read it, each
 //! adding its own policy for calls, returns and services.
 //!
@@ -56,7 +57,7 @@ pub use decode::{decode, DecodeError};
 pub use encode::{encode, encode_to_vec, encoded_len};
 pub use flags::Flags;
 pub use insn::{AluOp, Instr, InstrKind, ShiftOp};
-pub use operands::Operands;
+pub use operands::{MemAccess, Operands};
 pub use reg::{ParseRegError, Reg};
 pub use regset::{flag_bits, RegSet};
 

@@ -61,7 +61,55 @@ impl Operands {
     }
 }
 
+/// The data memory access one instruction makes: `size` bytes at the
+/// address `base + disp` holds before the instruction executes, a read
+/// or a write. Stack operations address through `sp`: a push or call
+/// writes the 8 bytes below it, a pop, `popf` or `ret` reads the 8 at
+/// it. Instruction fetches are not data accesses.
+///
+/// # Example
+///
+/// ```
+/// use rr_isa::{Instr, MemAccess, Reg};
+///
+/// let push = Instr::Push { rs: Reg::R3 }.mem_access();
+/// assert_eq!(push, Some(MemAccess { base: Reg::SP, disp: -8, size: 8, write: true }));
+/// let load = Instr::LoadB { rd: Reg::R1, base: Reg::R2, disp: 3 }.mem_access();
+/// assert_eq!(load, Some(MemAccess { base: Reg::R2, disp: 3, size: 1, write: false }));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemAccess {
+    /// The register the address is formed from.
+    pub base: Reg,
+    /// The displacement added to it.
+    pub disp: i64,
+    /// Bytes accessed: 8, or 1 for `loadb` and `storeb`.
+    pub size: u64,
+    /// Whether the access writes.
+    pub write: bool,
+}
+
 impl Instr {
+    /// The instruction's data memory access, stack operations included;
+    /// `None` for an instruction that touches no data memory.
+    pub fn mem_access(&self) -> Option<MemAccess> {
+        let at =
+            |base, disp: i32, size, write| Some(MemAccess { base, disp: disp.into(), size, write });
+        match *self {
+            Instr::Load { base, disp, .. } | Instr::CmpRM { base, disp, .. } => {
+                at(base, disp, 8, false)
+            }
+            Instr::LoadB { base, disp, .. } => at(base, disp, 1, false),
+            Instr::Store { base, disp, .. } => at(base, disp, 8, true),
+            Instr::StoreB { base, disp, .. } => at(base, disp, 1, true),
+            Instr::Push { .. } | Instr::PushF | Instr::Call { .. } | Instr::CallR { .. } => {
+                at(Reg::SP, -8, 8, true)
+            }
+            Instr::Pop { .. } | Instr::PopF | Instr::Ret => at(Reg::SP, 0, 8, false),
+            _ => None,
+        }
+    }
+
     /// The instruction's [`Operands`].
     pub fn operands(&self) -> Operands {
         let regs = |list: &[Reg]| list.iter().copied().collect::<RegSet>();

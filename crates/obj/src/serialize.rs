@@ -18,7 +18,8 @@
 //! rest of the file cannot hold that many entries, before anything is
 //! reserved for them. An executable's segments must each fit their
 //! data, lie below the stack base (`STACK_TOP − STACK_SIZE`, the ISA's
-//! own layout) and not overlap, and one of them must be `.text`. Every
+//! own layout) and not overlap, one of them must be `.text`, and the
+//! entry point must lie in an executable one. Every
 //! violation is a [`FormatError`], so loading never allocates more than
 //! the file and the address space below the stack can describe.
 
@@ -96,6 +97,12 @@ pub enum FormatError {
     },
     /// An executable maps no `.text` segment.
     MissingText,
+    /// The entry point lies outside every executable segment, so the
+    /// first fetch would fault.
+    EntryOutsideCode {
+        /// The entry address.
+        entry: u64,
+    },
 }
 
 impl fmt::Display for FormatError {
@@ -123,6 +130,9 @@ impl fmt::Display for FormatError {
                 write!(f, "segment {second} overlaps segment {first}")
             }
             FormatError::MissingText => write!(f, "no .text segment"),
+            FormatError::EntryOutsideCode { entry } => {
+                write!(f, "entry point {entry:#x} lies outside every executable segment")
+            }
         }
     }
 }
@@ -330,7 +340,8 @@ impl Executable {
     ///
     /// Returns a [`FormatError`] on malformed input, including segments
     /// that do not fit their data, reach past the stack base, or overlap,
-    /// and a missing `.text` segment; parsing never panics.
+    /// a missing `.text` segment, and an entry point outside every
+    /// executable segment; parsing never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Executable, FormatError> {
         let mut r = Reader::new(bytes);
         if r.take(4)? != EXE_MAGIC {
@@ -357,7 +368,7 @@ impl Executable {
                 section,
             });
         }
-        validate_segments(&segments)?;
+        validate_segments(&segments, entry)?;
         let nsyms = r.count("symbol", MIN_EXE_SYMBOL_LEN)?;
         let mut symbols = Vec::with_capacity(nsyms);
         for _ in 0..nsyms {
@@ -374,9 +385,9 @@ impl Executable {
 }
 
 /// Checks that every segment fits its data and lies below the stack
-/// base, that no two non-empty segments overlap, and that `.text` is
-/// mapped.
-fn validate_segments(segments: &[Segment]) -> Result<(), FormatError> {
+/// base, that no two non-empty segments overlap, that `.text` is mapped,
+/// and that `entry` lies in an executable segment.
+fn validate_segments(segments: &[Segment], entry: u64) -> Result<(), FormatError> {
     for (index, seg) in segments.iter().enumerate() {
         let (addr, mem_size) = (seg.addr, seg.mem_size);
         let data_len = seg.data.len() as u64;
@@ -399,6 +410,9 @@ fn validate_segments(segments: &[Segment]) -> Result<(), FormatError> {
     }
     if !segments.iter().any(|seg| seg.section == SectionKind::Text) {
         return Err(FormatError::MissingText);
+    }
+    if !segments.iter().any(|seg| seg.perms.exec && seg.range().contains(&entry)) {
+        return Err(FormatError::EntryOutsideCode { entry });
     }
     Ok(())
 }
@@ -545,6 +559,16 @@ mod tests {
             reject(&|e| e.segments[0].section = SectionKind::Data),
             FormatError::MissingText
         );
+        // The entry must be mapped executable: not past the end of the
+        // code, nor in a data segment.
+        let code = exe.segments.iter().find(|s| s.perms.exec).unwrap().range();
+        assert!(!exe.segments[1].perms.exec);
+        let data = exe.segments[1].addr;
+        for entry in [code.end, data, 0] {
+            let err = reject(&|e| e.entry = entry);
+            assert_eq!(err, FormatError::EntryOutsideCode { entry });
+            assert!(err.to_string().contains(&format!("{entry:#x}")), "{err}");
+        }
         // A segment ending exactly at the stack base still loads.
         let mut last = exe.clone();
         let seg = last.segments.last_mut().unwrap();

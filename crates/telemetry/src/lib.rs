@@ -197,12 +197,16 @@ pub enum Counter {
     /// `Benign` under `--audit-analysis` — analysis soundness
     /// violations (zero for a sound analysis).
     AuditFailures,
-    /// Faulted plans whose state rejoined the golden bad run at a
-    /// retained checkpoint, so their run was finished from the golden
-    /// outcome instead of executed.
+    /// Faulted plans that rejoined the golden bad run at a retained
+    /// checkpoint — equal to it in pc, stop state, input and executable
+    /// memory, and in every register, NZCV bit and memory word the golden
+    /// remainder reads before overwriting it — so their run was finished
+    /// from the golden outcome, with the golden output after the
+    /// checkpoint appended to their own, instead of executed.
     PlansConverged,
-    /// Golden-remainder steps those plans did not execute: adding them
-    /// to the executed steps gives the work without the shortcut.
+    /// Golden-remainder steps those plans did not execute, the golden
+    /// bad run's steps after the checkpoint each one rejoined at: adding
+    /// them to the executed steps gives the work without the shortcut.
     StepsConverged,
     /// Faulted plans whose run was proven to repeat one period until its
     /// step budget, so their `TimedOut` behaviour was extrapolated

@@ -16,7 +16,7 @@ use rr_fault::{
     InstructionSkip, SingleBitFlip,
 };
 use rr_isa::{STACK_SIZE, STACK_TOP};
-use rr_obj::{Executable, SectionKind};
+use rr_obj::{Executable, FormatError, SectionKind};
 use rr_workloads::Workload;
 
 /// Mutants per workload, each with 1–4 random bit flips.
@@ -165,6 +165,20 @@ fn loaded_mutants_disassemble_analyse_and_campaign_or_fail_typed() {
     {
         assert!(stage.ok > 0 && stage.typed_errors > 0, "{name}: {stage:?}");
     }
+}
+
+#[test]
+fn an_entry_outside_the_code_is_a_typed_error_naming_it() {
+    // pincheck's entry (file bytes 4..12) moved to its `.bss`: the file
+    // used to load, and its golden run crashed at the first fetch.
+    let w = rr_workloads::pincheck();
+    let exe = w.build().expect("workload builds");
+    let bss = exe.segments.iter().find(|s| s.section == SectionKind::Bss).unwrap().addr;
+    let mut bytes = exe.to_bytes();
+    bytes[4..12].copy_from_slice(&bss.to_le_bytes());
+    let err = Executable::from_bytes(&bytes).unwrap_err();
+    assert_eq!(err, FormatError::EntryOutsideCode { entry: bss });
+    assert_eq!(err.to_string(), "entry point 0x3000 lies outside every executable segment");
 }
 
 #[test]

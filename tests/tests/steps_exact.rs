@@ -3,7 +3,8 @@
 //! have produced.
 //!
 //! * The golden-rejoin shortcut takes the rest of a run from the golden
-//!   bad run, with a synthesized step count.
+//!   bad run, with a synthesized step count, and splices the golden
+//!   output after the checkpoint onto the run's own.
 //! * The hang shortcut extrapolates a run proven to repeat one period
 //!   to its step budget: `TimedOut`, the budget's steps, and the output
 //!   of every period it did not execute.
@@ -151,6 +152,8 @@ fn engines_agree<O: Oracle + Copy + 'static>(
     }
 }
 
+/// Rejoined plans get the naive engine's step counts, and, under the
+/// hash oracle, its outcome and output: the spliced output is exact.
 #[test]
 fn synthesized_step_counts_are_exact() {
     let models = models();
@@ -158,6 +161,7 @@ fn synthesized_step_counts_are_exact() {
     for (name, exe, bad, site_stride) in binaries() {
         let counters = [Counter::PlansConverged, Counter::StepsConverged];
         engines_agree(&name, &exe, &bad, site_stride, StepsModFive, &models, counters);
+        engines_agree(&name, &exe, &bad, site_stride, BehaviorHashModFive, &models, counters);
     }
 }
 
